@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .analyzer import (AnalyzeConfig, PinchingReport, analyze, check_nnic,
                        check_pinching, classification_hints, implication_audit)
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   Plane, bianchi_residual, biortho_spectrum, biorthogonal,
-                   complement, decompose, from_components, from_matrix, ricci,
-                   rotate_operator, scalar_curvature, sectional)
+                   Invariants, Plane, bianchi_residual, biortho_spectrum,
+                   biorthogonal, complement, decompose, from_components, from_matrix,
+                   invariants, ricci, rotate_operator, scalar_curvature, sectional)
 from .errors import ConsistencyError, Curv4Error, DegenerateInputError, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, space_form, sphere)
@@ -25,13 +25,13 @@ from .verify import run_scan, run_trial, run_verification
 __all__ = [
     "AnalyzeConfig", "BiorthoSpectrum", "ConsistencyError", "Curv4Error",
     "CurvatureDecomposition", "CurvatureOperator", "DegenerateInputError",
-    "ExtremumResult", "ModelSpec", "OracleConfig", "PinchingReport", "Plane",
-    "RngStream", "ValidationError", "__version__", "analyze",
+    "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig", "PinchingReport",
+    "Plane", "RngStream", "ValidationError", "__version__", "analyze",
     "bianchi_residual", "biortho_spectrum", "biorthogonal", "check_nnic",
     "check_pinching", "classification_hints", "complement", "cp2", "decompose",
     "derive_seed", "eig_sym", "extremize", "flat", "from_components",
-    "from_matrix", "gram_schmidt", "implication_audit", "isotropic_curvature",
-    "make_operator", "min_isotropic", "parse_model_spec", "perturb_frame",
+    "from_matrix", "gram_schmidt", "implication_audit", "invariants",
+    "isotropic_curvature", "make_operator", "min_isotropic", "parse_model_spec", "perturb_frame",
     "perturb_plane", "product_surfaces", "r_times_s3", "random_bianchi",
     "random_frame4", "ricci", "rotate_operator", "run_scan", "run_trial",
     "run_verification", "scalar_curvature", "sectional", "space_form", "sphere",

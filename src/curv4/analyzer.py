@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   biortho_spectrum, decompose, norm_max, scalar_curvature)
+                   biortho_spectrum, decompose, norm_max, operator_invariants,
+                   tolerance_band)
 from .numerics import eig_sym
-from .oracle import ExtremumResult, OracleConfig, extremize, min_isotropic
+from .oracle import ExtremumResult, OracleConfig, extremize_pair, min_isotropic
 
 FOOTER = ("Pointwise analysis of a single algebraic curvature tensor; "
           "hypotheses required to hold at every point of a manifold are "
@@ -38,11 +39,6 @@ HINT_CP2 = ("CP2-like borderline: Einstein, one Weyl half vanishes, "
             "lowest biorthogonal curvature sits exactly at s/24")
 HINT_LINE_SPHERE = "line-times-3-sphere pattern: Weyl vanishes, Ricci has rank 3"
 HINT_FLAT = "flat: all curvature quantities vanish"
-
-
-def tolerance_band(s: float) -> float:
-    """Comparison band used by all hypothesis and chain checks."""
-    return 1e-12 * (1.0 + abs(s))
 
 
 @dataclass(frozen=True)
@@ -129,32 +125,24 @@ class PinchingReport:
 
 
 def check_pinching(r: CurvatureOperator,
-                   spectrum: BiorthoSpectrum | None = None) -> PinchingChecks:
+                   dec: CurvatureDecomposition | None = None) -> PinchingChecks:
     """Evaluate both pinching hypotheses and the scalar-positivity gate."""
-    if spectrum is None:
-        spectrum = biortho_spectrum(r)
-    s = scalar_curvature(r)
-    band = tolerance_band(s)
-    margin_a = spectrum.k1 - s / 24.0
-    margin_b = s / 6.0 - spectrum.k3
+    inv = operator_invariants(r, dec)
     return PinchingChecks(
-        hypothesis_a=HypothesisCheck(holds=bool(margin_a >= -band), margin=margin_a),
-        hypothesis_b=HypothesisCheck(holds=bool(margin_b >= -band), margin=margin_b),
-        scalar_positive=bool(s > 0.0),
+        hypothesis_a=HypothesisCheck(holds=bool(inv.hypothesis_a[0]),
+                                     margin=float(inv.margin_a[0])),
+        hypothesis_b=HypothesisCheck(holds=bool(inv.hypothesis_b[0]),
+                                     margin=float(inv.margin_b[0])),
+        scalar_positive=bool(inv.scalar_positive[0]),
     )
 
 
 def check_nnic(r: CurvatureOperator,
                dec: CurvatureDecomposition | None = None) -> NnicCheck:
     """Eigenvalue criterion for nonnegative isotropic curvature: w3+/- <= s/6."""
-    if dec is None:
-        dec = decompose(r)
-    wp, wm = dec.weyl_spectra()
-    band = tolerance_band(dec.s)
-    margin_plus = dec.s / 6.0 - float(wp[2])
-    margin_minus = dec.s / 6.0 - float(wm[2])
-    holds = bool(margin_plus >= -band and margin_minus >= -band)
-    return NnicCheck(holds=holds, margin_plus=margin_plus, margin_minus=margin_minus)
+    inv = operator_invariants(r, dec)
+    return NnicCheck(holds=bool(inv.nnic[0]), margin_plus=float(inv.margin_plus[0]),
+                     margin_minus=float(inv.margin_minus[0]))
 
 
 def _step(label: str, lhs: float, relation: str, rhs: float, band: float) -> ChainStep:
@@ -175,27 +163,25 @@ def implication_audit(r: CurvatureOperator,
     Applicable only when s > 0 and at least one hypothesis holds; otherwise a
     not-applicable record is returned (that is not a failure).
     """
-    if dec is None:
-        dec = decompose(r)
-    spectrum = biortho_spectrum(r, dec=dec)
-    checks = check_pinching(r, spectrum=spectrum)
-    s = dec.s
-    if not checks.scalar_positive:
+    inv = operator_invariants(r, dec)
+    hyp_a, hyp_b = bool(inv.hypothesis_a[0]), bool(inv.hypothesis_b[0])
+    if not inv.scalar_positive[0]:
         return ChainRecord(applicable=False, reason="requires s > 0")
-    if not (checks.hypothesis_a.holds or checks.hypothesis_b.holds):
+    if not (hyp_a or hyp_b):
         return ChainRecord(applicable=False, reason="neither pinching hypothesis holds")
 
-    wp, wm = dec.weyl_spectra()
-    band = tolerance_band(s)
+    s = float(inv.s[0])
+    wp, wm = inv.weyl_plus[0], inv.weyl_minus[0]
+    band = float(inv.band[0])
     steps: list[ChainStep] = []
-    if checks.hypothesis_a.holds:
+    if hyp_a:
         steps.append(_step("w1+ + w1- >= -s/12", wp[0] + wm[0], ">=", -s / 12.0, band))
         for tag, w in (("+", wp), ("-", wm)):
             steps.append(_step(f"w1{tag} >= w1+ + w1-", w[0], ">=", wp[0] + wm[0], band))
             steps.append(_step(f"w3{tag} == -w1{tag} - w2{tag}", w[2], "==", -w[0] - w[1], band))
             steps.append(_step(f"w3{tag} <= -2*w1{tag}", w[2], "<=", -2.0 * w[0], band))
             steps.append(_step(f"-2*w1{tag} <= s/6", -2.0 * w[0], "<=", s / 6.0, band))
-    if checks.hypothesis_b.holds:
+    if hyp_b:
         steps.append(_step("w3+ + w3- <= s/6", wp[2] + wm[2], "<=", s / 6.0, band))
         steps.append(_step("w3+ >= 0", wp[2], ">=", 0.0, band))
         steps.append(_step("w3- >= 0", wm[2], ">=", 0.0, band))
@@ -252,7 +238,7 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     dec = decompose(r)
     spectrum = biortho_spectrum(r, dec=dec)
     wp, wm = dec.weyl_spectra()
-    checks = check_pinching(r, spectrum=spectrum)
+    checks = check_pinching(r, dec=dec)
     nnic = check_nnic(r, dec=dec)
     chain = implication_audit(r, dec=dec)
     hints = classification_hints(dec, spectrum, scale=norm_max(r))
@@ -261,8 +247,7 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     conjecture = None
     iso = None
     if cfg.run_oracle:
-        sect_min = extremize(r, "sectional", "min", cfg.oracle)
-        sect_max = extremize(r, "sectional", "max", cfg.oracle)
+        sect_min, sect_max = extremize_pair(r, "sectional", cfg.oracle)
         sectional_extrema = (sect_min, sect_max)
         band = tolerance_band(dec.s)
         margin = sect_min.value - dec.s / 24.0

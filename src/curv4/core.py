@@ -23,12 +23,12 @@ exactly the traceless Ricci content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateInputError, ValidationError
-from .numerics import check_symmetric, eig_sym, gram_schmidt
+from .numerics import check_symmetric, gram_schmidt
 
 #: Index pairs (i, j), i < j, in basis order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -54,6 +54,10 @@ _LAMBDA_A = (0, 1, 2)
 _LAMBDA_B = (5, 4, 3)
 _SIGN_PLUS = np.array([1.0, -1.0, 1.0])
 _SIGN_MINUS = -_SIGN_PLUS
+_IX_AA = np.ix_(_LAMBDA_A, _LAMBDA_A)
+_IX_AB = np.ix_(_LAMBDA_A, _LAMBDA_B)
+_IX_BA = np.ix_(_LAMBDA_B, _LAMBDA_A)
+_IX_BB = np.ix_(_LAMBDA_B, _LAMBDA_B)
 
 
 _WEDGE_I = np.array([p[0] for p in PAIRS])
@@ -95,7 +99,8 @@ def lambda_basis() -> np.ndarray:
 
 
 def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks (A+, A-, C) of a symmetric 6x6 matrix in the star eigenbasis.
+    """Blocks (A+, A-, C) of a symmetric 6x6 matrix, or a stack (..., 6, 6) of
+    them, in the star eigenbasis.
 
     A+ and A- are the 3x3 diagonal blocks on the +1/-1 eigenspaces and C the
     off-diagonal block mapping the -1 eigenspace into the +1 eigenspace.
@@ -103,11 +108,10 @@ def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     1/sqrt2 roundoff enters).
     """
     m = np.asarray(m, dtype=float)
-    a, b = list(_LAMBDA_A), list(_LAMBDA_B)
-    maa = m[np.ix_(a, a)]
-    mab = m[np.ix_(a, b)]
-    mba = m[np.ix_(b, a)]
-    mbb = m[np.ix_(b, b)]
+    maa = m[(..., *_IX_AA)]
+    mab = m[(..., *_IX_AB)]
+    mba = m[(..., *_IX_BA)]
+    mbb = m[(..., *_IX_BB)]
 
     def block(srow: np.ndarray, scol: np.ndarray) -> np.ndarray:
         return (maa + scol[None, :] * mab + srow[:, None] * mba
@@ -116,8 +120,8 @@ def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     aplus = block(_SIGN_PLUS, _SIGN_PLUS)
     aminus = block(_SIGN_MINUS, _SIGN_MINUS)
     off = block(_SIGN_PLUS, _SIGN_MINUS)
-    aplus = (aplus + aplus.T) / 2.0
-    aminus = (aminus + aminus.T) / 2.0
+    aplus = (aplus + np.swapaxes(aplus, -1, -2)) / 2.0
+    aminus = (aminus + np.swapaxes(aminus, -1, -2)) / 2.0
     return aplus, aminus, off
 
 
@@ -266,33 +270,127 @@ def ricci(r: CurvatureOperator) -> np.ndarray:
 # decomposition
 
 
+def tolerance_band(s):
+    """Comparison band used by all hypothesis and chain checks (scalar or array)."""
+    return 1e-12 * (1.0 + abs(s))
+
+
+def _trace_band(matrices: np.ndarray) -> np.ndarray:
+    # The trace identity holds to rounding relative to the tensor's entries,
+    # not to |s|: trace-free tensors of large entries have s ~ 0.
+    return 1e-12 * (1.0 + np.max(np.abs(matrices), axis=(-2, -1)))
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """Closed-form invariants of a stack of N operators, one array per quantity.
+
+    Row i belongs to operator i: the scalar curvature, the traceless Weyl
+    blocks and their ascending spectra, the biorthogonal spectrum
+    k1 <= k2 <= k3, and the pinching (A: k1 >= s/24, B: k3 <= s/6) and NNIC
+    (w3+/- <= s/6) margins with their verdicts within ``band``.
+    """
+
+    s: np.ndarray             # (N,)
+    wplus: np.ndarray         # (N, 3, 3)
+    wminus: np.ndarray        # (N, 3, 3)
+    weyl_plus: np.ndarray     # (N, 3) ascending
+    weyl_minus: np.ndarray    # (N, 3) ascending
+    k: np.ndarray             # (N, 3) ascending
+    band: np.ndarray          # (N,) tolerance_band(s)
+    margin_a: np.ndarray      # k1 - s/24
+    margin_b: np.ndarray      # s/6 - k3
+    margin_plus: np.ndarray   # s/6 - w3+
+    margin_minus: np.ndarray  # s/6 - w3-
+    hypothesis_a: np.ndarray  # (N,) bool
+    hypothesis_b: np.ndarray
+    nnic: np.ndarray
+    scalar_positive: np.ndarray
+
+
+def invariants(matrices) -> Invariants:
+    """One pass over a stack (N, 6, 6) of validated operator matrices.
+
+    Both Weyl halves are diagonalized by one stacked symmetric eigensolve
+    each.  Each extremal biorthogonal value is s/12 plus the half-sum of the
+    matching Weyl eigenvalues; the middle value is cross-checked against the
+    trace identity k1 + k2 + k3 = s/4, and a discrepancy beyond rounding
+    means the decomposition itself is broken and raises
+    :class:`ConsistencyError`.
+    """
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim != 3 or m.shape[1:] != (6, 6):
+        raise ValidationError(f"expected a stack of 6x6 matrices, got shape {m.shape}")
+    s = 2.0 * np.trace(m, axis1=-2, axis2=-1)
+    aplus, aminus, _ = lambda_blocks(m)
+    shift = (s / 12.0)[:, None, None] * np.eye(3)
+    wplus = aplus - shift
+    wminus = aminus - shift
+    wp = np.linalg.eigvalsh(wplus)
+    wm = np.linalg.eigvalsh(wminus)
+    k = (s / 12.0)[:, None] + (wp + wm) / 2.0
+    residual = np.abs(k[:, 1] - (s / 4.0 - k[:, 0] - k[:, 2]))
+    broken = np.flatnonzero(residual > _trace_band(m))
+    if broken.size:
+        i = int(broken[0])
+        raise ConsistencyError(
+            f"middle biorthogonal value violates the trace identity by {residual[i]:.3e}"
+        )
+    band = tolerance_band(s)
+    margin_a = k[:, 0] - s / 24.0
+    margin_b = s / 6.0 - k[:, 2]
+    margin_plus = s / 6.0 - wp[:, 2]
+    margin_minus = s / 6.0 - wm[:, 2]
+    out = Invariants(
+        s=s, wplus=wplus, wminus=wminus, weyl_plus=wp, weyl_minus=wm, k=k, band=band,
+        margin_a=margin_a, margin_b=margin_b,
+        margin_plus=margin_plus, margin_minus=margin_minus,
+        hypothesis_a=margin_a >= -band, hypothesis_b=margin_b >= -band,
+        nnic=(margin_plus >= -band) & (margin_minus >= -band),
+        scalar_positive=s > 0.0,
+    )
+    for arr in vars(out).values():
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class CurvatureDecomposition:
-    """Scalar, Ricci and Weyl pieces of a curvature operator."""
+    """Scalar, Ricci and Weyl pieces of a curvature operator.
+
+    ``invariants`` is the operator's one-row invariants pass; every closed-form
+    check of the operator reads it instead of solving again.
+    """
 
     s: float
     ricci: np.ndarray
     traceless_ricci: np.ndarray
     wplus: np.ndarray
     wminus: np.ndarray
+    invariants: Invariants = field(repr=False)
 
     def weyl_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues of the two Weyl halves."""
-        return eig_sym(self.wplus), eig_sym(self.wminus)
+        return self.invariants.weyl_plus[0], self.invariants.weyl_minus[0]
 
 
 def decompose(r: CurvatureOperator) -> CurvatureDecomposition:
     """Split a validated operator into scalar, Ricci and Weyl parts."""
-    s = scalar_curvature(r)
+    inv = invariants(r.matrix[None])
+    s = float(inv.s[0])
     ric = ricci(r)
     traceless = ric - (s / 4.0) * np.eye(4)
-    aplus, aminus, _ = lambda_blocks(r.matrix)
-    wplus = aplus - (s / 12.0) * np.eye(3)
-    wminus = aminus - (s / 12.0) * np.eye(3)
-    for arr in (ric, traceless, wplus, wminus):
+    for arr in (ric, traceless):
         arr.flags.writeable = False
     return CurvatureDecomposition(s=s, ricci=ric, traceless_ricci=traceless,
-                                  wplus=wplus, wminus=wminus)
+                                  wplus=inv.wplus[0], wminus=inv.wminus[0],
+                                  invariants=inv)
+
+
+def operator_invariants(r: CurvatureOperator,
+                        dec: CurvatureDecomposition | None = None) -> Invariants:
+    """The one-row invariants of ``r``, reused from ``dec`` when given."""
+    return dec.invariants if dec is not None else invariants(r.matrix[None])
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +438,9 @@ def complement(p: Plane) -> Plane:
     basis = [p.u, p.v]
     for k in range(4):
         w = np.eye(4)[k]
-        for u in basis + found:
-            w = w - (w @ u) * u
+        for _ in range(2):  # a second pass restores orthogonality ("twice is enough")
+            for u in basis + found:
+                w = w - (w @ u) * u
         nrm = float(np.linalg.norm(w))
         if nrm >= 1e-8:
             found.append(w / nrm)
@@ -381,24 +480,8 @@ class BiorthoSpectrum:
 
 def biortho_spectrum(r: CurvatureOperator,
                      dec: CurvatureDecomposition | None = None) -> BiorthoSpectrum:
-    """Closed-form biorthogonal spectrum from the Weyl eigenvalues.
-
-    Each extremal value is s/12 plus the half-sum of the matching Weyl
-    eigenvalues.  The middle value is cross-checked against the trace
-    identity k1 + k2 + k3 = s/4; a discrepancy means the decomposition
-    itself is broken and raises :class:`ConsistencyError`.
-    """
-    if dec is None:
-        dec = decompose(r)
-    wp, wm = dec.weyl_spectra()
-    s = dec.s
-    k = s / 12.0 + (wp + wm) / 2.0
-    k1, k2, k3 = (float(x) for x in k)
-    residual = abs(k2 - (s / 4.0 - k1 - k3))
-    if residual > 1e-12 * (1.0 + abs(s)):
-        raise ConsistencyError(
-            f"middle biorthogonal value violates the trace identity by {residual:.3e}"
-        )
+    """Closed-form biorthogonal spectrum: row 0 of the operator's invariants."""
+    k1, k2, k3 = operator_invariants(r, dec).k[0].tolist()
     return BiorthoSpectrum(k1=k1, k2=k2, k3=k3)
 
 

@@ -8,6 +8,7 @@ reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,30 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _number(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{what} {x!r} is out of range") from None
+
+
+def _index(x) -> int:
+    value = _number(x, "component index")
+    _require(value.is_integer(), f"component index must be an integer, got {x!r}")
+    return int(value)
+
+
+def _matrix_from_rows(rows) -> np.ndarray:
+    _require(isinstance(rows, (list, tuple))
+             and all(isinstance(row, (list, tuple)) for row in rows),
+             "matrix must be a list of rows")
+    _require(len(rows) == 6 and all(len(row) == 6 for row in rows),
+             f"matrix must be 6x6, got rows of lengths {[len(row) for row in rows]}")
+    return np.array([[_number(x, "matrix entry") for x in row] for row in rows])
+
+
 def tensor_from_dict(doc: dict, project_bianchi: bool = False,
                      tolerance: float = 1e-9) -> CurvatureOperator:
     _require(isinstance(doc, dict), "tensor file must contain a JSON object")
@@ -77,20 +102,23 @@ def tensor_from_dict(doc: dict, project_bianchi: bool = False,
     _require(has_matrix != has_components,
              "tensor file must contain exactly one of 'matrix' or 'components'")
     if has_matrix:
-        matrix = np.asarray(doc["matrix"], dtype=float)
-        _require(matrix.shape == (6, 6), f"matrix must be 6x6, got shape {matrix.shape}")
+        matrix = _matrix_from_rows(doc["matrix"])
         return from_matrix(matrix, project_bianchi=project_bianchi, tolerance=tolerance)
     components = doc["components"]
     _require(isinstance(components, list) and
              all(isinstance(c, (list, tuple)) and len(c) == 5 for c in components),
              "components must be a list of [i, j, k, l, value] entries")
-    return from_components(components, project_bianchi=project_bianchi, tolerance=tolerance)
+    entries = [(*(_index(i) for i in c[:4]), _number(c[4], "component value"))
+               for c in components]
+    return from_components(entries, project_bianchi=project_bianchi, tolerance=tolerance)
 
 
 def load(path, project_bianchi: bool = False, tolerance: float = 1e-9) -> CurvatureOperator:
     """Load and validate a tensor file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     return tensor_from_dict(doc, project_bianchi=project_bianchi, tolerance=tolerance)

@@ -14,11 +14,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 
-# Cyclic Jacobi sweep parameters: unconditionally robust on the small symmetric
-# matrices used here, with no dependence on a LAPACK build.
-_JACOBI_OFFDIAG_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 64
-
 _SYMMETRY_TOL = 1e-12
 _PIVOT_TOL = 1e-10
 
@@ -46,7 +41,7 @@ def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
 
 
 def eig_sym(m: np.ndarray, vectors: bool = False):
-    """Eigenvalues (ascending) of a small symmetric matrix by cyclic Jacobi.
+    """Eigenvalues (ascending) of a small symmetric matrix.
 
     Parameters
     ----------
@@ -64,54 +59,25 @@ def eig_sym(m: np.ndarray, vectors: bool = False):
     n = a.shape[0]
     if not 2 <= n <= 6:
         raise ValidationError(f"eig_sym supports sizes 2..6, got {n}")
-    v = np.eye(n)
-    scale = 1.0 + float(np.max(np.abs(a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                off = max(off, abs(apq))
-                if abs(apq) <= 1e-18 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a[p, q] = a[q, p] = 0.0
-                v = v @ rot
-        if off <= _JACOBI_OFFDIAG_TOL * scale:
-            break
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
     if vectors:
-        return w, v[:, order]
-    return w
+        return np.linalg.eigh(a)
+    return np.linalg.eigvalsh(a)
 
 
 def gram_schmidt(vs) -> list[np.ndarray]:
     """Orthonormalize a list of linearly independent vectors (modified GS).
 
     The first output is the first input normalized; the span is preserved.
+    Each vector is orthogonalized twice ("twice is enough"), which keeps the
+    output orthonormal to rounding even for nearly dependent input.
     Raises :class:`DegenerateInputError` when a pivot norm drops below 1e-10.
     """
     out: list[np.ndarray] = []
     for k, v in enumerate(vs):
         w = np.asarray(v, dtype=float).copy()
-        for u in out:
-            w -= (w @ u) * u
+        for _ in range(2):
+            for u in out:
+                w -= (w @ u) * u
         nrm = float(np.linalg.norm(w))
         if nrm < _PIVOT_TOL:
             raise DegenerateInputError(

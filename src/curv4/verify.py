@@ -2,16 +2,18 @@
 trace identity, and the pinching-to-NNIC chain, over seeded ensembles.
 
 Each trial owns derived subseeds for its tensor and its oracle searches, so
-results are identical whether trials run serially or on a thread pool.
+every result is a pure function of (seed, trial index).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .analyzer import check_nnic, check_pinching, implication_audit, tolerance_band
-from .core import CurvatureOperator, biortho_spectrum, decompose
+import numpy as np
+
+from .analyzer import check_nnic, check_pinching, implication_audit
+from .core import (CurvatureOperator, Invariants, biortho_spectrum, decompose,
+                   invariants, tolerance_band)
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi
 from .numerics import RngStream, derive_seed
@@ -98,7 +100,7 @@ def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -
     if not sound_ok:
         failures.append("oracle extremum escapes the closed-form range")
 
-    checks = check_pinching(op, spectrum=spectrum)
+    checks = check_pinching(op, dec=dec)
     applicable = checks.scalar_positive and (checks.hypothesis_a.holds
                                              or checks.hypothesis_b.holds)
     nnic_ok = True
@@ -124,21 +126,17 @@ def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -
 def run_verification(trials: int, seed: int,
                      oracle: OracleConfig | None = None,
                      scale: float = 1.0, workers: int = 1) -> VerificationReport:
-    """Run ``trials`` independent verification trials (optionally threaded).
+    """Run ``trials`` independent verification trials.
 
-    The worker count never changes the result: each trial's randomness is a
-    pure function of (seed, trial index).
+    ``workers`` is accepted for compatibility and has no effect: trials run
+    serially, and each trial's randomness is a pure function of
+    (seed, trial index).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if oracle is None:
         oracle = OracleConfig()
-    indices = range(trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(lambda i: run_trial(seed, i, oracle, scale), indices))
-    else:
-        records = tuple(run_trial(seed, i, oracle, scale) for i in indices)
+    records = tuple(run_trial(seed, i, oracle, scale) for i in range(trials))
     passed = all(not rec.failures for rec in records)
     return VerificationReport(trials=trials, seed=seed, scale=scale,
                               oracle=oracle, records=records, passed=passed)
@@ -179,40 +177,35 @@ class ScanReport:
         }
 
 
+def _scan_rows(inv: Invariants, indices) -> list[ScanRow]:
+    """Rows of a scan, read off an invariants pass (row i of ``inv`` per index)."""
+    columns = zip(indices, inv.s.tolist(), inv.k.tolist(),
+                  inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
+                  inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
+    return [ScanRow(index=index, s=s, k1=k[0], k2=k[1], k3=k[2],
+                    w3_plus=w3p, w3_minus=w3m,
+                    hypothesis_a=hyp_a, hypothesis_b=hyp_b, nnic=nnic)
+            for index, s, k, w3p, w3m, hyp_a, hyp_b, nnic in columns]
+
+
 def scan_row(op: CurvatureOperator, index: int) -> ScanRow:
-    dec = decompose(op)
-    spectrum = biortho_spectrum(op, dec=dec)
-    wp, wm = dec.weyl_spectra()
-    checks = check_pinching(op, spectrum=spectrum)
-    nnic = check_nnic(op, dec=dec)
-    return ScanRow(index=index, s=dec.s,
-                   k1=spectrum.k1, k2=spectrum.k2, k3=spectrum.k3,
-                   w3_plus=float(wp[2]), w3_minus=float(wm[2]),
-                   hypothesis_a=checks.hypothesis_a.holds,
-                   hypothesis_b=checks.hypothesis_b.holds,
-                   nnic=nnic.holds)
+    return _scan_rows(invariants(op.matrix[None]), [index])[0]
 
 
 def run_scan(spec: ModelSpec, trials: int, seed: int, workers: int = 1) -> ScanReport:
     """Per-tensor invariants over an ensemble drawn from a model family.
 
     ``random_bianchi`` draws a fresh tensor per trial from derived subseeds;
-    deterministic models repeat the same tensor on every row.
+    deterministic models repeat the same tensor on every row.  All rows come
+    from one invariants pass.  ``workers`` is accepted for compatibility and
+    has no effect.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-
-    def one(index: int) -> ScanRow:
-        if spec.name == "random_bianchi":
-            op = random_bianchi(RngStream(derive_seed(seed, index, 0)),
-                                scale=spec.parameters[0])
-        else:
-            op = make_operator(spec)
-        return scan_row(op, index)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one, range(trials)))
+    if spec.name == "random_bianchi":
+        matrices = np.stack([trial_operator(seed, i, spec.parameters[0]).matrix
+                             for i in range(trials)])
     else:
-        rows = tuple(one(i) for i in range(trials))
-    return ScanReport(model=spec.label(), trials=trials, seed=seed, rows=rows)
+        matrices = np.broadcast_to(make_operator(spec).matrix, (trials, 6, 6))
+    rows = _scan_rows(invariants(matrices), range(trials))
+    return ScanReport(model=spec.label(), trials=trials, seed=seed, rows=tuple(rows))

@@ -89,16 +89,16 @@ def test_criterion_3_proof_chain():
         for i in range(10000):
             op = make(i)
             total += 1
-            sp = biortho_spectrum(op)
-            pc = check_pinching(op, spectrum=sp)
+            dec = decompose(op)
+            pc = check_pinching(op, dec=dec)
             if not (pc.scalar_positive
                     and (pc.hypothesis_a.holds or pc.hypothesis_b.holds)):
                 continue
             qualifying += 1
-            if not check_nnic(op).holds:
+            if not check_nnic(op, dec=dec).holds:
                 violations += 1
                 continue
-            if not implication_audit(op).all_satisfied:
+            if not implication_audit(op, dec=dec).all_satisfied:
                 violations += 1
     announce(f"criterion 3: {qualifying}/{total} tensors met a hypothesis, "
              f"{violations} NNIC/chain violations")

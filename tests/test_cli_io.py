@@ -163,6 +163,42 @@ class TestCliEmitAnalyze:
         assert main(["analyze", str(tensor), "--project-bianchi"]) == 0
 
 
+SPHERE_ROWS = np.eye(6).tolist()
+
+MALFORMED_TENSOR_FILES = {
+    "non-numeric matrix": json.dumps({"format": "curv4-v1",
+                                      "matrix": [["a"] * 6] + SPHERE_ROWS[1:]}),
+    "null matrix entry": json.dumps({"format": "curv4-v1",
+                                     "matrix": [[None] * 6] + SPHERE_ROWS[1:]}),
+    "ragged matrix": json.dumps({"format": "curv4-v1",
+                                 "matrix": [[1.0, 0.0]] + SPHERE_ROWS[1:]}),
+    "matrix is not a list": json.dumps({"format": "curv4-v1", "matrix": 6}),
+    "string component index": json.dumps({"format": "curv4-v1",
+                                          "components": [["a", 2, 1, 2, 1.0]]}),
+    "fractional component index": json.dumps({"format": "curv4-v1",
+                                              "components": [[1.5, 2, 1, 2, 1.0]]}),
+    "null component value": json.dumps({"format": "curv4-v1",
+                                        "components": [[1, 2, 1, 2, None]]}),
+    "component value beyond float range": ('{"format": "curv4-v1", "components": '
+                                           '[[1, 2, 1, 2, 1' + "0" * 400 + ']]}'),
+    "non-UTF-8 bytes": b'{"format": "curv4-v1", "matrix": "\xff\xfe"}',
+}
+
+
+class TestCliMalformedTensorFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TENSOR_FILES))
+    def test_takes_the_error_path(self, tmp_path, capsys, case):
+        content = MALFORMED_TENSOR_FILES[case]
+        path = tmp_path / "t.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCliVerify:
     ARGS = ["verify", "--trials", "4", "--seed", "11", "--samples", "3000",
             "--refine", "120", "--json"]
