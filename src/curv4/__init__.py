@@ -17,22 +17,22 @@ from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
 from .errors import ConsistencyError, Curv4Error, DegenerateInputError, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, space_form, sphere)
-from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt, random_frame4
-from .oracle import (ExtremumResult, OracleConfig, extremize, isotropic_curvature,
-                     min_isotropic, perturb_frame, perturb_plane)
+from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt
+from .oracle import (ExtremumResult, OracleConfig, Search, extremize, extremize_batch,
+                     extremize_pair, isotropic_curvature, min_isotropic)
 from .verify import run_scan, run_trial, run_verification
 
 __all__ = [
     "AnalyzeConfig", "BiorthoSpectrum", "ConsistencyError", "Curv4Error",
     "CurvatureDecomposition", "CurvatureOperator", "DegenerateInputError",
     "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig", "PinchingReport",
-    "Plane", "RngStream", "ValidationError", "__version__", "analyze",
+    "Plane", "RngStream", "Search", "ValidationError", "__version__", "analyze",
     "bianchi_residual", "biortho_spectrum", "biorthogonal", "check_nnic",
     "check_pinching", "classification_hints", "complement", "cp2", "decompose",
-    "derive_seed", "eig_sym", "extremize", "flat", "from_components",
-    "from_matrix", "gram_schmidt", "implication_audit", "invariants",
-    "isotropic_curvature", "make_operator", "min_isotropic", "parse_model_spec", "perturb_frame",
-    "perturb_plane", "product_surfaces", "r_times_s3", "random_bianchi",
-    "random_frame4", "ricci", "rotate_operator", "run_scan", "run_trial",
-    "run_verification", "scalar_curvature", "sectional", "space_form", "sphere",
+    "derive_seed", "eig_sym", "extremize", "extremize_batch", "extremize_pair", "flat",
+    "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
+    "isotropic_curvature", "make_operator", "min_isotropic", "parse_model_spec",
+    "product_surfaces", "r_times_s3", "random_bianchi", "ricci", "rotate_operator",
+    "run_scan", "run_trial", "run_verification", "scalar_curvature", "sectional",
+    "space_form", "sphere",
 ]

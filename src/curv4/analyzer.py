@@ -25,7 +25,7 @@ from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
                    biortho_spectrum, decompose, norm_max, operator_invariants,
                    tolerance_band)
 from .numerics import eig_sym
-from .oracle import ExtremumResult, OracleConfig, extremize_pair, min_isotropic
+from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
 FOOTER = ("Pointwise analysis of a single algebraic curvature tensor; "
           "hypotheses required to hold at every point of a manifold are "
@@ -247,13 +247,18 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     conjecture = None
     iso = None
     if cfg.run_oracle:
-        sect_min, sect_max = extremize_pair(r, "sectional", cfg.oracle)
+        # One batch: both sectional searches and the isotropic one share the
+        # coarse frames and a single refine loop.
+        sect_min, sect_max, iso = extremize_batch([
+            Search(r.matrix, "sectional", "min", cfg.oracle),
+            Search(r.matrix, "sectional", "max", cfg.oracle),
+            Search(r.matrix, "isotropic", "min", cfg.oracle),
+        ])
         sectional_extrema = (sect_min, sect_max)
-        band = tolerance_band(dec.s)
+        band = tolerance_band(dec.s, norm_max(r))
         margin = sect_min.value - dec.s / 24.0
         conjecture = ConjectureCheck(margin=margin, holds=bool(margin > band),
                                      boundary=bool(abs(margin) <= band))
-        iso = min_isotropic(r, cfg.oracle)
 
     return PinchingReport(
         s=dec.s,

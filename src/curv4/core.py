@@ -23,6 +23,7 @@ exactly the traceless Ricci content.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +209,14 @@ def from_matrix(m, project_bianchi: bool = False,
     return CurvatureOperator(matrix=mat, bianchi=b)
 
 
+def _component_index(x) -> int:
+    """A component index as an int; fractional and non-numeric ones are rejected."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not (isinstance(x, numbers.Integral) or float(x).is_integer())):
+        raise ValidationError(f"component index must be an integer, got {x!r}")
+    return int(x)
+
+
 def from_components(entries, project_bianchi: bool = False,
                     tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
     """Assemble an operator from sparse components (i, j, k, l, value), 1-based.
@@ -229,8 +238,8 @@ def from_components(entries, project_bianchi: bool = False,
 
     for entry in entries:
         i, j, k, l, value = entry
-        a, sa = canon(int(i), int(j))
-        b, sb = canon(int(k), int(l))
+        a, sa = canon(_component_index(i), _component_index(j))
+        b, sb = canon(_component_index(k), _component_index(l))
         signed = sa * sb * float(value)
         key = (min(a, b), max(a, b))
         if key in seen:
@@ -270,15 +279,14 @@ def ricci(r: CurvatureOperator) -> np.ndarray:
 # decomposition
 
 
-def tolerance_band(s):
-    """Comparison band used by all hypothesis and chain checks (scalar or array)."""
-    return 1e-12 * (1.0 + abs(s))
+def tolerance_band(s, scale=0.0):
+    """Comparison band of every closed-form check (scalar or array).
 
-
-def _trace_band(matrices: np.ndarray) -> np.ndarray:
-    # The trace identity holds to rounding relative to the tensor's entries,
-    # not to |s|: trace-free tensors of large entries have s ~ 0.
-    return 1e-12 * (1.0 + np.max(np.abs(matrices), axis=(-2, -1)))
+    ``scale`` is the tensor's max-norm: rounding in the decomposition is
+    relative to the entries, not to |s|, and trace-free tensors of large
+    entries have s ~ 0.  The band is never narrower than 1e-12 (1 + |s|).
+    """
+    return 1e-12 * (1.0 + np.maximum(np.abs(s), scale))
 
 
 @dataclass(frozen=True)
@@ -297,7 +305,7 @@ class Invariants:
     weyl_plus: np.ndarray     # (N, 3) ascending
     weyl_minus: np.ndarray    # (N, 3) ascending
     k: np.ndarray             # (N, 3) ascending
-    band: np.ndarray          # (N,) tolerance_band(s)
+    band: np.ndarray          # (N,) tolerance_band(s, max|M|)
     margin_a: np.ndarray      # k1 - s/24
     margin_b: np.ndarray      # s/6 - k3
     margin_plus: np.ndarray   # s/6 - w3+
@@ -330,13 +338,13 @@ def invariants(matrices) -> Invariants:
     wm = np.linalg.eigvalsh(wminus)
     k = (s / 12.0)[:, None] + (wp + wm) / 2.0
     residual = np.abs(k[:, 1] - (s / 4.0 - k[:, 0] - k[:, 2]))
-    broken = np.flatnonzero(residual > _trace_band(m))
+    band = tolerance_band(s, np.max(np.abs(m), axis=(-2, -1)))
+    broken = np.flatnonzero(residual > band)
     if broken.size:
         i = int(broken[0])
         raise ConsistencyError(
             f"middle biorthogonal value violates the trace identity by {residual[i]:.3e}"
         )
-    band = tolerance_band(s)
     margin_a = k[:, 0] - s / 24.0
     margin_b = s / 6.0 - k[:, 2]
     margin_plus = s / 6.0 - wp[:, 2]

@@ -149,11 +149,6 @@ def random_frames(rng: RngStream, n: int) -> np.ndarray:
     return frames
 
 
-def random_frame4(rng: RngStream) -> np.ndarray:
-    """One Haar-random orthonormal 4-frame (rows orthonormal within 1e-12)."""
-    return random_frames(rng, 1)[0]
-
-
 # Antisymmetric generator coefficients are ordered like the two-form basis:
 # (12, 13, 14, 23, 24, 34).
 _GEN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

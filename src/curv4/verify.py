@@ -13,11 +13,11 @@ import numpy as np
 
 from .analyzer import check_nnic, check_pinching, implication_audit
 from .core import (CurvatureOperator, Invariants, biortho_spectrum, decompose,
-                   invariants, tolerance_band)
+                   invariants, norm_max, tolerance_band)
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi
 from .numerics import RngStream, derive_seed
-from .oracle import OracleConfig, extremize_pair
+from .oracle import MODES, OracleConfig, Search, extremize_batch
 
 #: Oracle-vs-closed-form agreement: absolute plus relative part.
 ORACLE_ATOL = 1e-6
@@ -75,20 +75,18 @@ def _close(value: float, target: float) -> bool:
     return abs(value - target) <= ORACLE_ATOL + ORACLE_RTOL * abs(target)
 
 
-def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -> TrialResult:
-    """Run every verification check on one seeded random tensor."""
-    op = trial_operator(seed, index, scale)
+def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
+    """Every verification check on one trial's tensor, given its oracle extrema."""
     dec = decompose(op)
     spectrum = biortho_spectrum(op, dec=dec)
     s = dec.s
     failures: list[str] = []
 
-    identity_ok = abs(spectrum.k1 + spectrum.k2 + spectrum.k3 - s / 4.0) <= tolerance_band(s)
+    band = tolerance_band(s, norm_max(op))
+    identity_ok = bool(abs(spectrum.k1 + spectrum.k2 + spectrum.k3 - s / 4.0) <= band)
     if not identity_ok:
         failures.append("trace identity k1+k2+k3 = s/4 violated")
 
-    cfg = trial_oracle_config(oracle, seed, index)
-    lo, hi = extremize_pair(op, "biorthogonal", cfg)
     oracle_min_ok = _close(lo.value, spectrum.k1)
     oracle_max_ok = _close(hi.value, spectrum.k3)
     if not oracle_min_ok:
@@ -123,20 +121,36 @@ def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -
     )
 
 
+def _run_trials(seed: int, indices, oracle: OracleConfig, scale: float) -> list[TrialResult]:
+    """Trials ``indices`` of a run, with all their oracle searches in one batch."""
+    ops = [trial_operator(seed, i, scale) for i in indices]
+    searches = [Search(op.matrix, "biorthogonal", mode, trial_oracle_config(oracle, seed, i))
+                for i, op in zip(indices, ops) for mode in MODES]
+    extrema = extremize_batch(searches)
+    return [_trial_record(i, op, extrema[2 * n], extrema[2 * n + 1])
+            for n, (i, op) in enumerate(zip(indices, ops))]
+
+
+def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -> TrialResult:
+    """Run every verification check on one seeded random tensor."""
+    return _run_trials(seed, [index], oracle, scale)[0]
+
+
 def run_verification(trials: int, seed: int,
                      oracle: OracleConfig | None = None,
                      scale: float = 1.0, workers: int = 1) -> VerificationReport:
     """Run ``trials`` independent verification trials.
 
-    ``workers`` is accepted for compatibility and has no effect: trials run
-    serially, and each trial's randomness is a pure function of
-    (seed, trial index).
+    The oracle searches of all trials run as one batch, which leaves every
+    record as it would be from :func:`run_trial` alone: each trial's
+    randomness is a pure function of (seed, trial index).  ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if oracle is None:
         oracle = OracleConfig()
-    records = tuple(run_trial(seed, i, oracle, scale) for i in range(trials))
+    records = tuple(_run_trials(seed, range(trials), oracle, scale))
     passed = all(not rec.failures for rec in records)
     return VerificationReport(trials=trials, seed=seed, scale=scale,
                               oracle=oracle, records=records, passed=passed)

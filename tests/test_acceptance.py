@@ -219,7 +219,7 @@ def test_criterion_6_structural_invariants():
 
 
 @pytest.mark.acceptance(criterion=7, summary="verify --trials 500 --seed 7 is "
-                                             "byte-identical across runs and thread counts")
+                                             "byte-identical across two runs")
 def test_criterion_7_determinism(tmp_path):
     outputs = []
     for run, workers in enumerate(("2", "4")):
@@ -233,5 +233,5 @@ def test_criterion_7_determinism(tmp_path):
     assert outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
     assert doc["passed"] is True and len(doc["records"]) == TRIALS
-    announce(f"criterion 7: two runs ({len(outputs[0])} bytes each, workers 2 vs 4) "
-             "are byte-identical")
+    announce(f"criterion 7: two runs ({len(outputs[0])} bytes each; --workers 2 vs 4, "
+             "which has no effect) are byte-identical")

@@ -142,6 +142,16 @@ class TestFromComponents:
         with pytest.raises(ValidationError, match="range"):
             from_components([(0, 2, 1, 2, 1.0)])
 
+    @pytest.mark.parametrize("index", [1.5, 2.0000001, float("nan"), "1", True])
+    def test_non_integral_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="integer"):
+            from_components([(index, 2, 1, 2, 1.0)])
+
+    def test_integral_float_index_accepted(self):
+        a = from_components([(1.0, np.int64(2), 1, 2, 1.0)], project_bianchi=True)
+        assert np.array_equal(a.matrix, from_components([(1, 2, 1, 2, 1.0)],
+                                                        project_bianchi=True).matrix)
+
     def test_repeated_index_rejected(self):
         with pytest.raises(ValidationError, match="repeated"):
             from_components([(1, 1, 1, 2, 1.0)])

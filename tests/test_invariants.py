@@ -5,7 +5,7 @@ import pytest
 
 from curv4.analyzer import AnalyzeConfig, analyze, check_nnic, check_pinching
 from curv4.core import (Plane, biortho_spectrum, complement, decompose, from_matrix,
-                        invariants, norm_max)
+                        invariants, norm_max, operator_from_blocks)
 from curv4.errors import ValidationError
 from curv4.models import ModelSpec, make_operator
 from curv4.numerics import RngStream, derive_seed, gram_schmidt
@@ -121,6 +121,19 @@ class TestScaleCovariance:
         inv = invariants(stack)
         assert np.all(np.abs(inv.k[:, 0] + inv.k[:, 1] + inv.k[:, 2] - inv.s / 4.0)
                       <= 1e-12 * (1.0 + np.max(np.abs(stack), axis=(1, 2))))
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chain_holds_with_a_large_traceless_ricci_block(self, seed):
+        # s = 12 and zero Weyl, so the chain applies; rounding in the Weyl
+        # spectra is ~1e-8 here, far beyond 1e-12 (1 + |s|).
+        off = 1e9 * RngStream(derive_seed(67, seed)).generator().standard_normal((3, 3))
+        op = operator_from_blocks(np.eye(3), np.eye(3), off)
+        rep = analyze(op)
+        assert rep.s == pytest.approx(12.0)
+        assert rep.chain.applicable and rep.chain.all_satisfied, \
+            [step for step in rep.chain.steps if not step.satisfied]
+        assert rep.nnic.holds
 
 
 class TestNearlyDependentSpans:

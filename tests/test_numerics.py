@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from curv4.errors import DegenerateInputError, ValidationError
 from curv4.numerics import (RngStream, antisymmetric_from_coeffs, derive_seed,
-                            eig_sym, gram_schmidt, random_frame4, random_frames,
+                            eig_sym, gram_schmidt, random_frames,
                             rotation_from_generator)
 
 
@@ -128,15 +128,15 @@ class TestRng:
         assert derive_seed(7, 1) != derive_seed(8, 1)
 
     def test_frame_determinism(self):
-        f1 = random_frame4(RngStream(11, 0))
-        f2 = random_frame4(RngStream(11, 0))
+        f1 = random_frames(RngStream(11, 0), 1)[0]
+        f2 = random_frames(RngStream(11, 0), 1)[0]
         assert np.array_equal(f1, f2)
-        f3 = random_frame4(RngStream(12, 0))
+        f3 = random_frames(RngStream(12, 0), 1)[0]
         assert not np.array_equal(f1, f3)
 
     def test_frame_orthogonality(self):
         for seed in range(5):
-            f = random_frame4(RngStream(seed))
+            f = random_frames(RngStream(seed), 1)[0]
             assert np.max(np.abs(f @ f.T - np.eye(4))) <= 1e-12
 
     def test_batch_prefix_matches_single(self):

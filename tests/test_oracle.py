@@ -4,10 +4,9 @@ import pytest
 from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, sectional
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
-from curv4.numerics import RngStream
-from curv4.oracle import (ExtremumResult, OracleConfig, evaluate_witness, extremize,
-                          extremize_pair, isotropic_curvature, min_isotropic,
-                          perturb_frame, perturb_plane)
+from curv4.numerics import RngStream, random_frames
+from curv4.oracle import (ExtremumResult, OracleConfig, _propose, extremize,
+                          extremize_pair, isotropic_curvature, min_isotropic)
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -80,7 +79,8 @@ class TestSoundness:
         op = random_bianchi(RngStream(321))
         for mode in ("min", "max"):
             res = extremize(op, objective, mode, SMALL)
-            again = evaluate_witness(op, objective, res.witness)
+            curvature = sectional if objective == "sectional" else biorthogonal
+            again = curvature(op, res.witness)
             assert abs(again - res.value) <= 1e-12
 
     def test_isotropic_witness_reproduces_value(self):
@@ -137,31 +137,38 @@ class TestMonotonicity:
         assert refined.value <= coarse.value + 1e-12
 
 
+def unit_directions(seed: int, shape) -> np.ndarray:
+    omega = RngStream(seed).generator().standard_normal(shape + (6,))
+    return omega / np.linalg.norm(omega, axis=-1, keepdims=True)
+
+
 class TestPerturbations:
+    """The refine phase's proposals: frames rotated by bounded-angle rotations."""
+
+    FRAMES = random_frames(RngStream(2), 5)
+
     def test_zero_step_is_identity(self):
-        p = Plane(np.eye(4)[0], np.eye(4)[1])
-        assert perturb_plane(p, RngStream(1), 0.0) is p
-        f = np.eye(4)
-        assert np.array_equal(perturb_frame(f, RngStream(1), 0.0), f)
+        cands = _propose(self.FRAMES, unit_directions(1, (5, 4)), np.zeros(5))
+        assert np.array_equal(cands, np.broadcast_to(self.FRAMES[:, None], cands.shape))
 
     @pytest.mark.parametrize("step", [1e-6, 0.01, 0.3, 2.0])
     def test_output_is_orthonormal(self, step):
-        f = perturb_frame(np.eye(4), RngStream(3), step)
-        assert np.max(np.abs(f @ f.T - np.eye(4))) <= 1e-12
-        p = perturb_plane(Plane(np.eye(4)[0], np.eye(4)[1]), RngStream(3), step)
-        assert abs(np.linalg.norm(p.u) - 1.0) <= 1e-12
-        assert abs(p.u @ p.v) <= 1e-12
+        cands = _propose(self.FRAMES, unit_directions(3, (5, 4)), np.full(5, step))
+        gram = np.einsum("kpmi,kpni->kpmn", cands, cands)
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
     def test_small_step_moves_little(self):
-        p = Plane(np.eye(4)[0], np.eye(4)[1])
-        q = perturb_plane(p, RngStream(3), 1e-8)
-        assert np.max(np.abs(q.projector() - p.projector())) <= 1e-7
+        cands = _propose(self.FRAMES, unit_directions(3, (5, 4)), np.full(5, 1e-8))
+        assert np.max(np.abs(cands - self.FRAMES[:, None])) <= 1e-7
 
     def test_same_stream_same_perturbation(self):
-        f = np.eye(4)
-        a = perturb_frame(f, RngStream(7), 0.1)
-        b = perturb_frame(f, RngStream(7), 0.1)
-        assert np.array_equal(a, b)
+        # A frame's proposals do not depend on the other frames in the batch.
+        omega = unit_directions(7, (5, 4))
+        steps = np.linspace(0.05, 0.3, 5)
+        batch = _propose(self.FRAMES, omega, steps)
+        for i in range(5):
+            alone = _propose(self.FRAMES[i:i + 1], omega[i:i + 1], steps[i:i + 1])
+            assert np.array_equal(alone[0], batch[i])
 
 
 class TestIsotropic:
