@@ -16,7 +16,8 @@ from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
                    invariants, ricci, rotate_operator, scalar_curvature, sectional)
 from .errors import ConsistencyError, Curv4Error, DegenerateInputError, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
-                     product_surfaces, r_times_s3, random_bianchi, space_form, sphere)
+                     product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
+                     space_form, sphere)
 from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt
 from .oracle import (ExtremumResult, OracleConfig, Search, extremize, extremize_batch,
                      extremize_pair, isotropic_curvature, min_isotropic)
@@ -32,7 +33,7 @@ __all__ = [
     "derive_seed", "eig_sym", "extremize", "extremize_batch", "extremize_pair", "flat",
     "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
     "isotropic_curvature", "make_operator", "min_isotropic", "parse_model_spec",
-    "product_surfaces", "r_times_s3", "random_bianchi", "ricci", "rotate_operator",
-    "run_scan", "run_trial", "run_verification", "scalar_curvature", "sectional",
-    "space_form", "sphere",
+    "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
+    "ricci", "rotate_operator", "run_scan", "run_trial", "run_verification",
+    "scalar_curvature", "sectional", "space_form", "sphere",
 ]

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__, io
 from .analyzer import AnalyzeConfig, analyze
 from .errors import Curv4Error, ValidationError
-from .models import make_operator, parse_model_spec
+from .models import MODELS, make_operator, parse_model_spec
 from .numerics import derive_seed
 from .oracle import OracleConfig
 from .verify import run_scan, run_verification
@@ -157,7 +157,7 @@ def cmd_emit(args) -> int:
     spec = parse_model_spec(args.model, seed=derive_seed(args.seed, 0, 0))
     op = make_operator(spec)
     meta = {"model": spec.label()}
-    if spec.name == "random_bianchi":
+    if MODELS[spec.name].seeded:
         meta["seed"] = args.seed
     doc = io.tensor_to_dict(op, meta=meta)
     _write(args, io.dumps_document(doc))

@@ -77,10 +77,6 @@ def hodge_star(alpha: np.ndarray) -> np.ndarray:
     return np.asarray(alpha, dtype=float) @ STAR
 
 
-def form_norm(alpha: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(alpha, dtype=float)))
-
-
 def is_decomposable(alpha: np.ndarray, tol: float = _DECOMPOSABLE_TOL) -> bool:
     """Whether the 2-form is a wedge of two vectors (its self-pairing vanishes)."""
     alpha = np.asarray(alpha, dtype=float)
@@ -158,30 +154,30 @@ class CurvatureOperator:
     bianchi: float
 
 
-def _raw_bianchi(m: np.ndarray) -> float:
+def _raw_bianchi(m: np.ndarray):
     # The single scalar obstruction separating curvature-like operators from
-    # merely symmetric ones in dimension 4.
-    return float(m[0, 5] - m[1, 4] + m[2, 3])
+    # merely symmetric ones in dimension 4 (one per matrix of a stack).
+    return m[..., 0, 5] - m[..., 1, 4] + m[..., 2, 3]
 
 
 def bianchi_residual(r) -> float:
     """First-Bianchi residual b = M[e12,e34] - M[e13,e24] + M[e14,e23]."""
     if isinstance(r, CurvatureOperator):
         return r.bianchi
-    return _raw_bianchi(np.asarray(r, dtype=float))
+    return float(_raw_bianchi(np.asarray(r, dtype=float)))
 
 
 def project_to_bianchi(m: np.ndarray) -> np.ndarray:
-    """Minimal-norm correction of the three coupled entries making b vanish."""
+    """Minimal-norm correction of the three coupled entries making b vanish,
+    for one matrix or each matrix of a stack (..., 6, 6)."""
     out = np.array(m, dtype=float)
-    b = _raw_bianchi(out)
-    shift = b / 3.0
-    out[0, 5] -= shift
-    out[5, 0] -= shift
-    out[1, 4] += shift
-    out[4, 1] += shift
-    out[2, 3] -= shift
-    out[3, 2] -= shift
+    shift = _raw_bianchi(out) / 3.0
+    out[..., 0, 5] -= shift
+    out[..., 5, 0] -= shift
+    out[..., 1, 4] += shift
+    out[..., 4, 1] += shift
+    out[..., 2, 3] -= shift
+    out[..., 3, 2] -= shift
     return out
 
 
@@ -198,7 +194,7 @@ def from_matrix(m, project_bianchi: bool = False,
         raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
     if project_bianchi:
         mat = project_to_bianchi(mat)
-    b = _raw_bianchi(mat)
+    b = float(_raw_bianchi(mat))
     scale = 1.0 + float(np.max(np.abs(mat)))
     if abs(b) > tolerance * scale:
         raise ValidationError(
@@ -207,6 +203,34 @@ def from_matrix(m, project_bianchi: bool = False,
         )
     mat.flags.writeable = False
     return CurvatureOperator(matrix=mat, bianchi=b)
+
+
+def projected_stack(stack) -> np.ndarray:
+    """:func:`from_matrix` with ``project_bianchi`` over a stack (N, 6, 6): row
+    i of the read-only result is ``from_matrix(stack[i], True).matrix``.
+
+    Every check and every arithmetic step runs once over the whole stack;
+    the first failing matrix raises its error through :func:`from_matrix`.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1:] != (6, 6):
+        raise ValidationError(f"expected a stack of 6x6 matrices, got shape {a.shape}")
+    swap = np.swapaxes(a, -1, -2)
+    # check_symmetric's tests, then the residual's.  Non-finite rows are
+    # flagged first; the NaNs they spread into the other tests are ignored.
+    bad = ~np.all(np.isfinite(a), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        bad |= (np.max(np.abs(a - swap), axis=(-2, -1))
+                > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(a), axis=(-2, -1))))
+        mats = project_to_bianchi((a + swap) / 2.0)
+        bad |= (np.abs(_raw_bianchi(mats))
+                > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(mats), axis=(-2, -1))))
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        from_matrix(a[row], project_bianchi=True)
+        raise ConsistencyError(f"matrix {row} failed the stacked check but not from_matrix")
+    mats.flags.writeable = False
+    return mats
 
 
 def _component_index(x) -> int:

@@ -55,10 +55,6 @@ def tensor_to_dict(op: CurvatureOperator, meta: dict | None = None) -> dict:
     return doc
 
 
-def save_tensor(path, op: CurvatureOperator, meta: dict | None = None) -> None:
-    Path(path).write_text(dumps_document(tensor_to_dict(op, meta)))
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
@@ -201,13 +197,6 @@ def report_to_dict(report: PinchingReport) -> dict:
                              "boundary": report.conjecture.boundary}
     if report.iso_min is not None:
         doc["iso_min"] = _extremum_to_dict(report.iso_min)
-    return doc
-
-
-def load_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    _require(isinstance(doc, dict) and doc.get("format") == REPORT_FORMAT,
-             f"{path}: not a {REPORT_FORMAT} document")
     return doc
 
 

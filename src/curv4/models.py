@@ -10,38 +10,20 @@ Model names, parameter arities and defaults are part of the CLI contract:
     flat                       zero curvature
     random_bianchi:SCALE       Gaussian symmetric 6x6, residual projected away
 
-``product`` is accepted as shorthand for ``product_surfaces``.
+``product`` is accepted as shorthand for ``product_surfaces``.  The table
+:data:`MODELS` maps each name to its builder and default parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CurvatureOperator, from_matrix
+from .core import CurvatureOperator, bianchi_residual, from_matrix, projected_stack
 from .errors import ValidationError
-from .numerics import RngStream
-
-MODEL_ARITY = {
-    "sphere": 1,
-    "space_form": 1,
-    "product_surfaces": 2,
-    "cp2": 1,
-    "r_times_s3": 1,
-    "flat": 0,
-    "random_bianchi": 1,
-}
-
-MODEL_DEFAULTS = {
-    "sphere": (1.0,),
-    "space_form": (1.0,),
-    "product_surfaces": (1.0, 1.0),
-    "cp2": (1.0,),
-    "r_times_s3": (1.0,),
-    "flat": (),
-    "random_bianchi": (1.0,),
-}
+from .numerics import RngStream, standard_normal_rows
 
 _ALIASES = {"product": "product_surfaces"}
 
@@ -56,16 +38,17 @@ class ModelSpec:
 
     def __post_init__(self):
         name = _ALIASES.get(self.name, self.name)
-        if name not in MODEL_ARITY:
-            known = ", ".join(sorted(MODEL_ARITY))
+        if name not in MODELS:
+            known = ", ".join(sorted(MODELS))
             raise ValidationError(f"unknown model {self.name!r}; known models: {known}")
+        defaults = MODELS[name].defaults
         params = self.parameters
         if params is None:
-            params = MODEL_DEFAULTS[name]
+            params = defaults
         params = tuple(float(p) for p in params)
-        if len(params) != MODEL_ARITY[name]:
+        if len(params) != len(defaults):
             raise ValidationError(
-                f"model {name!r} takes {MODEL_ARITY[name]} parameter(s), got {len(params)}"
+                f"model {name!r} takes {len(defaults)} parameter(s), got {len(params)}"
             )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "parameters", params)
@@ -158,29 +141,44 @@ def r_times_s3(radius: float = 1.0) -> CurvatureOperator:
     return from_matrix(mat)
 
 
+def random_bianchi_matrices(streams: Sequence[RngStream], scale: float = 1.0) -> np.ndarray:
+    """The matrices of :func:`random_bianchi` for every stream, drawn and
+    validated in one pass: row i of the read-only (N, 6, 6) stack is
+    ``random_bianchi(streams[i], scale).matrix``."""
+    _require_positive(scale, "scale")
+    g = standard_normal_rows(streams, (6, 6)) * scale
+    sym = np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
+    return projected_stack(sym)
+
+
 def random_bianchi(rng: RngStream, scale: float = 1.0) -> CurvatureOperator:
     """Symmetric Gaussian 6x6 (entries i.i.d. with std ``scale``), residual projected."""
-    _require_positive(scale, "scale")
-    g = rng.generator().standard_normal((6, 6)) * scale
-    sym = np.triu(g) + np.triu(g, 1).T
-    return from_matrix(sym, project_bianchi=True)
+    mat = random_bianchi_matrices([rng], scale)[0]
+    return CurvatureOperator(matrix=mat, bianchi=bianchi_residual(mat))
+
+
+class Model(NamedTuple):
+    """A registry entry: the builder and its default parameters (the arity is
+    their count); a seeded builder takes the spec's :class:`RngStream` first."""
+
+    build: Callable[..., CurvatureOperator]
+    defaults: tuple[float, ...]
+    seeded: bool = False
+
+
+MODELS = {
+    "sphere": Model(sphere, (1.0,)),
+    "space_form": Model(space_form, (1.0,)),
+    "product_surfaces": Model(product_surfaces, (1.0, 1.0)),
+    "cp2": Model(cp2, (1.0,)),
+    "r_times_s3": Model(r_times_s3, (1.0,)),
+    "flat": Model(flat, ()),
+    "random_bianchi": Model(random_bianchi, (1.0,), seeded=True),
+}
 
 
 def make_operator(spec: ModelSpec) -> CurvatureOperator:
     """Instantiate the operator described by a model spec."""
-    name, params = spec.name, spec.parameters
-    if name == "sphere":
-        return sphere(*params)
-    if name == "space_form":
-        return space_form(*params)
-    if name == "product_surfaces":
-        return product_surfaces(*params)
-    if name == "cp2":
-        return cp2(*params)
-    if name == "r_times_s3":
-        return r_times_s3(*params)
-    if name == "flat":
-        return flat()
-    if name == "random_bianchi":
-        return random_bianchi(RngStream(spec.seed), *params)
-    raise ValidationError(f"unknown model {name!r}")  # pragma: no cover
+    model = MODELS[spec.name]
+    seed = (RngStream(spec.seed),) if model.seeded else ()
+    return model.build(*seed, *spec.parameters)

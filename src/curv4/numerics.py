@@ -16,6 +16,7 @@ from .errors import DegenerateInputError, ValidationError
 
 _SYMMETRY_TOL = 1e-12
 _PIVOT_TOL = 1e-10
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
@@ -101,13 +102,38 @@ class RngStream:
     chunk: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        key = int(self.seed) & _MASK64
         return np.random.Generator(np.random.Philox(counter=int(self.chunk) << 128, key=key))
+
+
+def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
+    """``stream.generator().standard_normal(shape)`` for every stream, stacked
+    into one ``(len(streams), *shape)`` array.
+
+    One Philox bit generator is re-keyed to each stream's (key, counter) in
+    turn instead of building a generator per stream: the draws are the same,
+    and re-keying is cheaper than the constructor, which also seeds a
+    ``SeedSequence`` from OS entropy.
+    """
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    key[1] = counter[0] = counter[1] = 0
+    out = np.empty((len(streams), *shape))
+    for row, stream in zip(out, streams):
+        # Chunk c is the 256-bit counter c << 128: words 2 and 3.
+        key[0] = int(stream.seed) & _MASK64
+        counter[2] = int(stream.chunk) & _MASK64
+        counter[3] = int(stream.chunk) >> 64
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Derive a stable 64-bit subseed from a seed and an index path."""
-    ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(indices))
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=tuple(indices))
     state = ss.generate_state(2, dtype=np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
 
@@ -117,19 +143,28 @@ def _orthonormalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the orthonormalized batch and a boolean mask of frames whose
     pivots fell below tolerance (those rows are left unnormalized).
+
+    Works on a component-major copy, ``q[i, k]`` being component k of row i
+    over the whole batch, so every step is a contiguous ``(n,)`` operation.
+    The reductions are written out in a fixed order: dot products as
+    ``(p0 + p2) + (p1 + p3)`` and squared norms in sequence.
     """
-    q = np.array(g, dtype=float)
-    bad = np.zeros(q.shape[0], dtype=bool)
+    q = np.array(np.moveaxis(g, 0, -1), dtype=float, order="C")
+    bad = np.zeros(q.shape[-1], dtype=bool)
     for i in range(4):
+        qi = q[i]
         for j in range(i):
-            proj = np.einsum("nk,nk->n", q[:, i], q[:, j])
-            q[:, i] -= proj[:, None] * q[:, j]
-        nrm = np.linalg.norm(q[:, i], axis=1)
+            qj = q[j]
+            p = qi * qj
+            proj = (p[0] + p[2]) + (p[1] + p[3])
+            qi -= proj * qj
+        sq = qi * qi
+        nrm = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
         small = nrm < _PIVOT_TOL
         bad |= small
         nrm = np.where(small, 1.0, nrm)
-        q[:, i] /= nrm[:, None]
-    return q, bad
+        qi /= nrm
+    return np.ascontiguousarray(np.moveaxis(q, -1, 0)), bad
 
 
 def random_frames(rng: RngStream, n: int) -> np.ndarray:
@@ -147,21 +182,6 @@ def random_frames(rng: RngStream, n: int) -> np.ndarray:
         bad[:] = False
         bad[idx[still_bad]] = True
     return frames
-
-
-# Antisymmetric generator coefficients are ordered like the two-form basis:
-# (12, 13, 14, 23, 24, 34).
-_GEN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def antisymmetric_from_coeffs(omega: np.ndarray) -> np.ndarray:
-    """4x4 antisymmetric matrix (or batch) from six generator coefficients."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros(omega.shape[:-1] + (4, 4))
-    for a, (i, j) in enumerate(_GEN_PAIRS):
-        out[..., i, j] = omega[..., a]
-        out[..., j, i] = -omega[..., a]
-    return out
 
 
 def rotation_from_generator(omega: np.ndarray) -> np.ndarray:

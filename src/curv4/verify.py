@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analyzer import check_nnic, check_pinching, implication_audit
-from .core import (CurvatureOperator, Invariants, biortho_spectrum, decompose,
-                   invariants, norm_max, tolerance_band)
+from .core import (CurvatureOperator, Invariants, bianchi_residual, biortho_spectrum,
+                   decompose, invariants, norm_max, tolerance_band)
 from .errors import ValidationError
-from .models import ModelSpec, make_operator, random_bianchi
+from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seed
 from .oracle import MODES, OracleConfig, Search, extremize_batch
 
@@ -25,6 +25,9 @@ ORACLE_RTOL = 1e-6
 
 #: Slack allowed before an oracle bound is declared unsound.
 SOUNDNESS_SLACK = 1e-9
+
+#: Trials whose oracle searches run as one batch; bounds a run's peak memory.
+TRIAL_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,22 @@ class VerificationReport:
         return sum(1 for rec in self.records if rec.failures)
 
 
+def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
+    """The matrices of the random curvature tensors examined by trials
+    ``indices`` of a run, drawn as one (N, 6, 6) stack."""
+    return random_bianchi_matrices([RngStream(derive_seed(seed, i, 0)) for i in indices],
+                                   scale)
+
+
+def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOperator]:
+    """The random curvature tensors examined by trials ``indices`` of a run."""
+    return [CurvatureOperator(matrix=m, bianchi=bianchi_residual(m))
+            for m in trial_matrices(seed, indices, scale)]
+
+
 def trial_operator(seed: int, index: int, scale: float = 1.0) -> CurvatureOperator:
     """The random curvature tensor examined by trial ``index`` of a run."""
-    return random_bianchi(RngStream(derive_seed(seed, index, 0)), scale=scale)
+    return trial_operators(seed, [index], scale)[0]
 
 
 def trial_oracle_config(base: OracleConfig, seed: int, index: int) -> OracleConfig:
@@ -123,7 +139,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
 
 def _run_trials(seed: int, indices, oracle: OracleConfig, scale: float) -> list[TrialResult]:
     """Trials ``indices`` of a run, with all their oracle searches in one batch."""
-    ops = [trial_operator(seed, i, scale) for i in indices]
+    ops = trial_operators(seed, indices, scale)
     searches = [Search(op.matrix, "biorthogonal", mode, trial_oracle_config(oracle, seed, i))
                 for i, op in zip(indices, ops) for mode in MODES]
     extrema = extremize_batch(searches)
@@ -141,19 +157,22 @@ def run_verification(trials: int, seed: int,
                      scale: float = 1.0, workers: int = 1) -> VerificationReport:
     """Run ``trials`` independent verification trials.
 
-    The oracle searches of all trials run as one batch, which leaves every
-    record as it would be from :func:`run_trial` alone: each trial's
-    randomness is a pure function of (seed, trial index).  ``workers`` is
-    accepted for compatibility and has no effect.
+    The oracle searches of each block of :data:`TRIAL_BLOCK` trials run as
+    one batch, which leaves every record as it would be from
+    :func:`run_trial` alone: each trial's randomness is a pure function of
+    (seed, trial index).  ``workers`` is accepted for compatibility and has
+    no effect.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if oracle is None:
         oracle = OracleConfig()
-    records = tuple(_run_trials(seed, range(trials), oracle, scale))
+    records: list[TrialResult] = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        records += _run_trials(seed, range(start, min(start + TRIAL_BLOCK, trials)), oracle, scale)
     passed = all(not rec.failures for rec in records)
     return VerificationReport(trials=trials, seed=seed, scale=scale,
-                              oracle=oracle, records=records, passed=passed)
+                              oracle=oracle, records=tuple(records), passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +228,15 @@ def scan_row(op: CurvatureOperator, index: int) -> ScanRow:
 def run_scan(spec: ModelSpec, trials: int, seed: int, workers: int = 1) -> ScanReport:
     """Per-tensor invariants over an ensemble drawn from a model family.
 
-    ``random_bianchi`` draws a fresh tensor per trial from derived subseeds;
-    deterministic models repeat the same tensor on every row.  All rows come
-    from one invariants pass.  ``workers`` is accepted for compatibility and
-    has no effect.
+    ``random_bianchi`` draws a fresh tensor per trial from derived subseeds,
+    all in one batch; deterministic models repeat the same tensor on every
+    row.  All rows come from one invariants pass.  ``workers`` is accepted
+    for compatibility and has no effect.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if spec.name == "random_bianchi":
-        matrices = np.stack([trial_operator(seed, i, spec.parameters[0]).matrix
-                             for i in range(trials)])
+        matrices = trial_matrices(seed, range(trials), spec.parameters[0])
     else:
         matrices = np.broadcast_to(make_operator(spec).matrix, (trials, 6, 6))
     rows = _scan_rows(invariants(matrices), range(trials))

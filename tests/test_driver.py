@@ -11,7 +11,7 @@ from curv4.models import cp2, random_bianchi
 from curv4.numerics import RngStream
 from curv4.oracle import (OracleConfig, Search, extremize_batch, extremize_pair,
                           min_isotropic)
-from curv4.verify import run_trial, run_verification
+from curv4.verify import TRIAL_BLOCK, run_trial, run_verification
 
 SMALL = OracleConfig(samples=3000, refine_iters=60, restarts=2, seed=5)
 
@@ -36,6 +36,12 @@ def assert_matches_alone(searches):
 def test_verification_records_equal_single_trials():
     report = run_verification(trials=6, seed=3)
     assert report.records == tuple(run_trial(3, i, OracleConfig()) for i in range(6))
+
+
+def test_verification_across_a_trial_block_boundary():
+    tiny = OracleConfig(samples=64, refine_iters=3, restarts=1)
+    report = run_verification(trials=TRIAL_BLOCK + 2, seed=11, oracle=tiny)
+    assert report.records == tuple(run_trial(11, i, tiny) for i in range(TRIAL_BLOCK + 2))
 
 
 def test_analyze_oracle_equals_standalone_searches():

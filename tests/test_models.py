@@ -3,7 +3,7 @@ import pytest
 
 from curv4.core import biortho_spectrum, decompose, ricci, scalar_curvature, sectional, Plane
 from curv4.errors import ValidationError
-from curv4.models import (MODEL_ARITY, ModelSpec, cp2, flat, make_operator,
+from curv4.models import (MODELS, ModelSpec, cp2, flat, make_operator,
                           parse_model_spec, product_surfaces, r_times_s3,
                           random_bianchi, space_form, sphere)
 from curv4.numerics import RngStream, derive_seed
@@ -33,10 +33,20 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="bad model parameters"):
             parse_model_spec("sphere:abc")
 
-    @pytest.mark.parametrize("name", sorted(MODEL_ARITY))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_model_instantiates(self, name):
         op = make_operator(ModelSpec(name, seed=3))
         assert op.matrix.shape == (6, 6)
+
+    def test_error_messages(self):
+        with pytest.raises(ValidationError) as unknown:
+            parse_model_spec("torus")
+        assert str(unknown.value) == ("unknown model 'torus'; known models: cp2, flat, "
+                                      "product_surfaces, r_times_s3, random_bianchi, "
+                                      "space_form, sphere")
+        with pytest.raises(ValidationError) as arity:
+            parse_model_spec("product:1")
+        assert str(arity.value) == "model 'product_surfaces' takes 2 parameter(s), got 1"
 
     def test_labels_round_parameters(self):
         assert ModelSpec("sphere", (2.0,)).label() == "sphere:2.0"
@@ -105,7 +115,7 @@ class TestNamedModels:
         dec = decompose(r_times_s3(1.0))
         assert np.max(np.abs(dec.traceless_ricci)) > 0.5
 
-    @pytest.mark.parametrize("name", sorted(MODEL_ARITY))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_models_satisfy_bianchi(self, name):
         op = make_operator(ModelSpec(name, seed=5))
         assert abs(op.bianchi) <= 1e-12

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv4.errors import DegenerateInputError, ValidationError
-from curv4.numerics import (RngStream, antisymmetric_from_coeffs, derive_seed,
-                            eig_sym, gram_schmidt, random_frames,
-                            rotation_from_generator)
+from curv4.numerics import (RngStream, derive_seed, eig_sym, gram_schmidt,
+                            random_frames, rotation_from_generator)
 
 
 def symmetric_from_upper(values, n):
@@ -148,6 +147,19 @@ class TestRng:
         frames = random_frames(RngStream(3), 4000)
         second = np.einsum("ni,nj->ij", frames[:, 0], frames[:, 0]) / len(frames)
         assert np.max(np.abs(second - np.eye(4) / 4.0)) < 5.0 / math.sqrt(len(frames))
+
+
+# Generator coefficients are ordered like the two-form basis: (12, 13, 14, 23, 24, 34).
+_GEN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def antisymmetric_from_coeffs(omega):
+    """4x4 antisymmetric matrix from six generator coefficients."""
+    out = np.zeros((4, 4))
+    for a, (i, j) in enumerate(_GEN_PAIRS):
+        out[i, j] = omega[a]
+        out[j, i] = -omega[a]
+    return out
 
 
 def _expm_series(a, terms=40):
