@@ -19,8 +19,7 @@ from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
                      space_form, sphere)
 from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt
-from .oracle import (ExtremumResult, OracleConfig, Search, extremize, extremize_batch,
-                     extremize_pair, isotropic_curvature, min_isotropic)
+from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch, isotropic_curvature
 from .verify import run_scan, run_trial, run_verification
 
 __all__ = [
@@ -30,9 +29,9 @@ __all__ = [
     "Plane", "RngStream", "Search", "ValidationError", "__version__", "analyze",
     "bianchi_residual", "biortho_spectrum", "biorthogonal", "check_nnic",
     "check_pinching", "classification_hints", "complement", "cp2", "decompose",
-    "derive_seed", "eig_sym", "extremize", "extremize_batch", "extremize_pair", "flat",
+    "derive_seed", "eig_sym", "extremize_batch", "flat",
     "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
-    "isotropic_curvature", "make_operator", "min_isotropic", "parse_model_spec",
+    "isotropic_curvature", "make_operator", "parse_model_spec",
     "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
     "ricci", "rotate_operator", "run_scan", "run_trial", "run_verification",
     "scalar_curvature", "sectional", "space_form", "sphere",

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   biortho_spectrum, decompose, norm_max, operator_invariants,
-                   tolerance_band)
+                   biortho_spectrum, decompose, norm_max, tolerance_band)
 from .numerics import eig_sym
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
@@ -124,10 +123,9 @@ class PinchingReport:
 # individual checks
 
 
-def check_pinching(r: CurvatureOperator,
-                   dec: CurvatureDecomposition | None = None) -> PinchingChecks:
+def check_pinching(r: CurvatureOperator) -> PinchingChecks:
     """Evaluate both pinching hypotheses and the scalar-positivity gate."""
-    inv = operator_invariants(r, dec)
+    inv = r.invariants
     return PinchingChecks(
         hypothesis_a=HypothesisCheck(holds=bool(inv.hypothesis_a[0]),
                                      margin=float(inv.margin_a[0])),
@@ -137,10 +135,9 @@ def check_pinching(r: CurvatureOperator,
     )
 
 
-def check_nnic(r: CurvatureOperator,
-               dec: CurvatureDecomposition | None = None) -> NnicCheck:
+def check_nnic(r: CurvatureOperator) -> NnicCheck:
     """Eigenvalue criterion for nonnegative isotropic curvature: w3+/- <= s/6."""
-    inv = operator_invariants(r, dec)
+    inv = r.invariants
     return NnicCheck(holds=bool(inv.nnic[0]), margin_plus=float(inv.margin_plus[0]),
                      margin_minus=float(inv.margin_minus[0]))
 
@@ -156,14 +153,13 @@ def _step(label: str, lhs: float, relation: str, rhs: float, band: float) -> Cha
                      satisfied=bool(slack >= -band), slack=float(slack))
 
 
-def implication_audit(r: CurvatureOperator,
-                      dec: CurvatureDecomposition | None = None) -> ChainRecord:
+def implication_audit(r: CurvatureOperator) -> ChainRecord:
     """Evaluate every inequality leading from the pinching hypotheses to NNIC.
 
     Applicable only when s > 0 and at least one hypothesis holds; otherwise a
     not-applicable record is returned (that is not a failure).
     """
-    inv = operator_invariants(r, dec)
+    inv = r.invariants
     hyp_a, hyp_b = bool(inv.hypothesis_a[0]), bool(inv.hypothesis_b[0])
     if not inv.scalar_positive[0]:
         return ChainRecord(applicable=False, reason="requires s > 0")
@@ -236,11 +232,11 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     if cfg is None:
         cfg = AnalyzeConfig()
     dec = decompose(r)
-    spectrum = biortho_spectrum(r, dec=dec)
+    spectrum = biortho_spectrum(r)
     wp, wm = dec.weyl_spectra()
-    checks = check_pinching(r, dec=dec)
-    nnic = check_nnic(r, dec=dec)
-    chain = implication_audit(r, dec=dec)
+    checks = check_pinching(r)
+    nnic = check_nnic(r)
+    chain = implication_audit(r)
     hints = classification_hints(dec, spectrum, scale=norm_max(r))
 
     sectional_extrema = None

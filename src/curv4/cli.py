@@ -176,8 +176,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     oracle = _oracle_config(args, seed=0)
-    report = run_verification(trials=args.trials, seed=args.seed, oracle=oracle,
-                              workers=args.workers)
+    report = run_verification(trials=args.trials, seed=args.seed, oracle=oracle)
     doc = io.verification_to_dict(report)
     _write(args, io.dumps_document(doc) if args.as_json else render_verification_text(doc))
     return 0 if report.passed else 2
@@ -185,7 +184,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = parse_model_spec(args.model, seed=derive_seed(args.seed, 0, 0))
-    report = run_scan(spec, trials=args.trials, seed=args.seed, workers=args.workers)
+    report = run_scan(spec, trials=args.trials, seed=args.seed)
     _write(args, render_scan_text(io.scan_to_lines(report)))
     return 0
 

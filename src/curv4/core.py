@@ -23,6 +23,7 @@ exactly the traceless Ricci content.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -148,10 +149,21 @@ def norm_max(m) -> float:
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Symmetric bilinear form on 2-forms with its cached Bianchi residual."""
+    """Symmetric bilinear form on 2-forms with its cached Bianchi residual.
+
+    ``matrix`` is read-only (as :func:`from_matrix` and
+    :func:`projected_stack` return it), so the operator's invariants pass can
+    be cached on first use.
+    """
 
     matrix: np.ndarray
     bianchi: float
+
+    @functools.cached_property
+    def invariants(self) -> "Invariants":
+        """The operator's one-row invariants pass, computed once; every
+        closed-form view of the operator reads it."""
+        return invariants(self.matrix[None])
 
 
 def _raw_bianchi(m: np.ndarray):
@@ -390,8 +402,7 @@ def invariants(matrices) -> Invariants:
 class CurvatureDecomposition:
     """Scalar, Ricci and Weyl pieces of a curvature operator.
 
-    ``invariants`` is the operator's one-row invariants pass; every closed-form
-    check of the operator reads it instead of solving again.
+    ``invariants`` is the operator's cached one-row invariants pass.
     """
 
     s: float
@@ -408,7 +419,7 @@ class CurvatureDecomposition:
 
 def decompose(r: CurvatureOperator) -> CurvatureDecomposition:
     """Split a validated operator into scalar, Ricci and Weyl parts."""
-    inv = invariants(r.matrix[None])
+    inv = r.invariants
     s = float(inv.s[0])
     ric = ricci(r)
     traceless = ric - (s / 4.0) * np.eye(4)
@@ -417,12 +428,6 @@ def decompose(r: CurvatureOperator) -> CurvatureDecomposition:
     return CurvatureDecomposition(s=s, ricci=ric, traceless_ricci=traceless,
                                   wplus=inv.wplus[0], wminus=inv.wminus[0],
                                   invariants=inv)
-
-
-def operator_invariants(r: CurvatureOperator,
-                        dec: CurvatureDecomposition | None = None) -> Invariants:
-    """The one-row invariants of ``r``, reused from ``dec`` when given."""
-    return dec.invariants if dec is not None else invariants(r.matrix[None])
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +515,9 @@ class BiorthoSpectrum:
         return (self.k1, self.k2, self.k3)
 
 
-def biortho_spectrum(r: CurvatureOperator,
-                     dec: CurvatureDecomposition | None = None) -> BiorthoSpectrum:
+def biortho_spectrum(r: CurvatureOperator) -> BiorthoSpectrum:
     """Closed-form biorthogonal spectrum: row 0 of the operator's invariants."""
-    k1, k2, k3 = operator_invariants(r, dec).k[0].tolist()
+    k1, k2, k3 = r.invariants.k[0].tolist()
     return BiorthoSpectrum(k1=k1, k2=k2, k3=k3)
 
 

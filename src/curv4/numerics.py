@@ -35,33 +35,28 @@ def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
     if abs(asym[worst]) > tol * scale:
         i, j = worst
         raise ValidationError(
-            f"matrix is not symmetric: entries ({i},{j})={a[i, j]!r} and "
-            f"({j},{i})={a[j, i]!r} differ by {abs(asym[worst]):.3e}"
+            f"matrix is not symmetric: entries ({i},{j})={float(a[i, j])!r} and "
+            f"({j},{i})={float(a[j, i])!r} differ by {abs(asym[worst]):.3e}"
         )
     return (a + a.T) / 2.0
 
 
-def eig_sym(m: np.ndarray, vectors: bool = False):
+def eig_sym(m: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a small symmetric matrix.
 
     Parameters
     ----------
     m : array_like, shape (n, n) with 2 <= n <= 6
         Symmetric within 1e-12 relative tolerance.
-    vectors : bool
-        If true, also return the orthonormal eigenvectors as columns.
 
     Returns
     -------
     w : ndarray, shape (n,)           eigenvalues sorted ascending
-    v : ndarray, shape (n, n)         only when ``vectors`` is true
     """
     a = check_symmetric(m)
     n = a.shape[0]
     if not 2 <= n <= 6:
         raise ValidationError(f"eig_sym supports sizes 2..6, got {n}")
-    if vectors:
-        return np.linalg.eigh(a)
     return np.linalg.eigvalsh(a)
 
 

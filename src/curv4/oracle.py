@@ -38,7 +38,6 @@ _CANDIDATE_POOL = 200
 _DIVERSITY_MIN_DIST = 0.5
 _CONVERGED_RTOL = 1e-9
 
-OBJECTIVES = ("sectional", "biorthogonal")
 MODES = ("min", "max")
 
 
@@ -78,9 +77,9 @@ class ExtremumResult:
 class Search:
     """One brute-force search: the ``mode`` extremum of ``objective`` on ``matrix``.
 
-    ``objective`` is one of :data:`OBJECTIVES` (over planes) or
+    ``objective`` is ``"sectional"`` or ``"biorthogonal"`` (over planes) or
     ``"isotropic"`` (over orthonormal 4-frames); ``matrix`` is a validated
-    (6, 6) operator matrix.
+    (6, 6) operator matrix.  Run it with :func:`extremize_batch`.
     """
 
     matrix: np.ndarray
@@ -338,7 +337,7 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
 
 
 # ---------------------------------------------------------------------------
-# the driver and its views
+# the driver
 
 
 def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
@@ -378,37 +377,3 @@ def _result(search: Search, value: float, frame: np.ndarray, refine_evals: int,
         witness = Plane(frame[0], frame[1])
     return ExtremumResult(value=search.sign * value, witness=witness,
                           samples_used=search.cfg.samples + refine_evals, converged=converged)
-
-
-def _check_plane_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def extremize(r: CurvatureOperator, objective: str, mode: str,
-              cfg: OracleConfig = OracleConfig()) -> ExtremumResult:
-    """Brute-force extremum of sectional or biorthogonal curvature over planes.
-
-    The reported value is the best value actually evaluated, so in ``min``
-    mode it is always an upper bound on the true minimum, attained by the
-    returned witness plane.
-    """
-    _check_plane_objective(objective)
-    return extremize_batch([Search(r.matrix, objective, mode, cfg)])[0]
-
-
-def extremize_pair(r: CurvatureOperator, objective: str,
-                   cfg: OracleConfig = OracleConfig()) -> tuple[ExtremumResult, ExtremumResult]:
-    """Minimum and maximum in one call, sharing the sampling pass.
-
-    Bit-identical to two separate :func:`extremize` calls with the same
-    configuration.
-    """
-    _check_plane_objective(objective)
-    lo, hi = extremize_batch([Search(r.matrix, objective, mode, cfg) for mode in MODES])
-    return lo, hi
-
-
-def min_isotropic(r: CurvatureOperator, cfg: OracleConfig = OracleConfig()) -> ExtremumResult:
-    """Minimum of the frame-wise isotropic curvature over orthonormal 4-frames."""
-    return extremize_batch([Search(r.matrix, "isotropic", "min", cfg)])[0]

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import check_nnic, check_pinching, implication_audit
-from .core import (CurvatureOperator, Invariants, bianchi_residual, biortho_spectrum,
-                   decompose, invariants, norm_max, tolerance_band)
+from .analyzer import check_nnic, implication_audit
+from .core import CurvatureOperator, bianchi_residual, biortho_spectrum, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seed
@@ -93,13 +92,12 @@ def _close(value: float, target: float) -> bool:
 
 def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     """Every verification check on one trial's tensor, given its oracle extrema."""
-    dec = decompose(op)
-    spectrum = biortho_spectrum(op, dec=dec)
-    s = dec.s
+    spectrum = biortho_spectrum(op)
+    s = float(op.invariants.s[0])
     failures: list[str] = []
 
-    band = tolerance_band(s, norm_max(op))
-    identity_ok = bool(abs(spectrum.k1 + spectrum.k2 + spectrum.k3 - s / 4.0) <= band)
+    identity_ok = bool(abs(spectrum.k1 + spectrum.k2 + spectrum.k3 - s / 4.0)
+                       <= op.invariants.band[0])
     if not identity_ok:
         failures.append("trace identity k1+k2+k3 = s/4 violated")
 
@@ -114,16 +112,14 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     if not sound_ok:
         failures.append("oracle extremum escapes the closed-form range")
 
-    checks = check_pinching(op, dec=dec)
-    applicable = checks.scalar_positive and (checks.hypothesis_a.holds
-                                             or checks.hypothesis_b.holds)
+    chain = implication_audit(op)
     nnic_ok = True
     chain_ok = True
-    if applicable:
-        nnic_ok = check_nnic(op, dec=dec).holds
+    if chain.applicable:
+        nnic_ok = check_nnic(op).holds
         if not nnic_ok:
             failures.append("pinching hypothesis held but NNIC criterion failed")
-        chain_ok = implication_audit(op, dec=dec).all_satisfied
+        chain_ok = chain.all_satisfied
         if not chain_ok:
             failures.append("implication chain inequality violated")
 
@@ -132,7 +128,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
         oracle_min=lo.value, oracle_max=hi.value,
         identity_ok=identity_ok, oracle_min_ok=oracle_min_ok,
         oracle_max_ok=oracle_max_ok, sound_ok=sound_ok,
-        chain_applicable=applicable, nnic_ok=nnic_ok, chain_ok=chain_ok,
+        chain_applicable=chain.applicable, nnic_ok=nnic_ok, chain_ok=chain_ok,
         failures=tuple(failures),
     )
 
@@ -154,14 +150,13 @@ def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -
 
 def run_verification(trials: int, seed: int,
                      oracle: OracleConfig | None = None,
-                     scale: float = 1.0, workers: int = 1) -> VerificationReport:
+                     scale: float = 1.0) -> VerificationReport:
     """Run ``trials`` independent verification trials.
 
     The oracle searches of each block of :data:`TRIAL_BLOCK` trials run as
     one batch, which leaves every record as it would be from
     :func:`run_trial` alone: each trial's randomness is a pure function of
-    (seed, trial index).  ``workers`` is accepted for compatibility and has
-    no effect.
+    (seed, trial index).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -210,28 +205,12 @@ class ScanReport:
         }
 
 
-def _scan_rows(inv: Invariants, indices) -> list[ScanRow]:
-    """Rows of a scan, read off an invariants pass (row i of ``inv`` per index)."""
-    columns = zip(indices, inv.s.tolist(), inv.k.tolist(),
-                  inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
-                  inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
-    return [ScanRow(index=index, s=s, k1=k[0], k2=k[1], k3=k[2],
-                    w3_plus=w3p, w3_minus=w3m,
-                    hypothesis_a=hyp_a, hypothesis_b=hyp_b, nnic=nnic)
-            for index, s, k, w3p, w3m, hyp_a, hyp_b, nnic in columns]
-
-
-def scan_row(op: CurvatureOperator, index: int) -> ScanRow:
-    return _scan_rows(invariants(op.matrix[None]), [index])[0]
-
-
-def run_scan(spec: ModelSpec, trials: int, seed: int, workers: int = 1) -> ScanReport:
+def run_scan(spec: ModelSpec, trials: int, seed: int) -> ScanReport:
     """Per-tensor invariants over an ensemble drawn from a model family.
 
     ``random_bianchi`` draws a fresh tensor per trial from derived subseeds,
     all in one batch; deterministic models repeat the same tensor on every
-    row.  All rows come from one invariants pass.  ``workers`` is accepted
-    for compatibility and has no effect.
+    row.  All rows come from one invariants pass.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -239,5 +218,12 @@ def run_scan(spec: ModelSpec, trials: int, seed: int, workers: int = 1) -> ScanR
         matrices = trial_matrices(seed, range(trials), spec.parameters[0])
     else:
         matrices = np.broadcast_to(make_operator(spec).matrix, (trials, 6, 6))
-    rows = _scan_rows(invariants(matrices), range(trials))
+    inv = invariants(matrices)
+    columns = zip(range(trials), inv.s.tolist(), inv.k.tolist(),
+                  inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
+                  inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
+    rows = [ScanRow(index=index, s=s, k1=k[0], k2=k[1], k3=k[2],
+                    w3_plus=w3p, w3_minus=w3m,
+                    hypothesis_a=hyp_a, hypothesis_b=hyp_b, nnic=nnic)
+            for index, s, k, w3p, w3m, hyp_a, hyp_b, nnic in columns]
     return ScanReport(model=spec.label(), trials=trials, seed=seed, rows=tuple(rows))

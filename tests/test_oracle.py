@@ -5,8 +5,8 @@ from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, section
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, random_frames
-from curv4.oracle import (ExtremumResult, OracleConfig, _propose, extremize,
-                          extremize_pair, isotropic_curvature, min_isotropic)
+from curv4.oracle import (MODES, ExtremumResult, OracleConfig, Search, _propose,
+                          extremize_batch, isotropic_curvature)
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -34,18 +34,19 @@ class TestConfig:
 
     def test_objective_and_mode_checked(self):
         with pytest.raises(ValidationError):
-            extremize(sphere(1.0), "ricci", "min", SMALL)
+            Search(sphere(1.0).matrix, "ricci", "min", SMALL)
         with pytest.raises(ValidationError):
-            extremize(sphere(1.0), "sectional", "inf", SMALL)
+            Search(sphere(1.0).matrix, "sectional", "inf", SMALL)
 
 
 class TestModelExtrema:
     def test_unit_sphere_is_constant(self):
-        res = extremize(sphere(1.0), "biorthogonal", "min", SMALL)
+        res, = extremize_batch([Search(sphere(1.0).matrix, "biorthogonal", "min", SMALL)])
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_product_min_is_zero_on_mixed_plane(self):
-        res = extremize(product_surfaces(1.0, 1.0), "biorthogonal", "min", OracleConfig(seed=2))
+        op = product_surfaces(1.0, 1.0)
+        res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", OracleConfig(seed=2))])
         assert abs(res.value) <= 1e-9
         # the witness realizes the minimum with a genuinely mixed plane
         proj = res.witness.projector()
@@ -53,12 +54,13 @@ class TestModelExtrema:
         assert 0.05 < factor_mass < 1.95
 
     def test_cp2_biortho_max(self):
-        res = extremize(cp2(1.0), "biorthogonal", "max", OracleConfig(seed=2))
+        res, = extremize_batch([Search(cp2(1.0).matrix, "biorthogonal", "max",
+                                       OracleConfig(seed=2))])
         assert res.value == pytest.approx(4.0, abs=1e-6)
 
     def test_cp2_sectional_range(self):
-        lo = extremize(cp2(1.0), "sectional", "min", OracleConfig(seed=2))
-        hi = extremize(cp2(1.0), "sectional", "max", OracleConfig(seed=2))
+        lo, hi = extremize_batch([Search(cp2(1.0).matrix, "sectional", mode, OracleConfig(seed=2))
+                                  for mode in MODES])
         assert lo.value == pytest.approx(1.0, abs=1e-6)
         assert hi.value == pytest.approx(4.0, abs=1e-6)
 
@@ -66,7 +68,8 @@ class TestModelExtrema:
     def test_matches_closed_form_on_random_tensors(self, seed):
         op = random_bianchi(RngStream(seed + 100))
         sp = biortho_spectrum(op)
-        lo, hi = extremize_pair(op, "biorthogonal", OracleConfig(seed=seed))
+        lo, hi = extremize_batch([Search(op.matrix, "biorthogonal", mode, OracleConfig(seed=seed))
+                                  for mode in MODES])
         assert lo.value == pytest.approx(sp.k1, abs=1e-6, rel=1e-6)
         assert hi.value == pytest.approx(sp.k3, abs=1e-6, rel=1e-6)
         assert lo.value >= sp.k1 - 1e-9
@@ -78,14 +81,14 @@ class TestSoundness:
     def test_witness_reproduces_value(self, objective):
         op = random_bianchi(RngStream(321))
         for mode in ("min", "max"):
-            res = extremize(op, objective, mode, SMALL)
+            res, = extremize_batch([Search(op.matrix, objective, mode, SMALL)])
             curvature = sectional if objective == "sectional" else biorthogonal
             again = curvature(op, res.witness)
             assert abs(again - res.value) <= 1e-12
 
     def test_isotropic_witness_reproduces_value(self):
         op = random_bianchi(RngStream(321))
-        res = min_isotropic(op, SMALL)
+        res, = extremize_batch([Search(op.matrix, "isotropic", "min", SMALL)])
         assert abs(isotropic_curvature(op, res.witness) - res.value) <= 1e-12
         assert np.max(np.abs(res.witness @ res.witness.T - np.eye(4))) <= 1e-12
 
@@ -93,20 +96,14 @@ class TestSoundness:
 class TestDeterminism:
     def test_identical_config_identical_result(self):
         op = random_bianchi(RngStream(9))
-        a = extremize(op, "biorthogonal", "min", SMALL)
-        b = extremize(op, "biorthogonal", "min", SMALL)
+        a, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
+        b, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert results_equal(a, b)
-
-    def test_pair_matches_single_calls(self):
-        op = random_bianchi(RngStream(9))
-        lo, hi = extremize_pair(op, "biorthogonal", SMALL)
-        assert results_equal(lo, extremize(op, "biorthogonal", "min", SMALL))
-        assert results_equal(hi, extremize(op, "biorthogonal", "max", SMALL))
 
     def test_different_seeds_explore_differently(self):
         op = random_bianchi(RngStream(9))
-        a = extremize(op, "biorthogonal", "min", OracleConfig(samples=500, seed=1))
-        b = extremize(op, "biorthogonal", "min", OracleConfig(samples=500, seed=2))
+        a, b = extremize_batch([Search(op.matrix, "biorthogonal", "min",
+                                       OracleConfig(samples=500, seed=seed)) for seed in (1, 2)])
         assert not np.array_equal(a.witness.u, b.witness.u)
 
 
@@ -114,26 +111,30 @@ class TestMonotonicity:
     def test_coarse_phase_is_exactly_monotone(self):
         op = random_bianchi(RngStream(13))
         budgets = [500, 2000, 4096, 9000]
-        values = [extremize(op, "biorthogonal", "min",
-                            OracleConfig(samples=n, refine_iters=0, seed=4)).value
-                  for n in budgets]
+        values = [res.value for res in extremize_batch([
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=n, refine_iters=0, seed=4))
+            for n in budgets])]
         for worse, better in zip(values, values[1:]):
             assert better <= worse
 
     def test_full_pipeline_monotone_within_soundness_slack(self):
         op = random_bianchi(RngStream(13))
-        values = [extremize(op, "biorthogonal", "min",
-                            OracleConfig(samples=n, refine_iters=60, restarts=2, seed=4)).value
-                  for n in (1000, 4000, 12000)]
+        values = [res.value for res in extremize_batch([
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=n, refine_iters=60, restarts=2, seed=4))
+            for n in (1000, 4000, 12000)])]
         for worse, better in zip(values, values[1:]):
             assert better <= worse + 1e-9
 
     def test_refinement_never_worsens_coarse_result(self):
         op = random_bianchi(RngStream(29))
-        coarse = extremize(op, "biorthogonal", "min",
-                           OracleConfig(samples=2000, refine_iters=0, seed=6))
-        refined = extremize(op, "biorthogonal", "min",
-                            OracleConfig(samples=2000, refine_iters=50, restarts=2, seed=6))
+        coarse, refined = extremize_batch([
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=2000, refine_iters=0, seed=6)),
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=2000, refine_iters=50, restarts=2, seed=6)),
+        ])
         assert refined.value <= coarse.value + 1e-12
 
 
@@ -173,15 +174,17 @@ class TestPerturbations:
 
 class TestIsotropic:
     def test_unit_sphere_value(self):
-        res = min_isotropic(sphere(1.0), OracleConfig(seed=3))
+        res, = extremize_batch([Search(sphere(1.0).matrix, "isotropic", "min",
+                                       OracleConfig(seed=3))])
         assert res.value == pytest.approx(4.0, abs=1e-9)
 
     def test_cp2_is_borderline(self):
-        res = min_isotropic(cp2(1.0), OracleConfig(seed=3))
+        res, = extremize_batch([Search(cp2(1.0).matrix, "isotropic", "min", OracleConfig(seed=3))])
         assert abs(res.value) <= 1e-4
 
     def test_product_is_borderline(self):
-        res = min_isotropic(product_surfaces(1.0, 1.0), OracleConfig(seed=3))
+        op = product_surfaces(1.0, 1.0)
+        res, = extremize_batch([Search(op.matrix, "isotropic", "min", OracleConfig(seed=3))])
         assert abs(res.value) <= 1e-4
 
     def test_standard_frame_value_on_product(self):
@@ -195,7 +198,7 @@ class TestIsotropic:
         wp, wm = dec.weyl_spectra()
         margin = min(dec.s / 6.0 - wp[2], dec.s / 6.0 - wm[2])
         assert abs(margin) > 1e-3  # these seeds are far from the borderline
-        res = min_isotropic(op, OracleConfig(seed=seed))
+        res, = extremize_batch([Search(op.matrix, "isotropic", "min", OracleConfig(seed=seed))])
         assert np.sign(res.value) == np.sign(margin)
         # conjectured identity, tracked but not load-bearing
         deviation = abs(res.value - 2.0 * margin)
@@ -208,12 +211,12 @@ class TestIsotropic:
 class TestBudgetAccounting:
     def test_samples_used_counts_all_evaluations(self):
         cfg = OracleConfig(samples=1000, refine_iters=10, restarts=2, seed=0)
-        res = extremize(sphere(1.0), "biorthogonal", "min", cfg)
+        res, = extremize_batch([Search(sphere(1.0).matrix, "biorthogonal", "min", cfg)])
         assert res.samples_used == 1000 + 10 * 2 * 4
 
     def test_witness_value_is_between_bounds(self):
         op = random_bianchi(RngStream(55))
         sp = biortho_spectrum(op)
-        res = extremize(op, "biorthogonal", "min", SMALL)
+        res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert sp.k1 - 1e-9 <= res.value <= sp.k3 + 1e-9
         assert biorthogonal(op, res.witness) == pytest.approx(res.value, abs=1e-12)
