@@ -20,7 +20,7 @@ from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      space_form, sphere)
 from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch, isotropic_curvature
-from .verify import run_scan, run_trial, run_verification
+from .verify import run_scan, run_verification
 
 __all__ = [
     "AnalyzeConfig", "BiorthoSpectrum", "ConsistencyError", "Curv4Error",
@@ -33,6 +33,6 @@ __all__ = [
     "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
     "isotropic_curvature", "make_operator", "parse_model_spec",
     "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
-    "ricci", "rotate_operator", "run_scan", "run_trial", "run_verification",
+    "ricci", "rotate_operator", "run_scan", "run_verification",
     "scalar_curvature", "sectional", "space_form", "sphere",
 ]

@@ -36,7 +36,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=20000, help="oracle sampling budget")
-    p.add_argument("--refine", type=int, default=200, help="hill-climbing iterations")
+    p.add_argument("--refine", type=int, default=200, help="cap on Newton polish steps per restart")
     p.add_argument("--restarts", type=int, default=3, help="refinement restarts")
     p.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
 

@@ -139,8 +139,7 @@ def _extremum_to_dict(res: ExtremumResult) -> dict:
 
 def _oracle_to_dict(cfg: OracleConfig, include_seed: bool = True) -> dict:
     doc = {"samples": cfg.samples, "refine_iters": cfg.refine_iters,
-           "restarts": cfg.restarts, "step_init": cfg.step_init,
-           "step_decay": cfg.step_decay}
+           "restarts": cfg.restarts}
     if include_seed:
         doc["seed"] = cfg.seed
     return doc

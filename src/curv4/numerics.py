@@ -89,8 +89,8 @@ class RngStream:
 
     The chunk index is mapped onto disjoint ranges of the Philox counter, so
     any partition of work into chunks yields the same draws regardless of
-    execution order or thread count.  Chunk indices below 2**32 are reserved
-    for sample chunks; higher ranges are used for auxiliary streams.
+    execution order or thread count.  Only the oracle's sampling phase uses
+    chunks other than 0, numbering them from 0 up.
     """
 
     seed: int
@@ -133,49 +133,38 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-def _orthonormalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched modified Gram-Schmidt on the rows of each (4, 4) block.
-
-    Returns the orthonormalized batch and a boolean mask of frames whose
-    pivots fell below tolerance (those rows are left unnormalized).
-
-    Works on a component-major copy, ``q[i, k]`` being component k of row i
-    over the whole batch, so every step is a contiguous ``(n,)`` operation.
-    The reductions are written out in a fixed order: dot products as
-    ``(p0 + p2) + (p1 + p3)`` and squared norms in sequence.
-    """
-    q = np.array(np.moveaxis(g, 0, -1), dtype=float, order="C")
-    bad = np.zeros(q.shape[-1], dtype=bool)
-    for i in range(4):
-        qi = q[i]
-        for j in range(i):
-            qj = q[j]
-            p = qi * qj
-            proj = (p[0] + p[2]) + (p[1] + p[3])
-            qi -= proj * qj
-        sq = qi * qi
-        nrm = np.sqrt(((sq[0] + sq[1]) + sq[2]) + sq[3])
-        small = nrm < _PIVOT_TOL
-        bad |= small
-        nrm = np.where(small, 1.0, nrm)
-        qi /= nrm
-    return np.ascontiguousarray(np.moveaxis(q, -1, 0)), bad
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion products of ``a`` and ``b``, components on the first axis."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
 
 
 def random_frames(rng: RngStream, n: int) -> np.ndarray:
     """``n`` Haar-random orthonormal 4-frames (rows are the frame vectors).
 
-    Gaussian draws followed by Gram-Schmidt; degenerate draws (probability
-    zero in practice) are replaced by fresh draws from the same stream.
+    Row k of a frame is p e_k q-bar, for unit quaternions p and q uniform on
+    S^3 and the quaternion basis e_k = 1, i, j, k: the map x -> p x q-bar is
+    Haar-distributed on SO(4).  Negating the last row of a random half of the
+    frames makes them Haar on O(4).  The eight normals and the sign bit of
+    every frame come from the one stream, and every entry is a fixed sequence
+    of elementwise operations on component-major copies, so the frames are
+    orthonormal to rounding and their bytes do not depend on the BLAS build.
     """
     gen = rng.generator()
-    frames, bad = _orthonormalize_rows(gen.standard_normal((n, 4, 4)))
-    while np.any(bad):
-        idx = np.flatnonzero(bad)
-        redo, still_bad = _orthonormalize_rows(gen.standard_normal((len(idx), 4, 4)))
-        frames[idx] = redo
-        bad[:] = False
-        bad[idx[still_bad]] = True
+    g = gen.standard_normal((n, 8))
+    flip = gen.random(n) < 0.5
+    pq = np.ascontiguousarray(g.T).reshape(2, 4, n)
+    sq = pq * pq
+    pq /= np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])[:, None]
+    p, q_bar = pq[0], pq[1] * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+    # component c of row k of frame i at [c, k, i]
+    rows = _hamilton(_hamilton(p[:, None], np.eye(4)[:, :, None]), q_bar[:, None])
+    frames = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    frames[flip, 3] *= -1.0
     return frames
 
 

@@ -6,14 +6,17 @@ comes from evaluating the curvature form on explicitly sampled planes or
 orthonormal 4-frames.
 
 Two phases: uniform sampling (Haar frames, chunked deterministic streams),
-then derivative-free hill climbing with a multiplicative step-decay schedule,
-restarted from a handful of mutually distant coarse candidates.  Chunked
-substreams make the result independent of how the work is scheduled.
+then a Newton polish from a handful of mutually distant coarse candidates.
+The polish takes its gradient and Hessian in so(4) from the objective's
+values on a fixed 42-point finite-difference stencil of rotated frames, and
+steps each frame by -H^+ g until a step no longer improves its value; it
+draws no random numbers.  Chunked substreams make the result independent of
+how the work is scheduled.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
-searches that share a seed share one coarse frame draw and their refinement
-proposals, and a single refine loop advances the frames of every search at
-once.  Each result is bit-identical to running its search alone.
+searches that share a seed share one coarse frame draw, and the polish
+advances the frames of every search together.  Each result is bit-identical
+to running its search alone.
 """
 
 from __future__ import annotations
@@ -30,13 +33,19 @@ from .numerics import RngStream, random_frames, rotation_from_generator
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
 
-# Chunk indices at and above this range are reserved for the refinement stream.
-_REFINE_CHUNK = 1 << 32
-
-_PROPOSALS_PER_ITER = 4
 _CANDIDATE_POOL = 200
 _DIVERSITY_MIN_DIST = 0.5
-_CONVERGED_RTOL = 1e-9
+
+# Newton polish: the finite-difference step in so(4); Hessian eigenvalues up
+# to _FLAT_RTOL times the largest |eigenvalue| count as flat; _ROUNDING_BAND
+# times max|M| bounds the finite-difference rounding of the gradient and
+# Hessian at an extremum (Hessian eigenvalues on exactly flat directions reach
+# 5.4e-7 max|M|); the largest rotation angle of one step.
+_FD_STEP = 1e-4
+_FLAT_RTOL = 1e-8
+_ROUNDING_BAND = 1e-5
+_TRUST_RADIUS = 0.25
+_POLISH_BLOCK = 48
 
 MODES = ("min", "max")
 
@@ -48,17 +57,11 @@ class OracleConfig:
     samples: int = 20000
     refine_iters: int = 200
     restarts: int = 3
-    step_init: float = 0.3
-    step_decay: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        if not 0.0 < self.step_decay < 1.0:
-            raise ValidationError(f"step_decay must be in (0, 1), got {self.step_decay}")
-        if self.step_init <= 0.0:
-            raise ValidationError(f"step_init must be positive, got {self.step_init}")
         if self.refine_iters < 0 or self.restarts < 0:
             raise ValidationError("refine_iters and restarts must be nonnegative")
 
@@ -241,98 +244,102 @@ def _coarse_starts(group: list[Search]) -> list[tuple[np.ndarray, np.ndarray]]:
 # refine phase
 
 
-def _propose(frames: np.ndarray, omega: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Proposals (F, P, 4, 4): each frame (F, 4, 4) rotated by the angle-``steps``
-    rotations along its P unit generator directions ``omega`` (F, P, 6)."""
-    rots = rotation_from_generator(omega * steps[:, None, None])
-    # rows of each frame rotated by Q: F' = F Q^T
-    return np.einsum("kmj,kpij->kpmi", frames, rots)
+_PAIR_I, _PAIR_J = np.triu_indices(6, 1)
+_DIRECTIONS = np.concatenate([np.eye(6), np.eye(6)[_PAIR_I] + np.eye(6)[_PAIR_J]])
+# The stencil: rotations by h e_i and h (e_i + e_j), i < j, then their inverses.
+_STENCIL = rotation_from_generator(_FD_STEP * np.concatenate([_DIRECTIONS, -_DIRECTIONS]))
+# Objective evaluations per Newton step: the stencil plus the trial frame.
+_STEP_EVALUATIONS = len(_STENCIL) + 1
+
+
+def _rotated(frames: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """Rows of each frame rotated by Q, F' = F Q^T, broadcast over leading axes."""
+    return np.einsum("...mj,...ij->...mi", frames, rots)
+
+
+def _derivatives(stencil: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradient (F, 6) and Hessian (F, 6, 6) in so(4) from
+    the stencil values (F, 42) around the center values (F,)."""
+    h = _FD_STEP
+    plus, minus = stencil[:, :21], stencil[:, 21:]
+    grad = (plus[:, :6] - minus[:, :6]) / (2.0 * h)
+    curv = (plus + minus - 2.0 * center[:, None]) / (h * h)   # d^T H d per direction d
+    diag = curv[:, :6]
+    hess = np.empty((len(center), 6, 6))
+    hess[:, _PAIR_I, _PAIR_J] = hess[:, _PAIR_J, _PAIR_I] = (
+        curv[:, 6:] - diag[:, _PAIR_I] - diag[:, _PAIR_J]) / 2.0
+    hess[:, np.arange(6), np.arange(6)] = diag
+    return grad, hess
+
+
+def _polish(evaluate, matrices, signs, frames, values, caps):
+    """Newton steps minimizing ``signs * evaluate`` from each frame, until a
+    step fails to improve or the frame's step cap is reached.
+
+    ``frames`` and ``values`` (signed) are updated in place.  Returns the
+    steps taken per frame, and whether the frame stopped before its cap at a
+    point whose last gradient is within the rounding band of zero and whose
+    last Hessian has no eigenvalue below minus that band.
+    """
+    taken = np.zeros(len(values), dtype=int)
+    converged = np.zeros(len(values), dtype=bool)
+    band = _ROUNDING_BAND * np.max(np.abs(matrices), axis=(1, 2))
+    live = np.flatnonzero(caps > 0)
+    while live.size:
+        f, m, sign = frames[live], matrices[live], signs[live]
+        stencil = sign[:, None] * evaluate(m, _rotated(f[:, None], _STENCIL))
+        grad, hess = _derivatives(stencil, values[live])
+        lam, vec = np.linalg.eigh(hess)
+        flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
+        # -H^+ g over the curved directions; flat and negative ones are skipped
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > flat)
+        omega = -np.einsum("fij,fj,fkj,fk->fi", vec, inv, vec, grad)
+        # Far from an extremum the quadratic model overshoots: cap the angle.
+        omega *= _TRUST_RADIUS / np.maximum(np.linalg.norm(omega, axis=1, keepdims=True),
+                                            _TRUST_RADIUS)
+        trial = _rotated(f, rotation_from_generator(omega))
+        trial_values = sign * evaluate(m, trial[:, None])[:, 0]
+        better = trial_values < values[live]
+        taken[live] += 1
+        converged[live] = (~better & (np.max(np.abs(grad), axis=1) <= band[live])
+                           & (lam[:, 0] >= -band[live]))
+        frames[live[better]] = trial[better]
+        values[live[better]] = trial_values[better]
+        live = live[better & (taken[live] < caps[live])]
+    return taken, converged
 
 
 def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int, bool]]:
-    """Hill climbing from every search's candidates in one loop; minimizes each
-    search's signed value.  Returns (value, frame, evaluations, converged).
+    """Newton polish from every search's candidates, minimizing each search's
+    signed value.  Returns (value, frame, evaluations, converged).
 
-    Each restart carries its own step: multiplied by the decay factor whenever
-    none of its proposals improves, and grown back (capped at the initial step)
-    on success, so the step tracks the scale that still makes progress even on
-    ill-conditioned objectives.  Frames stay orthonormal to around 1e-14 under
-    pure rotations, so no re-orthonormalization is needed inside the loop.
-
-    A search draws its proposal directions from its own seed's refinement
-    stream, so searches with the same seed and restart count see the same
-    directions and one draw per iteration serves them all.  Frames are laid
-    out search by search, grouped by objective, so each objective is one
-    evaluation over a contiguous span.
+    The frames of one objective are polished :data:`_POLISH_BLOCK` at a time,
+    which keeps the stencil arrays small; each frame's steps depend on that
+    frame alone.  A search is converged when its winning frame is.
     """
-    order = sorted(range(len(searches)), key=lambda i: searches[i].objective)
-    ordered = [searches[i] for i in order]
-    counts = np.array([len(starts[i][1]) for i in order])
+    counts = [len(values) for _, values in starts]
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    cur_frames = np.concatenate([starts[i][0] for i in order])
-    cur_values = np.concatenate([starts[i][1] for i in order])
-    iters = np.array([s.cfg.refine_iters for s in ordered])
-    frame_iters = np.repeat(iters, counts)
-    steps = np.repeat([s.cfg.step_init for s in ordered], counts)
-    step_init = steps.copy()
-    decay = np.repeat([s.cfg.step_decay for s in ordered], counts)
-    signs = np.repeat([s.sign for s in ordered], counts)
-    matrices = np.repeat(np.stack([s.matrix for s in ordered]), counts, axis=0)
+    owner = np.repeat(np.arange(len(searches)), counts)
+    frames = np.concatenate([f for f, _ in starts])
+    values = np.concatenate([v for _, v in starts])
+    matrices = np.stack([s.matrix for s in searches])[owner]
+    signs = np.array([s.sign for s in searches])[owner]
+    caps = np.array([s.cfg.refine_iters for s in searches])[owner]
+    taken = np.zeros(len(values), dtype=int)
+    converged = np.zeros(len(values), dtype=bool)
+    for objective in dict.fromkeys(s.objective for s in searches):
+        rows = np.flatnonzero([searches[o].objective == objective for o in owner])
+        for block in np.split(rows, range(_POLISH_BLOCK, len(rows), _POLISH_BLOCK)):
+            f, v = frames[block], values[block]
+            taken[block], converged[block] = _polish(
+                _BATCH_OBJECTIVES[objective], matrices[block], signs[block], f, v, caps[block])
+            frames[block], values[block] = f, v
 
-    # Row j of a stream's draw is restart j's direction; ``gather`` picks, for
-    # every frame, its row in the concatenation of all streams' draws.
-    stream_start: dict[tuple[int, int], int] = {}
-    gather = []
-    drawn = 0
-    for pos, s in enumerate(ordered):
-        key = (s.cfg.seed, int(counts[pos]))
-        if key not in stream_start:
-            stream_start[key] = drawn
-            drawn += key[1]
-        gather.append(stream_start[key] + np.arange(key[1]))
-    gather = np.concatenate(gather)
-    streams = [(RngStream(seed, _REFINE_CHUNK).generator(), k) for seed, k in stream_start]
-    spans = []
-    for objective in dict.fromkeys(s.objective for s in ordered):
-        members = [pos for pos, s in enumerate(ordered) if s.objective == objective]
-        spans.append((_BATCH_OBJECTIVES[objective],
-                      slice(offsets[members[0]], offsets[members[-1] + 1])))
-
-    total = len(cur_values)
-    history = np.empty((len(ordered), iters.max()))
-    cvals = np.empty((total, _PROPOSALS_PER_ITER))
-    rows = np.arange(total)
-    for it in range(iters.max()):
-        draws = np.concatenate([gen.standard_normal((k, _PROPOSALS_PER_ITER, 6))
-                                for gen, k in streams])
-        nrm = np.linalg.norm(draws, axis=-1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        draws /= nrm
-        omega = draws[gather]
-        cands = _propose(cur_frames, omega, steps)
-        for evaluate, span in spans:
-            cvals[span] = evaluate(matrices[span], cands[span])
-        cvals *= signs[:, None]
-        best_p = np.argmin(cvals, axis=1)
-        best_vals = cvals[rows, best_p]
-        improved = (best_vals < cur_values) & (it < frame_iters)
-        cur_values[improved] = best_vals[improved]
-        cur_frames[improved] = cands[rows, best_p][improved]
-        steps[~improved] *= decay[~improved]
-        steps[improved] = np.minimum(steps[improved] / decay[improved], step_init[improved])
-        history[:, it] = np.minimum.reduceat(cur_values, offsets[:-1])
-
-    out: list = [None] * len(searches)
-    for pos, i in enumerate(order):
-        n = int(iters[pos])
-        trace = history[pos, :n]
-        window = max(1, n // 4)
-        reference = trace[max(0, n - window - 1)]
-        converged = bool(reference - trace[-1] <= _CONVERGED_RTOL * (1.0 + abs(trace[-1])))
-        seg = slice(offsets[pos], offsets[pos + 1])
-        winner = int(np.argmin(cur_values[seg]))
-        out[i] = (float(cur_values[seg][winner]), cur_frames[seg][winner],
-                  n * int(counts[pos]) * _PROPOSALS_PER_ITER, converged)
+    out = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        winner = lo + int(np.argmin(values[lo:hi]))
+        out.append((float(values[winner]), frames[winner],
+                    _STEP_EVALUATIONS * int(taken[lo:hi].sum()), bool(converged[winner])))
     return out
 
 

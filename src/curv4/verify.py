@@ -7,7 +7,7 @@ every result is a pure function of (seed, trial index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,15 +75,8 @@ def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOpe
             for m in trial_matrices(seed, indices, scale)]
 
 
-def trial_operator(seed: int, index: int, scale: float = 1.0) -> CurvatureOperator:
-    """The random curvature tensor examined by trial ``index`` of a run."""
-    return trial_operators(seed, [index], scale)[0]
-
-
 def trial_oracle_config(base: OracleConfig, seed: int, index: int) -> OracleConfig:
-    return OracleConfig(samples=base.samples, refine_iters=base.refine_iters,
-                        restarts=base.restarts, step_init=base.step_init,
-                        step_decay=base.step_decay, seed=derive_seed(seed, index, 1))
+    return replace(base, seed=derive_seed(seed, index, 1))
 
 
 def _close(value: float, target: float) -> bool:
@@ -133,7 +126,8 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     )
 
 
-def _run_trials(seed: int, indices, oracle: OracleConfig, scale: float) -> list[TrialResult]:
+def _run_trials(seed: int, indices, oracle: OracleConfig,
+                scale: float = 1.0) -> list[TrialResult]:
     """Trials ``indices`` of a run, with all their oracle searches in one batch."""
     ops = trial_operators(seed, indices, scale)
     searches = [Search(op.matrix, "biorthogonal", mode, trial_oracle_config(oracle, seed, i))
@@ -143,20 +137,14 @@ def _run_trials(seed: int, indices, oracle: OracleConfig, scale: float) -> list[
             for n, (i, op) in enumerate(zip(indices, ops))]
 
 
-def run_trial(seed: int, index: int, oracle: OracleConfig, scale: float = 1.0) -> TrialResult:
-    """Run every verification check on one seeded random tensor."""
-    return _run_trials(seed, [index], oracle, scale)[0]
-
-
 def run_verification(trials: int, seed: int,
                      oracle: OracleConfig | None = None,
                      scale: float = 1.0) -> VerificationReport:
     """Run ``trials`` independent verification trials.
 
     The oracle searches of each block of :data:`TRIAL_BLOCK` trials run as
-    one batch, which leaves every record as it would be from
-    :func:`run_trial` alone: each trial's randomness is a pure function of
-    (seed, trial index).
+    one batch, which leaves every record as it would be if its trial ran
+    alone: each trial's randomness is a pure function of (seed, trial index).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")

@@ -263,10 +263,10 @@ class TestCliScan:
         assert main(["scan", "--model", "random_bianchi:1", "--trials", "3",
                      "--seed", "9"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1:-1]
-        from curv4.verify import trial_operator
+        from curv4.verify import trial_operators
 
         for row in rows:
-            sp = biortho_spectrum(trial_operator(9, row["trial"]))
+            sp = biortho_spectrum(trial_operators(9, [row["trial"]])[0])
             assert row["k1"] == sp.k1 and row["k3"] == sp.k3
 
     def test_scan_deterministic_across_workers(self, tmp_path):

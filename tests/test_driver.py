@@ -10,7 +10,7 @@ from curv4.errors import ValidationError
 from curv4.models import cp2, random_bianchi
 from curv4.numerics import RngStream
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import TRIAL_BLOCK, run_trial, run_verification
+from curv4.verify import TRIAL_BLOCK, _run_trials, run_verification
 
 SMALL = OracleConfig(samples=3000, refine_iters=60, restarts=2, seed=5)
 
@@ -34,13 +34,13 @@ def assert_matches_alone(searches):
 
 def test_verification_records_equal_single_trials():
     report = run_verification(trials=6, seed=3)
-    assert report.records == tuple(run_trial(3, i, OracleConfig()) for i in range(6))
+    assert report.records == tuple(_run_trials(3, [i], OracleConfig())[0] for i in range(6))
 
 
 def test_verification_across_a_trial_block_boundary():
     tiny = OracleConfig(samples=64, refine_iters=3, restarts=1)
     report = run_verification(trials=TRIAL_BLOCK + 2, seed=11, oracle=tiny)
-    assert report.records == tuple(run_trial(11, i, tiny) for i in range(TRIAL_BLOCK + 2))
+    assert report.records == tuple(_run_trials(11, [i], tiny)[0] for i in range(TRIAL_BLOCK + 2))
 
 
 def test_analyze_oracle_equals_standalone_searches():
@@ -57,8 +57,7 @@ def test_analyze_oracle_equals_standalone_searches():
 
 def test_mixed_batch_equals_searches_alone():
     a, b = random_bianchi(RngStream(1)), random_bianchi(RngStream(2))
-    other = OracleConfig(samples=2500, refine_iters=35, restarts=4,
-                         step_init=0.5, step_decay=0.8, seed=5)
+    other = OracleConfig(samples=2500, refine_iters=35, restarts=4, seed=5)
     assert_matches_alone([
         Search(a.matrix, "biorthogonal", "min", SMALL),
         Search(b.matrix, "isotropic", "min", SMALL),

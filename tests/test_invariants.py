@@ -10,7 +10,7 @@ from curv4.errors import ValidationError
 from curv4.models import ModelSpec, make_operator
 from curv4.numerics import RngStream, derive_seed, gram_schmidt
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import run_scan, trial_operator
+from curv4.verify import run_scan, trial_operators
 
 THIRD = 1.0 / 3.0
 
@@ -38,9 +38,9 @@ def assert_row_matches_views(row, op):
 
 def ensemble():
     named = [make_operator(ModelSpec(name)) for name in GOLDEN]
-    shifted = [from_matrix(trial_operator(5, i).matrix + 0.5 * i * np.eye(6))
+    shifted = [from_matrix(trial_operators(5, [i])[0].matrix + 0.5 * i * np.eye(6))
                for i in range(8)]
-    return named + [trial_operator(3, i) for i in range(12)] + shifted
+    return named + trial_operators(3, range(12)) + shifted
 
 
 class TestBatchMatchesViews:
@@ -72,7 +72,7 @@ class TestBatchMatchesViews:
     def test_golden_table_through_batch_and_views(self, name):
         s, wplus, wminus, k = GOLDEN[name]
         op = make_operator(ModelSpec(name))
-        inv = invariants(np.stack([trial_operator(1, 0).matrix, op.matrix]))
+        inv = invariants(np.stack([trial_operators(1, [0])[0].matrix, op.matrix]))
         dec = decompose(op)
         wp, wm = dec.weyl_spectra()
         for got_s, got_wp, got_wm, got_k in (
@@ -92,7 +92,7 @@ class TestBatchMatchesViews:
         report = run_scan(ModelSpec("random_bianchi", (1.0,)), trials=30, seed=4)
         for i, row in enumerate(report.rows):
             assert row.index == i
-            assert_row_matches_views(row, trial_operator(4, i))
+            assert_row_matches_views(row, trial_operators(4, [i])[0])
 
     def test_deterministic_model_scan_repeats_one_row(self):
         report = run_scan(ModelSpec("cp2"), trials=3, seed=0)
@@ -112,7 +112,7 @@ class TestBatchMatchesViews:
 
 
 def trace_free(seed: int) -> np.ndarray:
-    m = trial_operator(seed, 0).matrix
+    m = trial_operators(seed, [0])[0].matrix
     return m - (np.trace(m) / 6.0) * np.eye(6)
 
 
@@ -164,7 +164,7 @@ class TestNearlyDependentSpans:
 
 
 def test_analyze_oracle_matches_two_single_searches():
-    op = trial_operator(12, 0)
+    op = trial_operators(12, [0])[0]
     oracle = OracleConfig(samples=1500, refine_iters=30, seed=6)
     rep = analyze(op, AnalyzeConfig(run_oracle=True, oracle=oracle))
     for got, mode in zip(rep.sectional_extrema, ("min", "max")):

@@ -4,9 +4,11 @@ import pytest
 from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, sectional
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
-from curv4.numerics import RngStream, random_frames
-from curv4.oracle import (MODES, ExtremumResult, OracleConfig, Search, _propose,
-                          extremize_batch, isotropic_curvature)
+from curv4.numerics import RngStream, random_frames, rotation_from_generator
+from curv4.oracle import (_BATCH_OBJECTIVES, _STENCIL, MODES, ExtremumResult, OracleConfig,
+                          Search, _coarse_starts, _polish, _rotated, extremize_batch,
+                          isotropic_curvature)
+from curv4.verify import run_verification, trial_operators
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -25,10 +27,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             OracleConfig(samples=0)
-        with pytest.raises(ValidationError):
-            OracleConfig(step_decay=1.0)
-        with pytest.raises(ValidationError):
-            OracleConfig(step_init=0.0)
         with pytest.raises(ValidationError):
             OracleConfig(refine_iters=-1)
 
@@ -144,32 +142,85 @@ def unit_directions(seed: int, shape) -> np.ndarray:
 
 
 class TestPerturbations:
-    """The refine phase's proposals: frames rotated by bounded-angle rotations."""
+    """The refine phase's moves: frames rotated by bounded-angle rotations."""
 
     FRAMES = random_frames(RngStream(2), 5)
 
+    def step(self, omega):
+        return _rotated(self.FRAMES, rotation_from_generator(omega))
+
     def test_zero_step_is_identity(self):
-        cands = _propose(self.FRAMES, unit_directions(1, (5, 4)), np.zeros(5))
-        assert np.array_equal(cands, np.broadcast_to(self.FRAMES[:, None], cands.shape))
+        assert np.array_equal(self.step(np.zeros((5, 6))), self.FRAMES)
 
     @pytest.mark.parametrize("step", [1e-6, 0.01, 0.3, 2.0])
     def test_output_is_orthonormal(self, step):
-        cands = _propose(self.FRAMES, unit_directions(3, (5, 4)), np.full(5, step))
-        gram = np.einsum("kpmi,kpni->kpmn", cands, cands)
+        moved = self.step(step * unit_directions(3, (5,)))
+        gram = np.einsum("kmi,kni->kmn", moved, moved)
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
     def test_small_step_moves_little(self):
-        cands = _propose(self.FRAMES, unit_directions(3, (5, 4)), np.full(5, 1e-8))
-        assert np.max(np.abs(cands - self.FRAMES[:, None])) <= 1e-7
+        moved = self.step(1e-8 * unit_directions(3, (5,)))
+        assert np.max(np.abs(moved - self.FRAMES)) <= 1e-7
 
-    def test_same_stream_same_perturbation(self):
-        # A frame's proposals do not depend on the other frames in the batch.
-        omega = unit_directions(7, (5, 4))
-        steps = np.linspace(0.05, 0.3, 5)
-        batch = _propose(self.FRAMES, omega, steps)
-        for i in range(5):
-            alone = _propose(self.FRAMES[i:i + 1], omega[i:i + 1], steps[i:i + 1])
-            assert np.array_equal(alone[0], batch[i])
+
+class TestNewtonPolish:
+    def test_stencil_rotations_are_orthonormal(self):
+        assert _STENCIL.shape == (42, 4, 4)
+        gram = np.einsum("sij,skj->sik", _STENCIL, _STENCIL)
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-15
+        assert np.allclose(np.linalg.det(_STENCIL), 1.0, rtol=0.0, atol=1e-15)
+        # the 42 points are distinct and lie within 1e-4 * sqrt(2) of the identity
+        flat = _STENCIL.reshape(42, 16)
+        assert len(np.unique(flat, axis=0)) == 42
+        assert np.max(np.abs(_STENCIL - np.eye(4))) <= 1.5e-4
+
+    @pytest.mark.parametrize("objective", ["sectional", "biorthogonal"])
+    def test_frame_near_cp2_minimizing_plane_polishes_to_one(self, objective):
+        # span(e0, e2) is a totally real plane of cp2(1), where both objectives are 1.
+        plane = np.eye(4)[[0, 2, 1, 3]]
+        frames = _rotated(plane, rotation_from_generator(1e-3 * unit_directions(8, (1,))))
+        evaluate = _BATCH_OBJECTIVES[objective]
+        m = cp2(1.0).matrix[None]
+        values = evaluate(m, frames[:, None])[:, 0]
+        assert values[0] - 1.0 > 1e-8
+        taken, converged = _polish(evaluate, m, np.ones(1), frames, values, np.array([200]))
+        assert abs(values[0] - 1.0) <= 1e-14
+        assert 1 <= taken[0] < 200 and converged[0]
+        assert evaluate(m, frames[:, None])[0, 0] == values[0]
+
+    def test_far_restarts_reach_a_stationary_point(self):
+        # From these 300 coarse candidates, uncapped Newton steps overshoot and
+        # leave 24 frames stopped where the gradient is still large.
+        searches = [Search(op.matrix, "sectional", mode, OracleConfig(samples=4000, seed=i))
+                    for i, op in enumerate(trial_operators(1, range(50))) for mode in MODES]
+        starts = [_coarse_starts([s])[0] for s in searches]
+        frames = np.concatenate([f for f, _ in starts])
+        values = np.concatenate([v for _, v in starts])
+        owner = np.repeat(np.arange(len(searches)), [len(v) for _, v in starts])
+        taken, converged = _polish(
+            _BATCH_OBJECTIVES["sectional"], np.stack([s.matrix for s in searches])[owner],
+            np.array([s.sign for s in searches])[owner], frames, values, np.full(len(values), 200))
+        assert len(values) == 300 and converged.all()
+
+    def test_step_cap_leaves_search_unconverged(self):
+        op = random_bianchi(RngStream(61))
+        capped, free = extremize_batch([
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=2000, refine_iters=1, restarts=2, seed=3)),
+            Search(op.matrix, "biorthogonal", "min",
+                   OracleConfig(samples=2000, refine_iters=200, restarts=2, seed=3))])
+        assert not capped.converged
+        assert free.converged
+        assert free.value < capped.value
+
+    def test_known_near_degenerate_miss_is_closed(self):
+        # Trial 2 of this run has w2+ = 1.189 and w3+ = 1.220; a random-direction
+        # climb stopped 4.1e-6 short of k3 there.
+        report = run_verification(trials=5, seed=101000309)
+        assert report.passed
+        for rec in report.records:
+            assert abs(rec.oracle_min - rec.k1) <= 1e-12 * (1.0 + abs(rec.k1))
+            assert abs(rec.oracle_max - rec.k3) <= 1e-12 * (1.0 + abs(rec.k3))
 
 
 class TestIsotropic:
@@ -200,19 +251,21 @@ class TestIsotropic:
         assert abs(margin) > 1e-3  # these seeds are far from the borderline
         res, = extremize_batch([Search(op.matrix, "isotropic", "min", OracleConfig(seed=seed))])
         assert np.sign(res.value) == np.sign(margin)
-        # conjectured identity, tracked but not load-bearing
-        deviation = abs(res.value - 2.0 * margin)
-        if deviation > 1e-4:
-            import warnings
-
-            warnings.warn(f"isotropic identity deviates by {deviation:.2e}")
+        # the isotropic identity min_iso = 2 min(s/6 - w3+, s/6 - w3-)
+        assert abs(res.value - 2.0 * margin) <= 1e-10 * (1.0 + np.max(np.abs(op.matrix)))
 
 
 class TestBudgetAccounting:
     def test_samples_used_counts_all_evaluations(self):
-        cfg = OracleConfig(samples=1000, refine_iters=10, restarts=2, seed=0)
-        res, = extremize_batch([Search(sphere(1.0).matrix, "biorthogonal", "min", cfg)])
-        assert res.samples_used == 1000 + 10 * 2 * 4
+        # 43 evaluations per Newton step: 42 stencil points and the trial frame.
+        op = random_bianchi(RngStream(57))
+        capped, free = extremize_batch([
+            Search(op.matrix, "sectional", "max",
+                   OracleConfig(samples=1000, refine_iters=cap, restarts=2, seed=0))
+            for cap in (1, 200)])
+        assert capped.samples_used == 1000 + 43 * 2
+        steps, rest = divmod(free.samples_used - 1000, 43)
+        assert rest == 0 and 2 * 2 <= steps <= 2 * 200
 
     def test_witness_value_is_between_bounds(self):
         op = random_bianchi(RngStream(55))

@@ -1,0 +1,53 @@
+"""Byte gates: the sha256 of the output of eight fixed curv4 commands.
+
+Run from anywhere, with the checkout's own ``src`` on the import path:
+
+    python3 tools/gates.py
+
+Each command runs in-process through ``curv4.cli.main`` with stdout
+captured.  One line is printed per command: the first 16 hex digits of the
+sha256 of its stdout, its exit code, and the command.  Every output is a
+pure function of its seeds, so running this script on two commits shows
+which gates a change moves.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from curv4.cli import main  # noqa: E402
+
+GATES = (
+    "scan --seed 1",
+    "scan --trials 20000 --seed 1",
+    "verify --trials 500 --seed 7 --json",
+    "verify --seed 1 --json",
+    "verify --seed 1 --text",
+    "analyze --model cp2 --run-oracle --json",
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json",
+    "analyze --model random_bianchi:1 --seed 3 --text",
+)
+
+
+def gate(command: str) -> tuple[str, int]:
+    """The sha256 prefix of ``curv4 COMMAND``'s stdout, and its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code
+
+
+def run() -> None:
+    for command in GATES:
+        digest, code = gate(command)
+        print(f"{digest}  {code}  {command}", flush=True)
+
+
+if __name__ == "__main__":
+    run()
