@@ -18,7 +18,7 @@ from .errors import ConsistencyError, Curv4Error, DegenerateInputError, Validati
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
                      space_form, sphere)
-from .numerics import RngStream, derive_seed, eig_sym, gram_schmidt
+from .numerics import RngStream, derive_seed, derive_seeds, eig_sym, gram_schmidt
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch, isotropic_curvature
 from .verify import run_scan, run_verification
 
@@ -29,7 +29,7 @@ __all__ = [
     "Plane", "RngStream", "Search", "ValidationError", "__version__", "analyze",
     "bianchi_residual", "biortho_spectrum", "biorthogonal", "check_nnic",
     "check_pinching", "classification_hints", "complement", "cp2", "decompose",
-    "derive_seed", "eig_sym", "extremize_batch", "flat",
+    "derive_seed", "derive_seeds", "eig_sym", "extremize_batch", "flat",
     "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
     "isotropic_curvature", "make_operator", "parse_model_spec",
     "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",

@@ -8,6 +8,7 @@ serialized document, so both carry identical numeric values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -189,7 +190,10 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    leaves it unchanged, so :func:`main` pays for it once per process."""
     parser = _Parser(prog="curv4",
                      description="Pointwise curvature analysis for 4-dimensional geometry.")
     parser.add_argument("--version", action="version", version=f"curv4 {__version__}")

@@ -41,7 +41,6 @@ BASIS_LABELS = ("e12", "e13", "e14", "e23", "e24", "e34")
 DEFAULT_TOLERANCE = 1e-9
 
 _ORTHO_TOL = 1e-12
-_DECOMPOSABLE_TOL = 1e-10
 
 # Hodge star as a matrix on coefficient vectors: signed antidiagonal.
 STAR = np.zeros((6, 6))
@@ -76,13 +75,6 @@ def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def hodge_star(alpha: np.ndarray) -> np.ndarray:
     """Hodge star of a 2-form given by its coefficient vector."""
     return np.asarray(alpha, dtype=float) @ STAR
-
-
-def is_decomposable(alpha: np.ndarray, tol: float = _DECOMPOSABLE_TOL) -> bool:
-    """Whether the 2-form is a wedge of two vectors (its self-pairing vanishes)."""
-    alpha = np.asarray(alpha, dtype=float)
-    pairing = float(alpha @ hodge_star(alpha))
-    return abs(pairing) <= tol * (1.0 + float(alpha @ alpha))
 
 
 def lambda_basis() -> np.ndarray:
@@ -197,9 +189,10 @@ def from_matrix(m, project_bianchi: bool = False,
                 tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
     """Validate a 6x6 symmetric matrix as a curvature operator.
 
-    The Bianchi residual must vanish within ``tolerance`` (relative to the
-    max-norm) unless ``project_bianchi`` is set, in which case the orthogonal
-    projection onto the residual-free hyperplane is applied first.
+    The Bianchi residual must vanish within ``tolerance`` times the max-norm
+    (exactly, for the zero tensor) unless ``project_bianchi`` is set, in
+    which case the orthogonal projection onto the residual-free hyperplane is
+    applied first.
     """
     mat = check_symmetric(m, tol=tolerance)
     if mat.shape != (6, 6):
@@ -207,7 +200,7 @@ def from_matrix(m, project_bianchi: bool = False,
     if project_bianchi:
         mat = project_to_bianchi(mat)
     b = float(_raw_bianchi(mat))
-    scale = 1.0 + float(np.max(np.abs(mat)))
+    scale = float(np.max(np.abs(mat)))
     if abs(b) > tolerance * scale:
         raise ValidationError(
             f"Bianchi residual {b:.6e} exceeds tolerance {tolerance * scale:.3e}; "
@@ -236,7 +229,7 @@ def projected_stack(stack) -> np.ndarray:
                 > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(a), axis=(-2, -1))))
         mats = project_to_bianchi((a + swap) / 2.0)
         bad |= (np.abs(_raw_bianchi(mats))
-                > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(mats), axis=(-2, -1))))
+                > DEFAULT_TOLERANCE * np.max(np.abs(mats), axis=(-2, -1)))
     if np.any(bad):
         row = int(np.argmax(bad))
         from_matrix(a[row], project_bianchi=True)
@@ -464,9 +457,6 @@ class Plane:
     def form(self) -> np.ndarray:
         """Unit decomposable 2-form of the plane."""
         return wedge(self.u, self.v)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.u, self.u) + np.outer(self.v, self.v)
 
 
 def complement(p: Plane) -> Plane:

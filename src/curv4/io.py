@@ -8,6 +8,7 @@ reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .analyzer import PinchingReport
 from .core import BASIS_LABELS, CurvatureOperator, Plane, from_components, from_matrix
 from .errors import ValidationError
 from .oracle import ExtremumResult, OracleConfig
-from .verify import ScanReport, VerificationReport
+from .verify import ScanReport, ScanRow, VerificationReport
 
 TENSOR_FORMAT = "curv4-v1"
 REPORT_FORMAT = "curv4-report-v1"
@@ -239,18 +240,44 @@ def verification_to_dict(report: VerificationReport) -> dict:
     }
 
 
+#: A scan row as :func:`dumps_record` writes it: keys sorted, floats as
+#: ``float.__repr__``, booleans as ``true``/``false``.
+_ROW_TEMPLATE = ('{"hypothesis_A":%s,"hypothesis_B":%s,"k1":%s,"k2":%s,"k3":%s,'
+                 '"nnic":%s,"s":%s,"trial":%d,"type":"row","w3_minus":%s,"w3_plus":%s}')
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _row_record(row: ScanRow) -> dict:
+    return {"type": "row", "trial": row.index, "s": row.s,
+            "k1": row.k1, "k2": row.k2, "k3": row.k3,
+            "w3_plus": row.w3_plus, "w3_minus": row.w3_minus,
+            "hypothesis_A": row.hypothesis_a, "hypothesis_B": row.hypothesis_b,
+            "nnic": row.nnic}
+
+
+def _row_line(row: ScanRow) -> str:
+    """``dumps_record(_row_record(row))``, formatted from the fixed template.
+
+    json spells non-finite floats NaN/Infinity, not as their repr, so a row
+    whose floats do not add up to a finite sum (any NaN or infinity, or an
+    overflow of the sum, which costs only the fallback) goes through json.
+    """
+    s, k1, k2, k3 = row.s, row.k1, row.k2, row.k3
+    w3p, w3m = row.w3_plus, row.w3_minus
+    if not math.isfinite(s + k1 + k2 + k3 + w3p + w3m):
+        return dumps_record(_row_record(row))
+    r = float.__repr__
+    return _ROW_TEMPLATE % (_JSON_BOOL[row.hypothesis_a], _JSON_BOOL[row.hypothesis_b],
+                            r(k1), r(k2), r(k3), _JSON_BOOL[row.nnic], r(s), row.index,
+                            r(w3m), r(w3p))
+
+
 def scan_to_lines(report: ScanReport) -> list[str]:
     """Line-delimited records: header, one row per tensor, then a summary."""
     lines = [dumps_record({"type": "header", "format": SCAN_FORMAT,
                            "tool_version": __version__,
                            "model": report.model, "trials": report.trials,
                            "seed": report.seed})]
-    for row in report.rows:
-        lines.append(dumps_record({
-            "type": "row", "trial": row.index, "s": row.s,
-            "k1": row.k1, "k2": row.k2, "k3": row.k3,
-            "w3_plus": row.w3_plus, "w3_minus": row.w3_minus,
-            "hypothesis_A": row.hypothesis_a, "hypothesis_B": row.hypothesis_b,
-            "nnic": row.nnic}))
+    lines += map(_row_line, report.rows)
     lines.append(dumps_record({"type": "summary", **report.summary()}))
     return lines

@@ -8,6 +8,8 @@ configuration produce bit-identical results.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +128,123 @@ def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def derive_seed(seed: int, *indices: int) -> int:
-    """Derive a stable 64-bit subseed from a seed and an index path."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=tuple(indices))
-    state = ss.generate_state(2, dtype=np.uint32)
-    return int(state[0]) | (int(state[1]) << 32)
+# numpy's SeedSequence hash: a pool of four uint32 words.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative int (0 is one word)."""
+    if n < 0:
+        raise ValueError(f"seed path entries must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(x, const: int):
+    """One ``hashmix`` step of ``x`` with multiplier ``const``; returns the
+    mixed word and the next multiplier, which never depends on ``x``."""
+    const_next = (const * _MULT_A) & _MASK32
+    x = _u32((x ^ const) * const_next)
+    return x ^ (x >> _XSHIFT), const_next
+
+
+def _u32(x):
+    """``x`` modulo 2**32: Python ints are reduced, uint32 arrays already wrap."""
+    return x & _MASK32 if isinstance(x, int) else x
+
+
+def _mix(x, y):
+    r = _u32(_u32(_MIX_MULT_L * x) - _u32(_MIX_MULT_R * y))
+    return r ^ (r >> _XSHIFT)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool after the run entropy ``seed & (2**64 - 1)`` is mixed in,
+    and the hash multiplier reached.
+
+    A spawn key zero-pads the run entropy to the pool size, so this part of
+    the hash depends on the seed alone.
+    """
+    words = _words(int(seed) & _MASK64)
+    const = _INIT_A
+    pool = []
+    for w in words + [0] * (_POOL_SIZE - len(words)):
+        w, const = _hashmix(w, const)
+        pool.append(w)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    return tuple(pool), const
+
+
+def _spawn_state(seed: int, key_words: list) -> tuple:
+    """The two words of ``SeedSequence(entropy=seed,
+    spawn_key=key).generate_state(2, np.uint32)``.
+
+    ``key_words`` are the spawn key's uint32 words, each a Python int or a
+    uint32 array holding that word for every row of a batch; the arithmetic
+    works on both (uint32 arrays wrap modulo 2**32 as the reference's C
+    code does), and the result has the shape of the key words.
+    """
+    pool, const = _seed_pool(seed)
+    pool = list(pool)
+    for word in key_words:
+        for dst in range(_POOL_SIZE):
+            h, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], h)
+    state = []
+    const = _INIT_B
+    for word in pool[:2]:
+        word = word ^ const
+        const = (const * _MULT_B) & _MASK32
+        word = _u32(word * const)
+        state.append(word ^ (word >> _XSHIFT))
+    return tuple(state)
+
+
+def derive_seeds(seed: int, indices, *tail: int) -> np.ndarray:
+    """``derive_seed(seed, i, *tail)`` for every ``i`` in ``indices``, as one
+    uint64 array.
+
+    This is numpy's ``SeedSequence(entropy=seed, spawn_key=(i, *tail))``
+    hash with two output words, run over the whole batch in lockstep: the
+    hash constants depend only on the number of words hashed, so rows with
+    the same index width share every step.  Indices of 2**32 and above are
+    two words and form their own group.
+    """
+    tail_words = [w for t in tail for w in _words(operator.index(t))]
+    # Negative indices and indices of 2**64 or more raise OverflowError.
+    idx = np.fromiter(map(operator.index, indices), dtype=np.uint64)
+    out = np.empty(idx.size, dtype=np.uint64)
+    wide = idx > _MASK32
+    for group, width in ((~wide, 1), (wide, 2)):
+        if np.any(group):
+            rows = idx[group]
+            key = [(rows >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
+            lo, hi = _spawn_state(seed, key + tail_words)
+            out[group] = lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
+    return out
+
+
+def derive_seed(seed: int, first: int, *rest: int) -> int:
+    """Derive a stable 64-bit subseed from a seed and an index path.
+
+    The one-element case of :func:`derive_seeds`, run on plain ints through
+    the same hash.
+    """
+    lo, hi = _spawn_state(seed, [w for i in (first, *rest) for w in _words(operator.index(i))])
+    return lo | (hi << 32)
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:

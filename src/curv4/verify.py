@@ -15,7 +15,7 @@ from .analyzer import check_nnic, implication_audit
 from .core import CurvatureOperator, bianchi_residual, biortho_spectrum, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
-from .numerics import RngStream, derive_seed
+from .numerics import RngStream, derive_seeds
 from .oracle import MODES, OracleConfig, Search, extremize_batch
 
 #: Oracle-vs-closed-form agreement: absolute plus relative part.
@@ -65,18 +65,14 @@ class VerificationReport:
 def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
     """The matrices of the random curvature tensors examined by trials
     ``indices`` of a run, drawn as one (N, 6, 6) stack."""
-    return random_bianchi_matrices([RngStream(derive_seed(seed, i, 0)) for i in indices],
-                                   scale)
+    streams = [RngStream(s) for s in derive_seeds(seed, indices, 0).tolist()]
+    return random_bianchi_matrices(streams, scale)
 
 
 def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOperator]:
     """The random curvature tensors examined by trials ``indices`` of a run."""
     return [CurvatureOperator(matrix=m, bianchi=bianchi_residual(m))
             for m in trial_matrices(seed, indices, scale)]
-
-
-def trial_oracle_config(base: OracleConfig, seed: int, index: int) -> OracleConfig:
-    return replace(base, seed=derive_seed(seed, index, 1))
 
 
 def _close(value: float, target: float) -> bool:
@@ -130,8 +126,9 @@ def _run_trials(seed: int, indices, oracle: OracleConfig,
                 scale: float = 1.0) -> list[TrialResult]:
     """Trials ``indices`` of a run, with all their oracle searches in one batch."""
     ops = trial_operators(seed, indices, scale)
-    searches = [Search(op.matrix, "biorthogonal", mode, trial_oracle_config(oracle, seed, i))
-                for i, op in zip(indices, ops) for mode in MODES]
+    configs = [replace(oracle, seed=s) for s in derive_seeds(seed, indices, 1).tolist()]
+    searches = [Search(op.matrix, "biorthogonal", mode, cfg)
+                for op, cfg in zip(ops, configs) for mode in MODES]
     extrema = extremize_batch(searches)
     return [_trial_record(i, op, extrema[2 * n], extrema[2 * n + 1])
             for n, (i, op) in enumerate(zip(indices, ops))]

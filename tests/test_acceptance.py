@@ -2,7 +2,8 @@
 
 Each test prints a one-line verdict; the conftest summary hook repeats the
 pass/fail table after the run.  Criteria 1, 5 and 7 exercise the brute-force
-search at its default budget and together take a few minutes.
+search at its default budget; criteria 1 and 7 share one in-process verify
+run, which criterion 7 repeats once through the CLI.
 """
 
 import json
@@ -12,12 +13,13 @@ import sys
 import numpy as np
 import pytest
 
+from curv4 import io
 from curv4.analyzer import check_nnic, check_pinching, implication_audit, tolerance_band
 from curv4.core import (bianchi_residual, biortho_spectrum, decompose, from_matrix,
                         invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature)
 from curv4.models import (ModelSpec, cp2, make_operator, product_surfaces,
                           r_times_s3, random_bianchi, sphere)
-from curv4.numerics import RngStream, derive_seed
+from curv4.numerics import RngStream, derive_seed, derive_seeds
 from curv4.oracle import OracleConfig, Search, extremize_batch
 from curv4.verify import run_verification, trial_matrices, trial_operators
 
@@ -41,10 +43,17 @@ def announce(line: str) -> None:
     print(line, flush=True)
 
 
+@pytest.fixture(scope="module")
+def verification():
+    """The in-process ``verify --trials 500 --seed 7`` report, shared by
+    criteria 1 and 7."""
+    return run_verification(trials=TRIALS, seed=SEED, oracle=OracleConfig())
+
+
 @pytest.mark.acceptance(criterion=1, summary="oracle matches closed-form spectrum on "
                                              f"{TRIALS} random tensors")
-def test_criterion_1_oracle_equivalence():
-    report = run_verification(trials=TRIALS, seed=SEED, oracle=OracleConfig())
+def test_criterion_1_oracle_equivalence(verification):
+    report = verification
     bad = [r for r in report.records
            if not (r.oracle_min_ok and r.oracle_max_ok and r.sound_ok)]
     worst = max(
@@ -79,8 +88,8 @@ def test_criterion_2_trace_identity():
                                              "criterion on 20000 random tensors")
 def test_criterion_3_proof_chain():
     # The shifted population adds shifted_random's t_i I to each tensor.
-    shifts = [RngStream(derive_seed(31, i, 2)).generator().uniform(0.0, 4.0)
-              for i in range(10000)]
+    shifts = [RngStream(s).generator().uniform(0.0, 4.0)
+              for s in derive_seeds(31, range(10000), 2).tolist()]
     populations = [
         trial_matrices(29, range(10000)),
         trial_matrices(31, range(10000)) + np.multiply.outer(shifts, np.eye(6)),
@@ -214,20 +223,18 @@ def test_criterion_6_structural_invariants():
     assert worst <= 1e-9
 
 
-@pytest.mark.acceptance(criterion=7, summary="verify --trials 500 --seed 7 is "
-                                             "byte-identical across two runs")
-def test_criterion_7_determinism(tmp_path):
-    outputs = []
-    for run, workers in enumerate(("2", "4")):
-        out = tmp_path / f"verify_{run}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "curv4", "verify", "--trials", str(TRIALS),
-             "--seed", str(SEED), "--json", "--workers", workers, "--out", str(out)],
-            capture_output=True, text=True, timeout=1200)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    doc = json.loads(outputs[0])
+@pytest.mark.acceptance(criterion=7, summary="verify --trials 500 --seed 7 from the CLI is "
+                                             "byte-identical to the in-process run")
+def test_criterion_7_determinism(tmp_path, verification):
+    out = tmp_path / "verify.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curv4", "verify", "--trials", str(TRIALS),
+         "--seed", str(SEED), "--json", "--out", str(out)],
+        capture_output=True, text=True, timeout=1200)
+    assert proc.returncode == 0, proc.stderr
+    output = out.read_bytes()
+    assert output == io.dumps_document(io.verification_to_dict(verification)).encode()
+    doc = json.loads(output)
     assert doc["passed"] is True and len(doc["records"]) == TRIALS
-    announce(f"criterion 7: two runs ({len(outputs[0])} bytes each; --workers 2 vs 4, "
-             "which has no effect) are byte-identical")
+    announce(f"criterion 7: the CLI run ({len(output)} bytes) is byte-identical "
+             "to the in-process run")

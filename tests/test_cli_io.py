@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from curv4 import io
-from curv4.cli import main
+from curv4.cli import build_parser, main
 from curv4.core import biortho_spectrum
 from curv4.errors import ValidationError
-from curv4.models import MODELS, ModelSpec, make_operator
-from curv4.numerics import RngStream
+from curv4.models import MODELS, ModelSpec, make_operator, parse_model_spec
+from curv4.numerics import RngStream, derive_seed
 from curv4.models import random_bianchi
+from curv4.verify import ScanReport, ScanRow, run_scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -279,6 +280,76 @@ class TestCliScan:
         assert main(["scan", "--model", "cp2", "--trials", "3", "--seed", "1"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1:-1]
         assert all(row["k3"] == 4.0 for row in rows)
+
+
+def json_row(row):
+    """A scan row through json, as every row was written before the template."""
+    return io.dumps_record({
+        "type": "row", "trial": row.index, "s": row.s,
+        "k1": row.k1, "k2": row.k2, "k3": row.k3,
+        "w3_plus": row.w3_plus, "w3_minus": row.w3_minus,
+        "hypothesis_A": row.hypothesis_a, "hypothesis_B": row.hypothesis_b,
+        "nnic": row.nnic})
+
+
+class TestScanRowTemplate:
+    @pytest.mark.parametrize("model,trials", [
+        ("random_bianchi:1", 100), ("random_bianchi:1", 20000), ("sphere", 3),
+        ("flat", 3), ("random_bianchi:1e306", 200)])
+    def test_rows_equal_json(self, model, trials):
+        # the model seed is the one cmd_scan derives for --seed 1
+        spec = parse_model_spec(model, seed=derive_seed(1, 0, 0))
+        report = run_scan(spec, trials=trials, seed=1)
+        lines = io.scan_to_lines(report)
+        assert len(lines) == trials + 2
+        assert lines[1:-1] == [json_row(row) for row in report.rows]
+
+    def test_special_floats_keep_json_spelling(self):
+        nan, inf = float("nan"), float("inf")
+        values = [(0.0, -0.0, 5e-324, 1e308, -1e308, 1.0),   # finite, overflowing sum
+                  (nan, 1.0, 2.0, 3.0, 0.0, -0.0),
+                  (1.0, inf, 2.0, 3.0, 0.0, 0.0),
+                  (1.0, 2.0, -inf, 3.0, 0.0, 0.0),
+                  (1.0, 2.0, 3.0, 4.0, inf, -inf),
+                  (-0.0, -0.0, -0.0, -0.0, -0.0, -0.0),
+                  (1e-300, 2.5, 1e16, 0.1, -7.0, 123456789.125)]
+        rows = tuple(ScanRow(index=i, s=s, k1=k1, k2=k2, k3=k3, w3_plus=wp, w3_minus=wm,
+                             hypothesis_a=i % 2 == 0, hypothesis_b=i % 3 == 0, nnic=i % 5 == 0)
+                     for i, (s, k1, k2, k3, wp, wm) in enumerate(values))
+        report = ScanReport(model="hand-built", trials=len(rows), seed=0, rows=rows)
+        lines = io.scan_to_lines(report)
+        assert lines[1:-1] == [json_row(row) for row in rows]
+        assert "NaN" in lines[2] and "Infinity" in lines[3] and "-Infinity" in lines[4]
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["analyze", "--model", "cp2", "--no-such-flag"],
+        ["scan", "--trials", "5", "--seed", "2"],
+        ["scan", "--trials", "many"],
+        ["analyze", "--model", "random_bianchi:1", "--seed", "3", "--json"],
+        ["verify", "--trials", "2", "--seed", "3", "--samples", "500", "--refine", "5",
+         "--json"],
+        ["analyze", "--model", "cp2", "--text"],
+        ["frobnicate"],
+        ["scan", "--model", "cp2", "--trials", "2"],
+    ]
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_every_command(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        parser = build_parser()
+        reused = [self.run(argv, capsys) for argv in self.SEQUENCE]
+        assert build_parser() is parser
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 1, 0, 0, 0, 1, 0]
 
 
 class TestReportSerialization:

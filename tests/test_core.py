@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from curv4.core import (STAR, BiorthoSpectrum, Plane, bianchi_residual,
                         biortho_spectrum, biorthogonal, complement, decompose,
-                        from_components, from_matrix, hodge_star, is_decomposable,
+                        from_components, from_matrix, hodge_star,
                         lambda_basis, lambda_blocks, operator_from_blocks,
-                        project_to_bianchi, ricci, rotate_operator,
+                        project_to_bianchi, projected_stack, ricci, rotate_operator,
                         scalar_curvature, sectional, wedge)
 from curv4.errors import ConsistencyError, ValidationError
 from curv4.models import cp2, product_surfaces, r_times_s3, random_bianchi, sphere
@@ -23,6 +23,11 @@ def random_symmetric6(seed, scale=1.0):
 
 def random_operator(seed, scale=1.0):
     return random_bianchi(RngStream(seed), scale)
+
+
+def projector(p):
+    """Orthogonal projector of R^4 onto the plane."""
+    return np.outer(p.u, p.u) + np.outer(p.v, p.v)
 
 
 class TestTwoForms:
@@ -44,15 +49,22 @@ class TestTwoForms:
         assert np.array_equal(hodge_star(wedge(E[0], E[2])), -wedge(E[1], E[3]))
         assert np.array_equal(hodge_star(wedge(E[0], E[3])), wedge(E[1], E[2]))
 
+    @staticmethod
+    def self_pairing(alpha):
+        """alpha ^ alpha as a multiple of the volume form; zero exactly for
+        decomposable 2-forms."""
+        return float(alpha @ hodge_star(alpha))
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=8, max_size=8))
     def test_wedges_are_decomposable(self, vals):
         u, v = np.array(vals[:4]), np.array(vals[4:])
-        assert is_decomposable(wedge(u, v))
+        alpha = wedge(u, v)
+        assert abs(self.self_pairing(alpha)) <= 1e-10 * (1.0 + float(alpha @ alpha))
 
     def test_sum_of_orthogonal_wedges_is_not_decomposable(self):
         alpha = wedge(E[0], E[1]) + wedge(E[2], E[3])
-        assert not is_decomposable(alpha)
+        assert self.self_pairing(alpha) == 2.0
 
     def test_lambda_basis_diagonalizes_star(self):
         b = lambda_basis()
@@ -82,6 +94,20 @@ class TestOperatorConstruction:
         assert bianchi_residual(m) == 1.0
         with pytest.raises(ValidationError, match="Bianchi"):
             from_matrix(m)
+
+    def test_bianchi_bound_is_relative_to_the_entries(self):
+        # residual 5e-10 is five times the largest other entry
+        m = 1e-10 * np.eye(6)
+        m[0, 5] = m[5, 0] = 5e-10
+        for c in (1.0, 1e-3, 1e10):
+            with pytest.raises(ValidationError, match="Bianchi"):
+                from_matrix(c * m)
+        assert from_matrix(np.zeros((6, 6))).bianchi == 0.0
+        tiny = from_matrix(m, project_bianchi=True)
+        assert abs(tiny.bianchi) <= 1e-9 * np.max(np.abs(tiny.matrix))
+        stack = project_to_bianchi(np.stack([m, 1e-3 * m, np.zeros((6, 6))]))
+        for row, a in zip(projected_stack(stack), stack):
+            assert np.array_equal(row, from_matrix(a, project_bianchi=True).matrix)
 
     def test_projection_of_single_coupling(self):
         m = np.zeros((6, 6))
@@ -251,16 +277,16 @@ class TestPlanes:
 
     def test_complement_of_coordinate_planes(self):
         p = complement(Plane(E[0], E[1]))
-        assert np.allclose(p.projector(), np.diag([0.0, 0.0, 1.0, 1.0]))
+        assert np.allclose(projector(p), np.diag([0.0, 0.0, 1.0, 1.0]))
         q = complement(Plane(E[0], E[2]))
-        assert np.allclose(q.projector(), np.diag([0.0, 1.0, 0.0, 1.0]))
+        assert np.allclose(projector(q), np.diag([0.0, 1.0, 0.0, 1.0]))
 
     def test_complement_is_involution_on_spans(self):
         for seed in range(5):
             f = RngStream(seed).generator().standard_normal((2, 4))
             p = Plane.from_span(f[0], f[1])
             back = complement(complement(p))
-            assert np.max(np.abs(back.projector() - p.projector())) < 1e-12
+            assert np.max(np.abs(projector(back) - projector(p))) < 1e-12
 
     def test_complement_form_is_signed_star(self):
         for seed in range(5):

@@ -47,7 +47,7 @@ class TestModelExtrema:
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", OracleConfig(seed=2))])
         assert abs(res.value) <= 1e-9
         # the witness realizes the minimum with a genuinely mixed plane
-        proj = res.witness.projector()
+        proj = np.outer(res.witness.u, res.witness.u) + np.outer(res.witness.v, res.witness.v)
         factor_mass = proj[:2, :2].trace()
         assert 0.05 < factor_mass < 1.95
 

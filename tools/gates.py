@@ -6,9 +6,10 @@ Run from anywhere, with the checkout's own ``src`` on the import path:
 
 Each command runs in-process through ``curv4.cli.main`` with stdout
 captured.  One line is printed per command: the first 16 hex digits of the
-sha256 of its stdout, its exit code, and the command.  Every output is a
-pure function of its seeds, so running this script on two commits shows
-which gates a change moves.
+sha256 of its stdout, its exit code, the command, and its in-process wall
+time.  Every output is a pure function of its seeds, so running this script
+on two commits shows which gates a change moves; the times are only a rough
+guide, since the first command also pays for building the CLI parser.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -35,18 +37,21 @@ GATES = (
 )
 
 
-def gate(command: str) -> tuple[str, int]:
-    """The sha256 prefix of ``curv4 COMMAND``'s stdout, and its exit code."""
+def gate(command: str) -> tuple[str, int, float]:
+    """The sha256 prefix of ``curv4 COMMAND``'s stdout, its exit code, and
+    its wall time in seconds."""
     out = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = main(command.split())
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code
+    wall = time.perf_counter() - start
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code, wall
 
 
 def run() -> None:
     for command in GATES:
-        digest, code = gate(command)
-        print(f"{digest}  {code}  {command}", flush=True)
+        digest, code, wall = gate(command)
+        print(f"{digest}  {code}  {command}  {wall:.3f}s", flush=True)
 
 
 if __name__ == "__main__":
