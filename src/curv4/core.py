@@ -72,11 +72,6 @@ def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., _WEDGE_I] * v[..., _WEDGE_J] - u[..., _WEDGE_J] * v[..., _WEDGE_I]
 
 
-def hodge_star(alpha: np.ndarray) -> np.ndarray:
-    """Hodge star of a 2-form given by its coefficient vector."""
-    return np.asarray(alpha, dtype=float) @ STAR
-
-
 def lambda_basis() -> np.ndarray:
     """Orthogonal 6x6 change of basis; columns are phi_1+..phi_3+, phi_1-..phi_3-."""
     b = np.zeros((6, 6))

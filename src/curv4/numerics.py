@@ -103,27 +103,36 @@ class RngStream:
         return np.random.Generator(np.random.Philox(counter=int(self.chunk) << 128, key=key))
 
 
-def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
-    """``stream.generator().standard_normal(shape)`` for every stream, stacked
-    into one ``(len(streams), *shape)`` array.
+def stream_generators(streams):
+    """Yield a generator positioned at the start of each stream in turn.
 
-    One Philox bit generator is re-keyed to each stream's (key, counter) in
-    turn instead of building a generator per stream: the draws are the same,
-    and re-keying is cheaper than the constructor, which also seeds a
-    ``SeedSequence`` from OS entropy.
+    Drawing from the generator yielded for ``stream`` gives the draws of
+    ``stream.generator()``.  One Philox bit generator is re-keyed to each
+    stream's (key, counter) instead of building a generator per stream: the
+    draws are the same, and re-keying is cheaper than the constructor, which
+    also seeds a ``SeedSequence`` from OS entropy.  The same generator object
+    is yielded every time, so finish drawing for one stream before advancing.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
     key, counter = state["state"]["key"], state["state"]["counter"]
     key[1] = counter[0] = counter[1] = 0
-    out = np.empty((len(streams), *shape))
-    for row, stream in zip(out, streams):
+    for stream in streams:
         # Chunk c is the 256-bit counter c << 128: words 2 and 3.
         key[0] = int(stream.seed) & _MASK64
         counter[2] = int(stream.chunk) & _MASK64
         counter[3] = int(stream.chunk) >> 64
         bitgen.state = state
+        yield gen
+
+
+def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
+    """``stream.generator().standard_normal(shape)`` for every stream, stacked
+    into one ``(len(streams), *shape)`` array, drawn through
+    :func:`stream_generators`."""
+    out = np.empty((len(streams), *shape))
+    for row, gen in zip(out, stream_generators(streams)):
         gen.standard_normal(out=row)
     return out
 
@@ -247,39 +256,54 @@ def derive_seed(seed: int, first: int, *rest: int) -> int:
     return lo | (hi << 32)
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion products of ``a`` and ``b``, components on the first axis."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+# p e_k only permutes and negates the components of p, and q-bar negates
+# those of q, so every term of the Hamilton product (p e_k) q-bar is +-p_x q_y.
+# Component c of row k is the left-to-right sum over terms t of
+# products[_FRAME_TERMS[t, c, k]], where products holds p_x q_y at 4 x + y
+# and its negation 16 further on.
+_FRAME_TERMS = np.array([
+    [[0, 20, 24, 28], [17, 5, 9, 13], [18, 6, 10, 14], [19, 7, 11, 15]],
+    [[5, 1, 29, 9], [4, 0, 28, 8], [7, 3, 31, 11], [22, 18, 14, 26]],
+    [[10, 14, 2, 22], [27, 31, 19, 7], [8, 12, 0, 20], [9, 13, 1, 21]],
+    [[15, 27, 7, 3], [14, 26, 6, 2], [29, 9, 21, 17], [12, 24, 4, 0]],
+])
 
 
-def random_frames(rng: RngStream, n: int) -> np.ndarray:
+def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     """``n`` Haar-random orthonormal 4-frames (rows are the frame vectors).
 
     Row k of a frame is p e_k q-bar, for unit quaternions p and q uniform on
     S^3 and the quaternion basis e_k = 1, i, j, k: the map x -> p x q-bar is
     Haar-distributed on SO(4).  Negating the last row of a random half of the
     frames makes them Haar on O(4).  The eight normals and the sign bit of
-    every frame come from the one stream, and every entry is a fixed sequence
-    of elementwise operations on component-major copies, so the frames are
+    every frame come from ``rng``, an :class:`RngStream` or a generator
+    positioned at one (see :func:`stream_generators`).
+
+    Every entry is a sum of four signed products p_x q_y, so the frames are
+    built from one signed outer product of p and q, gathered through
+    :data:`_FRAME_TERMS` and summed in the Hamilton product's own order; the
+    last-row flip is a multiply by -1.  Each step is elementwise and exact
+    up to the products' and sums' own rounding, so the frames are
     orthonormal to rounding and their bytes do not depend on the BLAS build.
+    The result is a transposed view of a component-major (4, 4, n) array:
+    the frame axis is innermost in memory, so the rows' wedges are too.
     """
-    gen = rng.generator()
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
     g = gen.standard_normal((n, 8))
     flip = gen.random(n) < 0.5
     pq = np.ascontiguousarray(g.T).reshape(2, 4, n)
     sq = pq * pq
     pq /= np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])[:, None]
-    p, q_bar = pq[0], pq[1] * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+    products = np.empty((2, 4, 4, n))
+    np.multiply(pq[0][:, None], pq[1][None], out=products[0])
+    np.negative(products[0], out=products[1])
+    terms = products.reshape(32, n)[_FRAME_TERMS]
     # component c of row k of frame i at [c, k, i]
-    rows = _hamilton(_hamilton(p[:, None], np.eye(4)[:, :, None]), q_bar[:, None])
-    frames = np.ascontiguousarray(rows.transpose(2, 1, 0))
-    frames[flip, 3] *= -1.0
-    return frames
+    rows = terms[0] + terms[1]
+    rows += terms[2]
+    rows += terms[3]
+    rows[:, 3] *= np.where(flip, -1.0, 1.0)
+    return rows.transpose(2, 1, 0)
 
 
 def rotation_from_generator(omega: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import CurvatureOperator, Plane, wedge
 from .errors import ValidationError
-from .numerics import RngStream, random_frames, rotation_from_generator
+from .numerics import RngStream, random_frames, rotation_from_generator, stream_generators
 
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
@@ -156,51 +156,65 @@ def isotropic_curvature(r: CurvatureOperator, frame: np.ndarray) -> float:
 
 def _coarse_samples(seed: int, samples: int, targets) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
-    (objective, matrix) target on them."""
-    frames_parts = []
-    values_parts = [[] for _ in targets]
-    remaining = samples
-    chunk = 0
-    while remaining > 0:
+    (objective, matrix) target on them.
+
+    Chunk c of the frames is drawn from ``RngStream(seed, c)`` through one
+    re-keyed generator, and each chunk's frames and values are written into
+    buffers allocated once.  The frame buffer keeps :func:`random_frames`'
+    layout, a transposed view with the frame axis innermost; callers gather
+    the rows they keep into C order.
+    """
+    frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
+    values = [np.empty(samples) for _ in targets]
+    streams = [RngStream(seed, chunk) for chunk in range(-(-samples // SAMPLE_CHUNK))]
+    for lo, gen in zip(range(0, samples, SAMPLE_CHUNK), stream_generators(streams)):
         # Always draw a full chunk so a larger budget extends, never reshuffles,
         # the sample stream.
-        batch = random_frames(RngStream(seed, chunk), SAMPLE_CHUNK)[:remaining]
-        frames_parts.append(batch)
-        for parts, (objective, m) in zip(values_parts, targets):
-            parts.append(_BATCH_OBJECTIVES[objective](m, batch))
-        remaining -= len(batch)
-        chunk += 1
-    return np.concatenate(frames_parts), [np.concatenate(parts) for parts in values_parts]
+        batch = random_frames(gen, SAMPLE_CHUNK)[:samples - lo]
+        hi = lo + len(batch)
+        frames[lo:hi] = batch
+        for out, (objective, m) in zip(values, targets):
+            out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
+    return frames, values
 
 
 def _select_candidates(frames: np.ndarray, values: np.ndarray, count: int,
                        isotropic: bool) -> list[int]:
     """Best coarse candidates, greedily kept mutually distant so that restarts
-    probe distinct regions instead of re-polishing one basin."""
+    probe distinct regions instead of re-polishing one basin.
+
+    Walking the pool from its best value, a candidate is kept when its
+    distance to every one kept before is at least the diversity radius; each
+    kept candidate's distances to the whole pool are taken in one pass.
+    """
     pool_size = min(_CANDIDATE_POOL, len(values))
     pool = np.argpartition(values, pool_size - 1)[:pool_size]
     pool = pool[np.argsort(values[pool], kind="stable")]
-    pf = frames[pool]
+    pf = np.ascontiguousarray(frames[pool])
     projs = np.einsum("ni,nj->nij", pf[:, 0], pf[:, 0]) + np.einsum(
         "ni,nj->nij", pf[:, 1], pf[:, 1])
     if isotropic:
         # The isotropic objective sees only the unordered split {P, P-perp}
         # plus the frame orientation, so measure distance accordingly.
         det_sign = np.sign(np.linalg.det(pf))
+        complements = np.eye(4) - projs
+    nearest = np.full(pool_size, np.inf)  # distance to the closest kept candidate
     chosen: list[int] = []
-    for pos in range(len(pool)):
-        if len(chosen) == count:
+    pos = 0
+    while len(chosen) < count:
+        far = np.flatnonzero(nearest[pos:] >= _DIVERSITY_MIN_DIST)
+        if not far.size:
             break
-        if chosen:
-            dist = np.linalg.norm(projs[pos] - projs[chosen], axis=(1, 2))
-            if isotropic:
-                flipped = np.linalg.norm((np.eye(4) - projs[pos]) - projs[chosen], axis=(1, 2))
-                dist = np.minimum(dist, flipped)
-                dist[det_sign[chosen] != det_sign[pos]] = np.inf
-            if dist.min() < _DIVERSITY_MIN_DIST:
-                continue
+        pos += int(far[0])
         chosen.append(pos)
-    for pos in range(len(pool)):  # backfill if diversity left slots empty
+        dist = np.linalg.norm(projs - projs[pos], axis=(1, 2))
+        if isotropic:
+            flipped = np.linalg.norm(complements - projs[pos], axis=(1, 2))
+            dist = np.minimum(dist, flipped)
+            dist[det_sign != det_sign[pos]] = np.inf
+        np.minimum(nearest, dist, out=nearest)
+        pos += 1
+    for pos in range(pool_size):  # backfill if diversity left slots empty
         if len(chosen) == count:
             break
         if pos not in chosen:
@@ -236,7 +250,7 @@ def _coarse_starts(group: list[Search]) -> list[tuple[np.ndarray, np.ndarray]]:
                                       s.objective == "isotropic")
         else:
             rows = [int(np.argmin(signed))]
-        starts.append((frames[rows], signed[rows]))
+        starts.append((np.ascontiguousarray(frames[rows]), signed[rows]))
     return starts
 
 

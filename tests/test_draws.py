@@ -1,6 +1,6 @@
-"""Batched draws: the stacked random-tensor path reproduces the per-row code
-it replaces bit for bit, random frames are orthonormal and Haar on O(4), and
-the bytes of both are pinned."""
+"""Batched draws: the stacked random-tensor path and the outer-product frames
+reproduce the code they replace bit for bit, random frames are orthonormal
+and Haar on O(4), and the bytes of both are pinned."""
 
 import hashlib
 
@@ -10,8 +10,10 @@ import pytest
 from curv4.core import from_matrix, projected_stack
 from curv4.errors import ValidationError
 from curv4.models import random_bianchi, random_bianchi_matrices
-from curv4.numerics import RngStream, derive_seed, random_frames, standard_normal_rows
-from curv4.oracle import SAMPLE_CHUNK
+from curv4.models import cp2
+from curv4.numerics import (RngStream, derive_seed, random_frames, standard_normal_rows,
+                            stream_generators)
+from curv4.oracle import _BATCH_OBJECTIVES, SAMPLE_CHUNK, _coarse_samples
 from curv4.verify import trial_matrices
 
 
@@ -20,6 +22,33 @@ def reference_random_bianchi(rng, scale):
     g = rng.generator().standard_normal((6, 6)) * scale
     sym = np.triu(g) + np.triu(g, 1).T
     return from_matrix(sym, project_bianchi=True)
+
+
+def reference_hamilton(a, b):
+    """Quaternion products of ``a`` and ``b``, components on the first axis."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+
+def reference_random_frames(rng, n):
+    """Frames as built before the signed outer product: p e_k, then (p e_k) q-bar,
+    each a full Hamilton product, in C order."""
+    gen = rng.generator()
+    g = gen.standard_normal((n, 8))
+    flip = gen.random(n) < 0.5
+    pq = np.ascontiguousarray(g.T).reshape(2, 4, n)
+    sq = pq * pq
+    pq /= np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])[:, None]
+    p, q_bar = pq[0], pq[1] * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+    rows = reference_hamilton(reference_hamilton(p[:, None], np.eye(4)[:, :, None]),
+                              q_bar[:, None])
+    frames = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    frames[flip, 3] *= -1.0
+    return frames
 
 
 def bits(x):
@@ -70,6 +99,14 @@ class TestRekeyedPhilox:
         assert np.array_equal(bits(rows[1]), bits(expected))
         assert np.array_equal(bits(rows[2]), bits(expected))
 
+    def test_generators_follow_their_streams(self):
+        streams = [RngStream(9, 4), RngStream(2**63 + 5, 0), RngStream(9, 4)]
+        for stream, gen in zip(streams, stream_generators(streams)):
+            drawn = (gen.standard_normal((5, 8)), gen.random(5))
+            fresh = stream.generator()
+            assert np.array_equal(bits(drawn[0]), bits(fresh.standard_normal((5, 8))))
+            assert np.array_equal(bits(drawn[1]), bits(fresh.random(5)))
+
     def test_rows_take_the_requested_shape(self):
         rows = standard_normal_rows([RngStream(4, 2)], (4, 4))
         assert np.array_equal(bits(rows[0]), bits(RngStream(4, 2).generator().standard_normal((4, 4))))
@@ -110,6 +147,20 @@ class TestRandomFrames:
             gram = np.einsum("nij,nkj->nik", f, f)
             assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 777, 2048])
+    @pytest.mark.parametrize("chunk", [0, 1, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 7919, 2**63 + 5])
+    def test_equal_two_hamilton_passes(self, seed, chunk, n):
+        frames = random_frames(RngStream(seed, chunk), n)
+        assert frames.shape == (n, 4, 4)
+        assert np.array_equal(bits(frames), bits(reference_random_frames(RngStream(seed, chunk), n)))
+
+    def test_frame_axis_is_innermost(self):
+        frames = random_frames(RngStream(3, 1), 5)
+        assert frames.T.flags.c_contiguous
+        gen = next(stream_generators([RngStream(3, 1)]))
+        assert np.array_equal(bits(random_frames(gen, 5)), bits(frames))
+
     def test_moments_match_haar_on_o4(self):
         f = np.concatenate([random_frames(RngStream(5, c), SAMPLE_CHUNK) for c in range(8)])
         # E[F_ij F_kl] = delta_ik delta_jl / 4 and E[F_ij^4] = 3 / (n (n + 2)) = 1/8
@@ -123,6 +174,34 @@ class TestRandomFrames:
         det = np.linalg.det(f)
         assert np.max(np.abs(np.abs(det) - 1.0)) <= 1e-13
         assert abs(np.mean(det > 0) - 0.5) <= 0.02
+
+
+class TestCoarseSamples:
+    """A coarse pass's frames and values are the old per-chunk construction's,
+    and a smaller budget is a byte-equal prefix of a larger one."""
+
+    TARGETS = [(objective, cp2(1.0).matrix) for objective in _BATCH_OBJECTIVES]
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return _coarse_samples(3, 40960, self.TARGETS)
+
+    def test_full_pass_equals_reference_chunks(self, full):
+        frames, values = full
+        for chunk in range(40960 // SAMPLE_CHUNK):
+            rows = slice(chunk * SAMPLE_CHUNK, (chunk + 1) * SAMPLE_CHUNK)
+            expected = reference_random_frames(RngStream(3, chunk), SAMPLE_CHUNK)
+            assert np.array_equal(bits(frames[rows]), bits(expected))
+            for out, (objective, m) in zip(values, self.TARGETS):
+                assert np.array_equal(bits(out[rows]), bits(_BATCH_OBJECTIVES[objective](m, expected)))
+
+    @pytest.mark.parametrize("samples", [1, 2047, 2049, 20000])
+    def test_smaller_budgets_are_prefixes(self, full, samples):
+        frames, values = _coarse_samples(3, samples, self.TARGETS)
+        assert frames.shape == (samples, 4, 4)
+        assert np.array_equal(bits(frames), bits(full[0][:samples]))
+        for out, full_out in zip(values, full[1]):
+            assert np.array_equal(bits(out), bits(full_out[:samples]))
 
 
 class TestPinnedBytes:

@@ -5,9 +5,9 @@ from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, section
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, random_frames, rotation_from_generator
-from curv4.oracle import (_BATCH_OBJECTIVES, _STENCIL, MODES, ExtremumResult, OracleConfig,
-                          Search, _coarse_starts, _polish, _rotated, extremize_batch,
-                          isotropic_curvature)
+from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST, _STENCIL,
+                          MODES, ExtremumResult, OracleConfig, Search, _coarse_starts, _polish,
+                          _rotated, _select_candidates, extremize_batch, isotropic_curvature)
 from curv4.verify import run_verification, trial_operators
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
@@ -134,6 +134,55 @@ class TestMonotonicity:
                    OracleConfig(samples=2000, refine_iters=50, restarts=2, seed=6)),
         ])
         assert refined.value <= coarse.value + 1e-12
+
+
+def reference_select_candidates(frames, values, count, isotropic):
+    """Candidate selection measuring each pool position against the kept ones,
+    as done before the distances were taken per kept candidate."""
+    pool_size = min(_CANDIDATE_POOL, len(values))
+    pool = np.argpartition(values, pool_size - 1)[:pool_size]
+    pool = pool[np.argsort(values[pool], kind="stable")]
+    pf = frames[pool]
+    projs = np.einsum("ni,nj->nij", pf[:, 0], pf[:, 0]) + np.einsum(
+        "ni,nj->nij", pf[:, 1], pf[:, 1])
+    det_sign = np.sign(np.linalg.det(pf))
+    chosen = []
+    for pos in range(len(pool)):
+        if len(chosen) == count:
+            break
+        if chosen:
+            dist = np.linalg.norm(projs[pos] - projs[chosen], axis=(1, 2))
+            if isotropic:
+                flipped = np.linalg.norm((np.eye(4) - projs[pos]) - projs[chosen], axis=(1, 2))
+                dist = np.minimum(dist, flipped)
+                dist[det_sign[chosen] != det_sign[pos]] = np.inf
+            if dist.min() < _DIVERSITY_MIN_DIST:
+                continue
+        chosen.append(pos)
+    for pos in range(len(pool)):
+        if len(chosen) == count:
+            break
+        if pos not in chosen:
+            chosen.append(pos)
+    return [int(pool[pos]) for pos in chosen]
+
+
+class TestCandidateSelection:
+    @pytest.mark.parametrize("isotropic", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_position_distances(self, seed, isotropic):
+        gen = RngStream(seed, 1).generator()
+        frames = random_frames(RngStream(seed), 700)
+        if seed % 2:
+            # Clusters around three frames: most of the pool is too close to
+            # a kept candidate, and some searches need the backfill.
+            frames = np.ascontiguousarray(frames[gen.integers(0, 3, 700)]
+                                          + 0.05 * gen.standard_normal((700, 4, 4)))
+        values = np.round(gen.standard_normal(700), 1)
+        for n in (1, 5, 700):
+            for count in range(6):
+                assert (_select_candidates(frames[:n], values[:n], count, isotropic)
+                        == reference_select_candidates(frames[:n], values[:n], count, isotropic))
 
 
 def unit_directions(seed: int, shape) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of eight fixed curv4 commands.
+"""Byte gates: the sha256 of the output of ten fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -34,6 +34,9 @@ GATES = (
     "analyze --model cp2 --run-oracle --json",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --json",
     "analyze --model random_bianchi:1 --seed 3 --text",
+    # Budgets that end a coarse pass on a partial chunk.
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json",
+    "verify --trials 3 --seed 2 --samples 4097 --json",
 )
 
 
