@@ -112,6 +112,9 @@ def stream_generators(streams):
     draws are the same, and re-keying is cheaper than the constructor, which
     also seeds a ``SeedSequence`` from OS entropy.  The same generator object
     is yielded every time, so finish drawing for one stream before advancing.
+    A generator is not safe to share between threads: the generator this
+    yields must stay on the thread that drives the iteration, and work split
+    over threads calls this once per thread, for that thread's streams.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
@@ -281,10 +284,11 @@ def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
 
     Every entry is a sum of four signed products p_x q_y, so the frames are
     built from one signed outer product of p and q, gathered through
-    :data:`_FRAME_TERMS` and summed in the Hamilton product's own order; the
-    last-row flip is a multiply by -1.  Each step is elementwise and exact
-    up to the products' and sums' own rounding, so the frames are
-    orthonormal to rounding and their bytes do not depend on the BLAS build.
+    :data:`_FRAME_TERMS` one term at a time and summed in the Hamilton
+    product's own order; the last-row flip is a negation in place.  Each
+    step is elementwise and exact up to the products' and sums' own
+    rounding, so the frames are orthonormal to rounding and their bytes do
+    not depend on the BLAS build.
     The result is a transposed view of a component-major (4, 4, n) array:
     the frame axis is innermost in memory, so the rows' wedges are too.
     """
@@ -297,12 +301,12 @@ def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     products = np.empty((2, 4, 4, n))
     np.multiply(pq[0][:, None], pq[1][None], out=products[0])
     np.negative(products[0], out=products[1])
-    terms = products.reshape(32, n)[_FRAME_TERMS]
-    # component c of row k of frame i at [c, k, i]
-    rows = terms[0] + terms[1]
-    rows += terms[2]
-    rows += terms[3]
-    rows[:, 3] *= np.where(flip, -1.0, 1.0)
+    flat = products.reshape(32, n)
+    # component c of row k of frame i at [c, k, i]; one term gathered at a time
+    rows = flat[_FRAME_TERMS[0]] + flat[_FRAME_TERMS[1]]
+    rows += flat[_FRAME_TERMS[2]]
+    rows += flat[_FRAME_TERMS[3]]
+    np.negative(rows[:, 3], out=rows[:, 3], where=flip)
     return rows.transpose(2, 1, 0)
 
 

@@ -10,17 +10,27 @@ then a Newton polish from a handful of mutually distant coarse candidates.
 The polish takes its gradient and Hessian in so(4) from the objective's
 values on a fixed 42-point finite-difference stencil of rotated frames, and
 steps each frame by -H^+ g until a step no longer improves its value; it
-draws no random numbers.  Chunked substreams make the result independent of
-how the work is scheduled.
+draws no random numbers.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, and the polish
 advances the frames of every search together.  Each result is bit-identical
 to running its search alone.
+
+The chunks of a coarse pass run on up to two of the CPUs available to the
+process: with W = min(CPUs, chunks in the pass, 2), chunk c runs on worker
+c mod W, worker 0 being the calling thread and the other a thread of a pool
+that :func:`extremize_batch` starts and joins before it returns.  A chunk's
+draws come from its own Philox substream and it writes only its own slice of
+the pass's buffers, so every byte is the same for any CPU count and any W.  The Newton
+polish and everything after the coarse draws run on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import operator
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +42,12 @@ from .numerics import RngStream, random_frames, rotation_from_generator, stream_
 
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
+
+#: Most workers a coarse pass uses.  Two is the only count that has been
+#: measured (on a 2-vCPU host, one caller): the workers hand the GIL back and
+#: forth between numpy kernels, and under CPU contention even two can fall
+#: below serial, so more waits for a benchmark that measures it.
+_MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
 _DIVERSITY_MIN_DIST = 0.5
@@ -60,6 +76,12 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "refine_iters", "restarts"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.refine_iters < 0 or self.restarts < 0:
@@ -154,27 +176,67 @@ def isotropic_curvature(r: CurvatureOperator, frame: np.ndarray) -> float:
 # coarse phase
 
 
-def _coarse_samples(seed: int, samples: int, targets) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _chunk_pool(helpers: int):
+    """A pool of ``helpers`` threads for coarse chunks, or None for none.
+
+    The pool is shut down, and its threads joined, when the block exits.
+    """
+    if helpers < 1:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(helpers, thread_name_prefix="curv4-coarse") as pool:
+        yield pool
+
+
+def _coarse_samples(seed: int, samples: int, targets, pool=None,
+                    workers: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
     (objective, matrix) target on them.
 
-    Chunk c of the frames is drawn from ``RngStream(seed, c)`` through one
-    re-keyed generator, and each chunk's frames and values are written into
-    buffers allocated once.  The frame buffer keeps :func:`random_frames`'
-    layout, a transposed view with the frame axis innermost; callers gather
-    the rows they keep into C order.
+    Chunk c of the frames is drawn from ``RngStream(seed, c)`` and written,
+    with its values, into buffers allocated once.  With W = min(``workers``,
+    chunks), chunk c runs on worker c mod W: worker 0 on the calling thread,
+    the others on ``pool``, which must have W - 1 threads when W > 1.  Each
+    worker re-keys its own generator and writes only its own chunks' slices,
+    so the result does not depend on W.  The frame buffer keeps
+    :func:`random_frames`' layout, a transposed view with the frame axis
+    innermost; callers gather the rows they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
-    streams = [RngStream(seed, chunk) for chunk in range(-(-samples // SAMPLE_CHUNK))]
-    for lo, gen in zip(range(0, samples, SAMPLE_CHUNK), stream_generators(streams)):
-        # Always draw a full chunk so a larger budget extends, never reshuffles,
-        # the sample stream.
-        batch = random_frames(gen, SAMPLE_CHUNK)[:samples - lo]
-        hi = lo + len(batch)
-        frames[lo:hi] = batch
-        for out, (objective, m) in zip(values, targets):
-            out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
+    chunks = -(-samples // SAMPLE_CHUNK)
+    workers = min(workers, chunks)
+
+    def draw(worker: int) -> None:
+        own = range(worker, chunks, workers)
+        for chunk, gen in zip(own, stream_generators([RngStream(seed, c) for c in own])):
+            lo = chunk * SAMPLE_CHUNK
+            # Always draw a full chunk so a larger budget extends, never
+            # reshuffles, the sample stream.
+            batch = random_frames(gen, SAMPLE_CHUNK)[:samples - lo]
+            hi = lo + len(batch)
+            frames[lo:hi] = batch
+            for out, (objective, m) in zip(values, targets):
+                out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
+
+    helpers = [pool.submit(draw, worker) for worker in range(1, workers)]
+    draw(0)
+    # result() raises a helper's exception.  If draw(0) raises instead, the
+    # pool's shutdown in extremize_batch waits for the helpers before the
+    # exception leaves it.
+    for helper in helpers:
+        helper.result()
     return frames, values
 
 
@@ -226,9 +288,11 @@ def _refined(cfg: OracleConfig) -> bool:
     return cfg.restarts > 0 and cfg.refine_iters > 0
 
 
-def _coarse_starts(group: list[Search]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _coarse_starts(group: list[Search], pool=None,
+                   workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
-    distinct (objective, matrix) is evaluated once.
+    distinct (objective, matrix) is evaluated once, its chunks spread over
+    ``workers`` workers as :func:`_coarse_samples` does.
 
     Returns each search's starting rows (frames, signed values): its diverse
     refine candidates, or only its best sample when it is not refined.  The
@@ -239,7 +303,7 @@ def _coarse_starts(group: list[Search]) -> list[tuple[np.ndarray, np.ndarray]]:
     for s, key in zip(group, keys):
         targets.setdefault(key, (s.objective, s.matrix))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
-                                     list(targets.values()))
+                                     list(targets.values()), pool, workers)
     raw = dict(zip(targets, values))
     starts = []
     for s, key in zip(group, keys):
@@ -366,7 +430,10 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
 
     The coarse phase runs one seed at a time: searches with that seed share
     one draw of Haar frames, and only their refine candidates outlive it.
-    One refine loop then advances the candidates of all searches together.
+    Each draw's chunks run on up to ``_MAX_WORKERS`` of the CPUs available to
+    the process, through at most one thread pool per call, joined before this
+    returns.  One refine
+    loop then advances the candidates of all searches together.
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
     read-only (4, 4) frame.  Each value is the best value actually
     evaluated, attained by its witness.
@@ -376,9 +443,13 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
     starts: list = [None] * len(searches)
-    for members in by_seed.values():
-        for i, start in zip(members, _coarse_starts([searches[i] for i in members])):
-            starts[i] = start
+    most_chunks = -(-max((s.cfg.samples for s in searches), default=0) // SAMPLE_CHUNK)
+    workers = min(_cpu_count(), most_chunks, _MAX_WORKERS)
+    with _chunk_pool(workers - 1) as pool:
+        for members in by_seed.values():
+            group = [searches[i] for i in members]
+            for i, start in zip(members, _coarse_starts(group, pool, workers)):
+                starts[i] = start
 
     outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
     refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]

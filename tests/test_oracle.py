@@ -1,6 +1,11 @@
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from curv4 import oracle
 from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, sectional
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
@@ -29,6 +34,18 @@ class TestConfig:
             OracleConfig(samples=0)
         with pytest.raises(ValidationError):
             OracleConfig(refine_iters=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2500.5), ("samples", 2500.0), ("samples", "2500"),
+        ("refine_iters", 2.5), ("restarts", 1.5), ("restarts", None)])
+    def test_budgets_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            OracleConfig(**{field: value})
+
+    def test_integer_budgets_are_plain_ints(self):
+        cfg = OracleConfig(samples=np.int64(2500), refine_iters=np.int32(3), restarts=np.uint8(2))
+        assert [type(v) for v in (cfg.samples, cfg.refine_iters, cfg.restarts)] == [int] * 3
+        assert (cfg.samples, cfg.refine_iters, cfg.restarts) == (2500, 3, 2)
 
     def test_objective_and_mode_checked(self):
         with pytest.raises(ValidationError):
@@ -322,3 +339,127 @@ class TestBudgetAccounting:
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert sp.k1 - 1e-9 <= res.value <= sp.k3 + 1e-9
         assert biorthogonal(op, res.witness) == pytest.approx(res.value, abs=1e-12)
+
+
+def summary(res: ExtremumResult) -> tuple:
+    """A result's value, witness, evaluation count and convergence, as bytes
+    where they are floats."""
+    w = res.witness
+    witness = np.stack([w.u, w.v]).tobytes() if isinstance(w, Plane) else w.tobytes()
+    return np.float64(res.value).tobytes(), witness, res.samples_used, res.converged
+
+
+def verify_style(samples: int) -> list[Search]:
+    """Biorthogonal min and max of several tensors, one oracle seed each."""
+    return [Search(random_bianchi(RngStream(60 + seed)).matrix, "biorthogonal", mode,
+                   OracleConfig(samples=samples, refine_iters=20, restarts=2, seed=seed))
+            for seed in (11, 12, 13) for mode in MODES]
+
+
+def analyze_style(samples: int) -> list[Search]:
+    """Sectional min and max plus the isotropic min of one tensor, one seed."""
+    matrix = random_bianchi(RngStream(64)).matrix
+    cfg = OracleConfig(samples=samples, refine_iters=20, restarts=2, seed=14)
+    return [Search(matrix, "sectional", "min", cfg), Search(matrix, "sectional", "max", cfg),
+            Search(matrix, "isotropic", "min", cfg)]
+
+
+def _send_summaries(searches, sender):
+    sender.send([summary(res) for res in extremize_batch(searches)])
+    sender.close()
+
+
+class TestScheduling:
+    """Coarse chunks spread over the CPUs: the same bytes for any CPU count, no
+    thread outliving the call, and a worker's exception passed on."""
+
+    @staticmethod
+    def record_threads(monkeypatch) -> set[int]:
+        """Make every batch objective add its thread to the returned set."""
+        seen: set[int] = set()
+        for objective, evaluate in list(_BATCH_OBJECTIVES.items()):
+            def recorded(m, frames, evaluate=evaluate):
+                seen.add(threading.get_ident())
+                return evaluate(m, frames)
+            monkeypatch.setitem(_BATCH_OBJECTIVES, objective, recorded)
+        return seen
+
+    @pytest.mark.parametrize("samples", [1, 2048, 2049, 4097, 20000])
+    @pytest.mark.parametrize("batch", [verify_style, analyze_style])
+    def test_results_do_not_depend_on_cpu_count(self, monkeypatch, batch, samples):
+        searches = batch(samples)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+        serial = [summary(res) for res in extremize_batch(searches)]
+        chunks = -(-samples // oracle.SAMPLE_CHUNK)
+        # Lift the worker cap so the c mod W split runs with W up to 11.
+        monkeypatch.setattr(oracle, "_MAX_WORKERS", 11)
+        seen = self.record_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for cpus in (2, 3, 11):
+                monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+                seen.clear()
+                threads = threading.active_count()
+                assert [summary(res) for res in extremize_batch(searches)] == serial, cpus
+                assert threading.active_count() == threads
+                assert (len(seen) > 1) == (min(cpus, chunks) > 1)
+                assert len(seen) <= min(cpus, chunks)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_are_capped(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)
+        seen = self.record_threads(monkeypatch)
+        threads = threading.active_count()
+        extremize_batch(verify_style(20000))
+        assert len(seen) == oracle._MAX_WORKERS == 2
+        assert threading.active_count() == threads
+
+    def test_cpu_count_follows_affinity_then_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert oracle._cpu_count() == 3
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 5)
+        assert oracle._cpu_count() == 5
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert oracle._cpu_count() == 1
+
+    @pytest.mark.parametrize("failing_worker", ["helper", "caller"])
+    def test_worker_exception_propagates(self, monkeypatch, failing_worker):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        caller = threading.get_ident()
+        evaluate = _BATCH_OBJECTIVES["biorthogonal"]
+
+        def failing(m, frames):
+            if (threading.get_ident() == caller) == (failing_worker == "caller"):
+                raise RuntimeError(f"{failing_worker} chunk failed")
+            return evaluate(m, frames)
+
+        monkeypatch.setitem(_BATCH_OBJECTIVES, "biorthogonal", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing_worker} chunk failed"):
+            extremize_batch([Search(cp2(1.0).matrix, "biorthogonal", "min",
+                                    OracleConfig(samples=4096, seed=1))])
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_forked_child_after_a_call(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        searches = analyze_style(4097)
+        parent = [summary(res) for res in extremize_batch(searches)]
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_summaries, args=(searches, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child's search did not finish"
+            assert receiver.recv() == parent
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert not child.is_alive() and child.exitcode == 0

@@ -10,6 +10,12 @@ sha256 of its stdout, its exit code, the command, and its in-process wall
 time.  Every output is a pure function of its seeds, so running this script
 on two commits shows which gates a change moves; the times are only a rough
 guide, since the first command also pays for building the CLI parser.
+
+The oracle's coarse chunks run on up to two of the CPUs available to the
+process, so the oracle gates (``verify`` and ``analyze --run-oracle``) then
+run once more with the process pinned to one CPU, which runs every chunk on
+the calling thread.  Those lines end in ``pinned to CPU n``, and in ``MISMATCH`` when
+the hash differs from the unpinned run; the script then exits with status 1.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
 from pathlib import Path
@@ -51,11 +58,35 @@ def gate(command: str) -> tuple[str, int, float]:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code, wall
 
 
-def run() -> None:
+def is_oracle_gate(command: str) -> bool:
+    return command.startswith("verify") or "--run-oracle" in command.split()
+
+
+def run() -> int:
+    digests = {}
     for command in GATES:
         digest, code, wall = gate(command)
+        digests[command] = digest
         print(f"{digest}  {code}  {command}  {wall:.3f}s", flush=True)
+    if not hasattr(os, "sched_setaffinity"):
+        print("note: os.sched_setaffinity is not available here; the oracle gates "
+              "were not re-run on one CPU", flush=True)
+        return 0
+    mismatches = 0
+    saved = os.sched_getaffinity(0)
+    cpu = min(saved)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        for command in filter(is_oracle_gate, GATES):
+            digest, code, wall = gate(command)
+            flag = "" if digest == digests[command] else "  MISMATCH"
+            mismatches += bool(flag)
+            print(f"{digest}  {code}  {command}  {wall:.3f}s  pinned to CPU {cpu}{flag}",
+                  flush=True)
+    finally:
+        os.sched_setaffinity(0, saved)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    run()
+    sys.exit(run())
