@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   biortho_spectrum, decompose, norm_max, tolerance_band)
+                   biortho_spectrum, decompose, norm_max)
 from .numerics import eig_sym
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
@@ -189,16 +189,12 @@ def implication_audit(r: CurvatureOperator) -> ChainRecord:
 
 
 def classification_hints(dec: CurvatureDecomposition, spectrum: BiorthoSpectrum,
-                         scale: float | None = None) -> tuple[str, ...]:
+                         scale: float) -> tuple[str, ...]:
     """Advisory pattern matches against the benchmark geometries.
 
-    ``scale`` should be the operator's max-norm; when omitted a proxy is
-    derived from the decomposition.  Thresholds are coarse by design; the
-    hints are never load-bearing.
+    ``scale`` is the operator's max-norm.  Thresholds are coarse by design;
+    the hints are never load-bearing.
     """
-    if scale is None:
-        scale = max(abs(dec.s) / 2.0, norm_max(dec.ricci),
-                    norm_max(dec.wplus), norm_max(dec.wminus))
     eps = _HINT_EPS_FACTOR * (1.0 + scale)
     weyl_plus_zero = norm_max(dec.wplus) <= eps
     weyl_minus_zero = norm_max(dec.wminus) <= eps
@@ -251,7 +247,7 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
             Search(r.matrix, "isotropic", "min", cfg.oracle),
         ])
         sectional_extrema = (sect_min, sect_max)
-        band = tolerance_band(dec.s, norm_max(r))
+        band = r.invariants.band[0]
         margin = sect_min.value - dec.s / 24.0
         conjecture = ConjectureCheck(margin=margin, holds=bool(margin > band),
                                      boundary=bool(abs(margin) <= band))

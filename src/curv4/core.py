@@ -136,7 +136,7 @@ def norm_max(m) -> float:
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Symmetric bilinear form on 2-forms with its cached Bianchi residual.
+    """Symmetric bilinear form on 2-forms.
 
     ``matrix`` is read-only (as :func:`from_matrix` and
     :func:`projected_stack` return it), so the operator's invariants pass can
@@ -144,7 +144,11 @@ class CurvatureOperator:
     """
 
     matrix: np.ndarray
-    bianchi: float
+
+    @property
+    def bianchi(self) -> float:
+        """First-Bianchi residual of the matrix (see :func:`bianchi_residual`)."""
+        return float(_raw_bianchi(self.matrix))
 
     @functools.cached_property
     def invariants(self) -> "Invariants":
@@ -202,7 +206,7 @@ def from_matrix(m, project_bianchi: bool = False,
             "pass project_bianchi=True to project it away"
         )
     mat.flags.writeable = False
-    return CurvatureOperator(matrix=mat, bianchi=b)
+    return CurvatureOperator(matrix=mat)
 
 
 def projected_stack(stack) -> np.ndarray:

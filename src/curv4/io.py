@@ -19,7 +19,7 @@ from .analyzer import PinchingReport
 from .core import BASIS_LABELS, CurvatureOperator, Plane, from_components, from_matrix
 from .errors import ValidationError
 from .oracle import ExtremumResult, OracleConfig
-from .verify import ScanReport, ScanRow, VerificationReport
+from .verify import ScanReport, VerificationReport
 
 TENSOR_FORMAT = "curv4-v1"
 REPORT_FORMAT = "curv4-report-v1"
@@ -70,12 +70,6 @@ def _number(x, what: str) -> float:
         raise ValidationError(f"{what} {x!r} is out of range") from None
 
 
-def _index(x) -> int:
-    value = _number(x, "component index")
-    _require(value.is_integer(), f"component index must be an integer, got {x!r}")
-    return int(value)
-
-
 def _matrix_from_rows(rows) -> np.ndarray:
     _require(isinstance(rows, (list, tuple))
              and all(isinstance(row, (list, tuple)) for row in rows),
@@ -105,8 +99,7 @@ def tensor_from_dict(doc: dict, project_bianchi: bool = False,
     _require(isinstance(components, list) and
              all(isinstance(c, (list, tuple)) and len(c) == 5 for c in components),
              "components must be a list of [i, j, k, l, value] entries")
-    entries = [(*(_index(i) for i in c[:4]), _number(c[4], "component value"))
-               for c in components]
+    entries = [(*c[:4], _number(c[4], "component value")) for c in components]
     return from_components(entries, project_bianchi=project_bianchi, tolerance=tolerance)
 
 
@@ -247,29 +240,24 @@ _ROW_TEMPLATE = ('{"hypothesis_A":%s,"hypothesis_B":%s,"k1":%s,"k2":%s,"k3":%s,'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _row_record(row: ScanRow) -> dict:
-    return {"type": "row", "trial": row.index, "s": row.s,
-            "k1": row.k1, "k2": row.k2, "k3": row.k3,
-            "w3_plus": row.w3_plus, "w3_minus": row.w3_minus,
-            "hypothesis_A": row.hypothesis_a, "hypothesis_B": row.hypothesis_b,
-            "nnic": row.nnic}
-
-
-def _row_line(row: ScanRow) -> str:
-    """``dumps_record(_row_record(row))``, formatted from the fixed template.
+def _row_line(index: int, s: float, k: list[float], w3p: float, w3m: float,
+              hyp_a: bool, hyp_b: bool, nnic: bool) -> str:
+    """One scan row as :func:`dumps_record` writes it, formatted from the
+    fixed template.
 
     json spells non-finite floats NaN/Infinity, not as their repr, so a row
     whose floats do not add up to a finite sum (any NaN or infinity, or an
     overflow of the sum, which costs only the fallback) goes through json.
     """
-    s, k1, k2, k3 = row.s, row.k1, row.k2, row.k3
-    w3p, w3m = row.w3_plus, row.w3_minus
+    k1, k2, k3 = k
     if not math.isfinite(s + k1 + k2 + k3 + w3p + w3m):
-        return dumps_record(_row_record(row))
+        return dumps_record({"type": "row", "trial": index, "s": s,
+                             "k1": k1, "k2": k2, "k3": k3,
+                             "w3_plus": w3p, "w3_minus": w3m,
+                             "hypothesis_A": hyp_a, "hypothesis_B": hyp_b, "nnic": nnic})
     r = float.__repr__
-    return _ROW_TEMPLATE % (_JSON_BOOL[row.hypothesis_a], _JSON_BOOL[row.hypothesis_b],
-                            r(k1), r(k2), r(k3), _JSON_BOOL[row.nnic], r(s), row.index,
-                            r(w3m), r(w3p))
+    return _ROW_TEMPLATE % (_JSON_BOOL[hyp_a], _JSON_BOOL[hyp_b], r(k1), r(k2), r(k3),
+                            _JSON_BOOL[nnic], r(s), index, r(w3m), r(w3p))
 
 
 def scan_to_lines(report: ScanReport) -> list[str]:
@@ -278,6 +266,9 @@ def scan_to_lines(report: ScanReport) -> list[str]:
                            "tool_version": __version__,
                            "model": report.model, "trials": report.trials,
                            "seed": report.seed})]
-    lines += map(_row_line, report.rows)
+    inv = report.invariants
+    lines += map(_row_line, range(len(inv.s)), inv.s.tolist(), inv.k.tolist(),
+                 inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
+                 inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
     lines.append(dumps_record({"type": "summary", **report.summary()}))
     return lines

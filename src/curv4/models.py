@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CurvatureOperator, bianchi_residual, from_matrix, projected_stack
+from .core import CurvatureOperator, from_matrix, projected_stack
 from .errors import ValidationError
 from .numerics import RngStream, standard_normal_rows
 
@@ -153,8 +153,7 @@ def random_bianchi_matrices(streams: Sequence[RngStream], scale: float = 1.0) ->
 
 def random_bianchi(rng: RngStream, scale: float = 1.0) -> CurvatureOperator:
     """Symmetric Gaussian 6x6 (entries i.i.d. with std ``scale``), residual projected."""
-    mat = random_bianchi_matrices([rng], scale)[0]
-    return CurvatureOperator(matrix=mat, bianchi=bianchi_residual(mat))
+    return CurvatureOperator(matrix=random_bianchi_matrices([rng], scale)[0])
 
 
 class Model(NamedTuple):

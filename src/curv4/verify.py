@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analyzer import check_nnic, implication_audit
-from .core import CurvatureOperator, bianchi_residual, biortho_spectrum, invariants
+from .core import CurvatureOperator, Invariants, biortho_spectrum, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seeds
@@ -71,8 +71,7 @@ def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
 
 def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOperator]:
     """The random curvature tensors examined by trials ``indices`` of a run."""
-    return [CurvatureOperator(matrix=m, bianchi=bianchi_residual(m))
-            for m in trial_matrices(seed, indices, scale)]
+    return [CurvatureOperator(matrix=m) for m in trial_matrices(seed, indices, scale)]
 
 
 def _close(value: float, target: float) -> bool:
@@ -160,33 +159,22 @@ def run_verification(trials: int, seed: int,
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    index: int
-    s: float
-    k1: float
-    k2: float
-    k3: float
-    w3_plus: float
-    w3_minus: float
-    hypothesis_a: bool
-    hypothesis_b: bool
-    nnic: bool
-
-
-@dataclass(frozen=True)
 class ScanReport:
+    """A scan's one invariants pass; row i of each column is trial i."""
+
     model: str
     trials: int
     seed: int
-    rows: tuple[ScanRow, ...] = field(repr=False)
+    invariants: Invariants = field(repr=False)
 
     def summary(self) -> dict:
-        n = len(self.rows)
+        inv = self.invariants
+        n = len(inv.s)
         return {
             "trials": n,
-            "frac_hypothesis_A": sum(r.hypothesis_a for r in self.rows) / n,
-            "frac_hypothesis_B": sum(r.hypothesis_b for r in self.rows) / n,
-            "frac_nnic": sum(r.nnic for r in self.rows) / n,
+            "frac_hypothesis_A": int(np.count_nonzero(inv.hypothesis_a)) / n,
+            "frac_hypothesis_B": int(np.count_nonzero(inv.hypothesis_b)) / n,
+            "frac_nnic": int(np.count_nonzero(inv.nnic)) / n,
         }
 
 
@@ -195,7 +183,7 @@ def run_scan(spec: ModelSpec, trials: int, seed: int) -> ScanReport:
 
     ``random_bianchi`` draws a fresh tensor per trial from derived subseeds,
     all in one batch; deterministic models repeat the same tensor on every
-    row.  All rows come from one invariants pass.
+    row.  All rows come from one invariants pass, which the report keeps.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -203,12 +191,5 @@ def run_scan(spec: ModelSpec, trials: int, seed: int) -> ScanReport:
         matrices = trial_matrices(seed, range(trials), spec.parameters[0])
     else:
         matrices = np.broadcast_to(make_operator(spec).matrix, (trials, 6, 6))
-    inv = invariants(matrices)
-    columns = zip(range(trials), inv.s.tolist(), inv.k.tolist(),
-                  inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
-                  inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
-    rows = [ScanRow(index=index, s=s, k1=k[0], k2=k[1], k3=k[2],
-                    w3_plus=w3p, w3_minus=w3m,
-                    hypothesis_a=hyp_a, hypothesis_b=hyp_b, nnic=nnic)
-            for index, s, k, w3p, w3m, hyp_a, hyp_b, nnic in columns]
-    return ScanReport(model=spec.label(), trials=trials, seed=seed, rows=tuple(rows))
+    return ScanReport(model=spec.label(), trials=trials, seed=seed,
+                      invariants=invariants(matrices))

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from curv4 import io
-from curv4.analyzer import check_nnic, check_pinching, implication_audit, tolerance_band
+from curv4.analyzer import check_nnic, check_pinching, implication_audit
 from curv4.core import (bianchi_residual, biortho_spectrum, decompose, from_matrix,
-                        invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature)
+                        invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature,
+                        tolerance_band)
 from curv4.models import (ModelSpec, cp2, make_operator, product_surfaces,
                           r_times_s3, random_bianchi, sphere)
 from curv4.numerics import RngStream, derive_seed, derive_seeds

@@ -6,7 +6,7 @@ import pytest
 from curv4.analyzer import (HINT_CONSTANT, HINT_CP2, HINT_FLAT, HINT_LINE_SPHERE,
                             HINT_PRODUCT, AnalyzeConfig, analyze, check_nnic,
                             check_pinching, classification_hints, implication_audit)
-from curv4.core import (biortho_spectrum, decompose, from_matrix,
+from curv4.core import (biortho_spectrum, decompose, from_matrix, norm_max,
                         operator_from_blocks, scalar_curvature)
 from curv4.io import load, report_to_dict
 from curv4.models import (cp2, flat, product_surfaces, r_times_s3, random_bianchi,
@@ -113,32 +113,32 @@ class TestImplicationAudit:
 class TestClassificationHints:
     def test_sphere(self):
         op = sphere(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op))
+        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
         assert HINT_CONSTANT in hints
 
     def test_product(self):
         op = product_surfaces(1.0, 1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op))
+        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
         assert hints == (HINT_PRODUCT,)
 
     def test_cp2(self):
         op = cp2(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op))
+        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
         assert hints == (HINT_CP2,)
 
     def test_line_times_sphere(self):
         op = r_times_s3(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op))
+        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
         assert hints == (HINT_LINE_SPHERE,)
 
     def test_flat(self):
         op = flat()
-        hints = classification_hints(decompose(op), biortho_spectrum(op))
+        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
         assert HINT_FLAT in hints
 
     def test_generic_tensor_has_no_hints(self):
         op = random_bianchi(RngStream(2))
-        assert classification_hints(decompose(op), biortho_spectrum(op)) == ()
+        assert classification_hints(decompose(op), biortho_spectrum(op), norm_max(op)) == ()
 
 
 class TestAnalyze:

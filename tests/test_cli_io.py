@@ -11,7 +11,7 @@ from curv4.errors import ValidationError
 from curv4.models import MODELS, ModelSpec, make_operator, parse_model_spec
 from curv4.numerics import RngStream, derive_seed
 from curv4.models import random_bianchi
-from curv4.verify import ScanReport, ScanRow, run_scan
+from curv4.verify import run_scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,6 +185,10 @@ MALFORMED_TENSOR_FILES = {
                                               "components": [[1.5, 2, 1, 2, 1.0]]}),
     "null component value": json.dumps({"format": "curv4-v1",
                                         "components": [[1, 2, 1, 2, None]]}),
+    "boolean component index": json.dumps({"format": "curv4-v1",
+                                           "components": [[True, 2, 1, 2, 1.0]]}),
+    "component index beyond float range": ('{"format": "curv4-v1", "components": '
+                                           '[[1' + "0" * 400 + ', 2, 1, 2, 1.0]]}'),
     "component value beyond float range": ('{"format": "curv4-v1", "components": '
                                            '[[1, 2, 1, 2, 1' + "0" * 400 + ']]}'),
     "non-UTF-8 bytes": b'{"format": "curv4-v1", "matrix": "\xff\xfe"}',
@@ -282,14 +286,20 @@ class TestCliScan:
         assert all(row["k3"] == 4.0 for row in rows)
 
 
-def json_row(row):
+def json_row(index, s, k, w3p, w3m, hyp_a, hyp_b, nnic):
     """A scan row through json, as every row was written before the template."""
+    k1, k2, k3 = k
     return io.dumps_record({
-        "type": "row", "trial": row.index, "s": row.s,
-        "k1": row.k1, "k2": row.k2, "k3": row.k3,
-        "w3_plus": row.w3_plus, "w3_minus": row.w3_minus,
-        "hypothesis_A": row.hypothesis_a, "hypothesis_B": row.hypothesis_b,
-        "nnic": row.nnic})
+        "type": "row", "trial": index, "s": s, "k1": k1, "k2": k2, "k3": k3,
+        "w3_plus": w3p, "w3_minus": w3m,
+        "hypothesis_A": hyp_a, "hypothesis_B": hyp_b, "nnic": nnic})
+
+
+def invariants_row(inv, i):
+    """Row i of a scan's invariants pass, as the arguments of ``io._row_line``."""
+    return (i, float(inv.s[i]), inv.k[i].tolist(),
+            float(inv.weyl_plus[i, 2]), float(inv.weyl_minus[i, 2]),
+            bool(inv.hypothesis_a[i]), bool(inv.hypothesis_b[i]), bool(inv.nnic[i]))
 
 
 class TestScanRowTemplate:
@@ -302,7 +312,8 @@ class TestScanRowTemplate:
         report = run_scan(spec, trials=trials, seed=1)
         lines = io.scan_to_lines(report)
         assert len(lines) == trials + 2
-        assert lines[1:-1] == [json_row(row) for row in report.rows]
+        assert lines[1:-1] == [json_row(*invariants_row(report.invariants, i))
+                               for i in range(trials)]
 
     def test_special_floats_keep_json_spelling(self):
         nan, inf = float("nan"), float("inf")
@@ -313,13 +324,28 @@ class TestScanRowTemplate:
                   (1.0, 2.0, 3.0, 4.0, inf, -inf),
                   (-0.0, -0.0, -0.0, -0.0, -0.0, -0.0),
                   (1e-300, 2.5, 1e16, 0.1, -7.0, 123456789.125)]
-        rows = tuple(ScanRow(index=i, s=s, k1=k1, k2=k2, k3=k3, w3_plus=wp, w3_minus=wm,
-                             hypothesis_a=i % 2 == 0, hypothesis_b=i % 3 == 0, nnic=i % 5 == 0)
-                     for i, (s, k1, k2, k3, wp, wm) in enumerate(values))
-        report = ScanReport(model="hand-built", trials=len(rows), seed=0, rows=rows)
-        lines = io.scan_to_lines(report)
-        assert lines[1:-1] == [json_row(row) for row in rows]
-        assert "NaN" in lines[2] and "Infinity" in lines[3] and "-Infinity" in lines[4]
+        rows = [(i, s, [k1, k2, k3], wp, wm, i % 2 == 0, i % 3 == 0, i % 5 == 0)
+                for i, (s, k1, k2, k3, wp, wm) in enumerate(values)]
+        lines = [io._row_line(*row) for row in rows]
+        assert lines == [json_row(*row) for row in rows]
+        assert "NaN" in lines[1] and "Infinity" in lines[2] and "-Infinity" in lines[3]
+
+
+class TestScanSummary:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--seed", "1"],
+        ["scan", "--model", "cp2", "--trials", "3"],
+        ["scan", "--model", "flat", "--trials", "2"]])
+    def test_summary_is_the_mean_of_the_row_booleans(self, capsys, argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [json.loads(line) for line in lines[1:-1]]
+        n = len(rows)
+        assert lines[-1] == io.dumps_record({
+            "type": "summary", "trials": n,
+            "frac_hypothesis_A": sum([r["hypothesis_A"] for r in rows]) / n,
+            "frac_hypothesis_B": sum([r["hypothesis_B"] for r in rows]) / n,
+            "frac_nnic": sum([r["nnic"] for r in rows]) / n})
 
 
 class TestParserReuse:

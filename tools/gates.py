@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of ten fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twelve fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -35,6 +35,10 @@ from curv4.cli import main  # noqa: E402
 GATES = (
     "scan --seed 1",
     "scan --trials 20000 --seed 1",
+    # A fixed model: one matrix broadcast to every row.
+    "scan --model cp2 --trials 5 --seed 1",
+    # Rows whose float sum overflows, written through json.
+    "scan --model random_bianchi:2e307 --trials 20 --seed 1",
     "verify --trials 500 --seed 7 --json",
     "verify --seed 1 --json",
     "verify --seed 1 --text",
