@@ -285,10 +285,10 @@ def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     Every entry is a sum of four signed products p_x q_y, so the frames are
     built from one signed outer product of p and q, gathered through
     :data:`_FRAME_TERMS` one term at a time and summed in the Hamilton
-    product's own order; the last-row flip is a negation in place.  Each
-    step is elementwise and exact up to the products' and sums' own
-    rounding, so the frames are orthonormal to rounding and their bytes do
-    not depend on the BLAS build.
+    product's own order; the last-row flip is an exact multiply by +-1 in
+    place.  Each step is elementwise and exact up to the products' and sums'
+    own rounding, so the frames are orthonormal to rounding and their bytes
+    do not depend on the BLAS build.
     The result is a transposed view of a component-major (4, 4, n) array:
     the frame axis is innermost in memory, so the rows' wedges are too.
     """
@@ -306,7 +306,7 @@ def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     rows = flat[_FRAME_TERMS[0]] + flat[_FRAME_TERMS[1]]
     rows += flat[_FRAME_TERMS[2]]
     rows += flat[_FRAME_TERMS[3]]
-    np.negative(rows[:, 3], out=rows[:, 3], where=flip)
+    rows[:, 3] *= np.where(flip, -1.0, 1.0)
     return rows.transpose(2, 1, 0)
 
 

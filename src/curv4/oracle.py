@@ -17,20 +17,25 @@ searches that share a seed share one coarse frame draw, and the polish
 advances the frames of every search together.  Each result is bit-identical
 to running its search alone.
 
-The chunks of a coarse pass run on up to two of the CPUs available to the
-process: with W = min(CPUs, chunks in the pass, 2), chunk c runs on worker
-c mod W, worker 0 being the calling thread and the other a thread of a pool
-that :func:`extremize_batch` starts and joins before it returns.  A chunk's
-draws come from its own Philox substream and it writes only its own slice of
-the pass's buffers, so every byte is the same for any CPU count and any W.  The Newton
-polish and everything after the coarse draws run on the calling thread.
+The coarse phase runs on up to two of the CPUs available to the process,
+worker 0 being the calling thread and the other a thread of a pool that
+:func:`extremize_batch` starts and joins before it returns.  Every worker
+pulls its next item from one shared iterator.  When a batch holds two or
+more seeds, an item is a whole seed group: its full coarse pass and
+candidate selection run on the worker that pulled it.  A lone group's items
+are instead the chunks of its one pass.  A chunk's draws come from its own
+Philox substream and it writes only its own slice of the pass's buffers, and
+a group's starts depend only on its seed, so every byte is the same for any
+CPU count and any schedule.  The Newton polish runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,10 +48,10 @@ from .numerics import RngStream, random_frames, rotation_from_generator, stream_
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
 
-#: Most workers a coarse pass uses.  Two is the only count that has been
-#: measured (on a 2-vCPU host, one caller): the workers hand the GIL back and
-#: forth between numpy kernels, and under CPU contention even two can fall
-#: below serial, so more waits for a benchmark that measures it.
+#: Most workers the coarse phase uses, over seed groups or over one group's
+#: chunks.  Two is the only count that has been measured (on a 2-vCPU host,
+#: one caller): the workers hand the GIL back and forth between numpy
+#: kernels, so more waits for a benchmark that measures it.
 _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
@@ -185,8 +190,8 @@ def _cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def _chunk_pool(helpers: int):
-    """A pool of ``helpers`` threads for coarse chunks, or None for none.
+def _worker_pool(helpers: int):
+    """A pool of ``helpers`` threads for coarse work, or None for none.
 
     The pool is shut down, and its threads joined, when the block exits.
     """
@@ -199,28 +204,66 @@ def _chunk_pool(helpers: int):
         yield pool
 
 
+def _share(items, work, pool=None, workers: int = 1) -> None:
+    """Call ``work(pulls)`` once on each of ``workers`` workers, where
+    ``pulls`` yields items taken from one shared iterator over ``items``.
+
+    Worker 0 is the calling thread, the others run on ``pool``, which must
+    have ``workers - 1`` threads.  Each item goes to whichever worker asks
+    first, so a worker slowed down by the host just takes fewer.  Once a
+    worker raises, no worker pulls another item, and the exception is raised
+    here.
+    """
+    pending = iter(items)
+    lock = threading.Lock()
+    done = object()
+
+    def pulls():
+        while True:
+            with lock:
+                item = next(pending, done)
+            if item is done:
+                return
+            yield item
+
+    def run() -> None:
+        nonlocal pending
+        try:
+            work(pulls())
+        except BaseException:
+            with lock:
+                pending = iter(())
+            raise
+
+    helpers = [pool.submit(run) for _ in range(workers - 1)]
+    run()
+    # result() raises a helper's exception.  If run() raises instead, the
+    # pool's shutdown in extremize_batch waits for the helpers before the
+    # exception leaves it.
+    for helper in helpers:
+        helper.result()
+
+
 def _coarse_samples(seed: int, samples: int, targets, pool=None,
                     workers: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
     (objective, matrix) target on them.
 
     Chunk c of the frames is drawn from ``RngStream(seed, c)`` and written,
-    with its values, into buffers allocated once.  With W = min(``workers``,
-    chunks), chunk c runs on worker c mod W: worker 0 on the calling thread,
-    the others on ``pool``, which must have W - 1 threads when W > 1.  Each
-    worker re-keys its own generator and writes only its own chunks' slices,
-    so the result does not depend on W.  The frame buffer keeps
-    :func:`random_frames`' layout, a transposed view with the frame axis
-    innermost; callers gather the rows they keep into C order.
+    with its values, into buffers allocated once.  The chunks are shared out
+    over ``workers`` workers as :func:`_share` does; each worker re-keys its
+    own generator and writes only its own chunks' slices, so the result does
+    not depend on the workers.  The frame buffer keeps :func:`random_frames`'
+    layout, a transposed view with the frame axis innermost; callers gather
+    the rows they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
-    chunks = -(-samples // SAMPLE_CHUNK)
-    workers = min(workers, chunks)
 
-    def draw(worker: int) -> None:
-        own = range(worker, chunks, workers)
-        for chunk, gen in zip(own, stream_generators([RngStream(seed, c) for c in own])):
+    def draw(chunks) -> None:
+        # Each chunk is pulled once and fed to both the loop and the generator.
+        chunks, keys = itertools.tee(chunks)
+        for chunk, gen in zip(chunks, stream_generators(RngStream(seed, c) for c in keys)):
             lo = chunk * SAMPLE_CHUNK
             # Always draw a full chunk so a larger budget extends, never
             # reshuffles, the sample stream.
@@ -230,13 +273,7 @@ def _coarse_samples(seed: int, samples: int, targets, pool=None,
             for out, (objective, m) in zip(values, targets):
                 out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
 
-    helpers = [pool.submit(draw, worker) for worker in range(1, workers)]
-    draw(0)
-    # result() raises a helper's exception.  If draw(0) raises instead, the
-    # pool's shutdown in extremize_batch waits for the helpers before the
-    # exception leaves it.
-    for helper in helpers:
-        helper.result()
+    _share(range(-(-samples // SAMPLE_CHUNK)), draw, pool, workers)
     return frames, values
 
 
@@ -428,12 +465,15 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
 def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     """Run every search; result i is bit-identical to running search i alone.
 
-    The coarse phase runs one seed at a time: searches with that seed share
-    one draw of Haar frames, and only their refine candidates outlive it.
-    Each draw's chunks run on up to ``_MAX_WORKERS`` of the CPUs available to
-    the process, through at most one thread pool per call, joined before this
-    returns.  One refine
-    loop then advances the candidates of all searches together.
+    Searches that share a seed form a group, which shares one draw of Haar
+    frames; only the group's refine candidates outlive its coarse pass.  The
+    coarse phase runs on W = min(CPUs, items, ``_MAX_WORKERS``) workers that
+    pull items from one shared queue, through at most one thread pool per
+    call, joined before this returns.  With two or more groups an item is a
+    whole group, whose pass and candidate selection run on the worker that
+    pulled it, so there is one pass buffer per worker; a lone group's items
+    are the chunks of its pass.  One refine loop on the calling thread then
+    advances the candidates of all searches together.
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
     read-only (4, 4) frame.  Each value is the best value actually
     evaluated, attained by its witness.
@@ -442,14 +482,23 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     by_seed: dict[int, list[int]] = {}
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
+    groups = list(by_seed.values())
     starts: list = [None] * len(searches)
-    most_chunks = -(-max((s.cfg.samples for s in searches), default=0) // SAMPLE_CHUNK)
-    workers = min(_cpu_count(), most_chunks, _MAX_WORKERS)
-    with _chunk_pool(workers - 1) as pool:
-        for members in by_seed.values():
+
+    def run_groups(pulled, pool=None, workers: int = 1) -> None:
+        for members in pulled:
             group = [searches[i] for i in members]
             for i, start in zip(members, _coarse_starts(group, pool, workers)):
                 starts[i] = start
+
+    lone = len(groups) == 1
+    items = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK) if lone else len(groups)
+    workers = max(1, min(_cpu_count(), items, _MAX_WORKERS))
+    with _worker_pool(workers - 1) as pool:
+        if lone:  # its chunks are the items
+            run_groups(groups, pool, workers)
+        else:
+            _share(groups, run_groups, pool, workers)
 
     outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
     refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]

@@ -370,19 +370,38 @@ def _send_summaries(searches, sender):
 
 
 class TestScheduling:
-    """Coarse chunks spread over the CPUs: the same bytes for any CPU count, no
-    thread outliving the call, and a worker's exception passed on."""
+    """Coarse work shared out over the CPUs, whole seed groups when a batch
+    has several and one group's chunks when it has one: the same bytes for
+    any CPU count, no thread outliving the call, and a worker's exception
+    passed on.  Workers pull items as they come free, so no test asserts
+    which worker took which item."""
 
     @staticmethod
-    def record_threads(monkeypatch) -> set[int]:
-        """Make every batch objective add its thread to the returned set."""
-        seen: set[int] = set()
+    def record_threads(monkeypatch) -> dict[bytes, set[int]]:
+        """Make every coarse objective call (one (6, 6) matrix) add its thread
+        to the returned set for that matrix."""
+        seen: dict[bytes, set[int]] = {}
         for objective, evaluate in list(_BATCH_OBJECTIVES.items()):
             def recorded(m, frames, evaluate=evaluate):
-                seen.add(threading.get_ident())
+                if m.ndim == 2:
+                    seen.setdefault(m.tobytes(), set()).add(threading.get_ident())
                 return evaluate(m, frames)
             monkeypatch.setitem(_BATCH_OBJECTIVES, objective, recorded)
         return seen
+
+    @staticmethod
+    def record_helpers(monkeypatch) -> list[int]:
+        """Make every worker pool append its helper thread count to the
+        returned list."""
+        sizes: list[int] = []
+        pool = oracle._worker_pool
+
+        def recorded(helpers):
+            sizes.append(helpers)
+            return pool(helpers)
+
+        monkeypatch.setattr(oracle, "_worker_pool", recorded)
+        return sizes
 
     @pytest.mark.parametrize("samples", [1, 2048, 2049, 4097, 20000])
     @pytest.mark.parametrize("batch", [verify_style, analyze_style])
@@ -390,30 +409,47 @@ class TestScheduling:
         searches = batch(samples)
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
         serial = [summary(res) for res in extremize_batch(searches)]
-        chunks = -(-samples // oracle.SAMPLE_CHUNK)
-        # Lift the worker cap so the c mod W split runs with W up to 11.
+        groups = len({s.cfg.seed for s in searches})  # verify_style 3, analyze_style 1
+        items = groups if groups > 1 else -(-samples // oracle.SAMPLE_CHUNK)
+        # Lift the worker cap so the shared queue runs with W up to 11.
         monkeypatch.setattr(oracle, "_MAX_WORKERS", 11)
         seen = self.record_threads(monkeypatch)
+        helpers = self.record_helpers(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             for cpus in (2, 3, 11):
                 monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
                 seen.clear()
+                helpers.clear()
                 threads = threading.active_count()
                 assert [summary(res) for res in extremize_batch(searches)] == serial, cpus
                 assert threading.active_count() == threads
-                assert (len(seen) > 1) == (min(cpus, chunks) > 1)
-                assert len(seen) <= min(cpus, chunks)
+                assert helpers == [min(cpus, items) - 1]
+                assert len(set().union(*seen.values())) <= min(cpus, items)
         finally:
             sys.setswitchinterval(interval)
 
+    def test_each_group_runs_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        seen = self.record_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            extremize_batch(verify_style(20000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 3  # one matrix per seed group
+        assert all(len(threads) == 1 for threads in seen.values())
+        assert len(set().union(*seen.values())) <= 2
+
     def test_workers_are_capped(self, monkeypatch):
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)
-        seen = self.record_threads(monkeypatch)
+        helpers = self.record_helpers(monkeypatch)
         threads = threading.active_count()
-        extremize_batch(verify_style(20000))
-        assert len(seen) == oracle._MAX_WORKERS == 2
+        for batch in (verify_style, analyze_style):
+            extremize_batch(batch(20000))
+        assert helpers == [oracle._MAX_WORKERS - 1] * 2 == [1, 1]
         assert threading.active_count() == threads
 
     def test_cpu_count_follows_affinity_then_cpu_count(self, monkeypatch):
@@ -427,21 +463,28 @@ class TestScheduling:
 
     @pytest.mark.parametrize("failing_worker", ["helper", "caller"])
     def test_worker_exception_propagates(self, monkeypatch, failing_worker):
+        """Raised in a seed group (verify_style) or in a chunk (analyze_style).
+        The caller's first coarse item waits until the helper has started
+        one, so both workers hold an item whichever pulled first."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         caller = threading.get_ident()
-        evaluate = _BATCH_OBJECTIVES["biorthogonal"]
-
-        def failing(m, frames):
-            if (threading.get_ident() == caller) == (failing_worker == "caller"):
-                raise RuntimeError(f"{failing_worker} chunk failed")
-            return evaluate(m, frames)
-
-        monkeypatch.setitem(_BATCH_OBJECTIVES, "biorthogonal", failing)
+        for objective, evaluate in list(_BATCH_OBJECTIVES.items()):
+            def failing(m, frames, evaluate=evaluate):
+                on_caller = threading.get_ident() == caller
+                if on_caller:
+                    assert helper_started.wait(60), "the helper took no item"
+                else:
+                    helper_started.set()
+                if on_caller == (failing_worker == "caller"):
+                    raise RuntimeError(f"{failing_worker} item failed")
+                return evaluate(m, frames)
+            monkeypatch.setitem(_BATCH_OBJECTIVES, objective, failing)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{failing_worker} chunk failed"):
-            extremize_batch([Search(cp2(1.0).matrix, "biorthogonal", "min",
-                                    OracleConfig(samples=4096, seed=1))])
-        assert threading.active_count() == threads
+        for batch in (verify_style, analyze_style):
+            helper_started = threading.Event()
+            with pytest.raises(RuntimeError, match=f"{failing_worker} item failed"):
+                extremize_batch(batch(4097))
+            assert threading.active_count() == threads
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method on this platform")

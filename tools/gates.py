@@ -7,15 +7,18 @@ Run from anywhere, with the checkout's own ``src`` on the import path:
 Each command runs in-process through ``curv4.cli.main`` with stdout
 captured.  One line is printed per command: the first 16 hex digits of the
 sha256 of its stdout, its exit code, the command, and its in-process wall
-time.  Every output is a pure function of its seeds, so running this script
-on two commits shows which gates a change moves; the times are only a rough
-guide, since the first command also pays for building the CLI parser.
+time.  Every output is a pure function of its seeds, and the script holds
+the hash each output is expected to have: a line whose hash differs ends in
+``MISMATCH (expected ...)`` and the script exits with status 1.  A change
+that moves an output on purpose updates its hash in :data:`GATES`.  The
+times are only a rough guide, since the first command also pays for
+building the CLI parser.
 
-The oracle's coarse chunks run on up to two of the CPUs available to the
+The oracle's coarse phase runs on up to two of the CPUs available to the
 process, so the oracle gates (``verify`` and ``analyze --run-oracle``) then
-run once more with the process pinned to one CPU, which runs every chunk on
-the calling thread.  Those lines end in ``pinned to CPU n``, and in ``MISMATCH`` when
-the hash differs from the unpinned run; the script then exits with status 1.
+run once more with the process pinned to one CPU, which runs all coarse work
+on the calling thread.  Those lines end in ``pinned to CPU n``, and are checked
+against the same expected hashes.
 """
 
 from __future__ import annotations
@@ -32,23 +35,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from curv4.cli import main  # noqa: E402
 
-GATES = (
-    "scan --seed 1",
-    "scan --trials 20000 --seed 1",
+#: Each command and the sha256 prefix its output is expected to have.  A
+#: change that moves an output on purpose updates the hash here.
+GATES = {
+    "scan --seed 1": "7cd70645187c650f",
+    "scan --trials 20000 --seed 1": "50ab7f62cc46bc3e",
     # A fixed model: one matrix broadcast to every row.
-    "scan --model cp2 --trials 5 --seed 1",
+    "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
     # Rows whose float sum overflows, written through json.
-    "scan --model random_bianchi:2e307 --trials 20 --seed 1",
-    "verify --trials 500 --seed 7 --json",
-    "verify --seed 1 --json",
-    "verify --seed 1 --text",
-    "analyze --model cp2 --run-oracle --json",
-    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json",
-    "analyze --model random_bianchi:1 --seed 3 --text",
+    "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
+    "verify --trials 500 --seed 7 --json": "d554b0b31893f234",
+    "verify --seed 1 --json": "86a9b031a7df9110",
+    "verify --seed 1 --text": "1954a4ff8f25a66b",
+    "analyze --model cp2 --run-oracle --json": "f2998bf5a3320c2e",
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "17ae06dbe7acee34",
+    "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
     # Budgets that end a coarse pass on a partial chunk.
-    "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json",
-    "verify --trials 3 --seed 2 --samples 4097 --json",
-)
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json":
+        "3fac7ab24827b074",
+    "verify --trials 3 --seed 2 --samples 4097 --json": "ed1403e9a4a622e8",
+}
 
 
 def gate(command: str) -> tuple[str, int, float]:
@@ -66,27 +72,28 @@ def is_oracle_gate(command: str) -> bool:
     return command.startswith("verify") or "--run-oracle" in command.split()
 
 
+def check(command: str, note: str = "") -> bool:
+    """Run one gate, print its line, and return whether its hash is the
+    expected one."""
+    digest, code, wall = gate(command)
+    expected = GATES[command]
+    flag = "" if digest == expected else f"  MISMATCH (expected {expected})"
+    print(f"{digest}  {code}  {command}  {wall:.3f}s{note}{flag}", flush=True)
+    return not flag
+
+
 def run() -> int:
-    digests = {}
-    for command in GATES:
-        digest, code, wall = gate(command)
-        digests[command] = digest
-        print(f"{digest}  {code}  {command}  {wall:.3f}s", flush=True)
+    mismatches = sum(not check(command) for command in GATES)
     if not hasattr(os, "sched_setaffinity"):
         print("note: os.sched_setaffinity is not available here; the oracle gates "
               "were not re-run on one CPU", flush=True)
-        return 0
-    mismatches = 0
+        return 1 if mismatches else 0
     saved = os.sched_getaffinity(0)
     cpu = min(saved)
     os.sched_setaffinity(0, {cpu})
     try:
-        for command in filter(is_oracle_gate, GATES):
-            digest, code, wall = gate(command)
-            flag = "" if digest == digests[command] else "  MISMATCH"
-            mismatches += bool(flag)
-            print(f"{digest}  {code}  {command}  {wall:.3f}s  pinned to CPU {cpu}{flag}",
-                  flush=True)
+        mismatches += sum(not check(command, f"  pinned to CPU {cpu}")
+                          for command in filter(is_oracle_gate, GATES))
     finally:
         os.sched_setaffinity(0, saved)
     return 1 if mismatches else 0
