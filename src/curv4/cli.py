@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .errors import Curv4Error, ValidationError
 from .models import MODELS, make_operator, parse_model_spec
 from .numerics import derive_seed
 from .oracle import OracleConfig
-from .verify import run_scan, run_verification
+from .verify import DEFAULT_SAMPLES, run_scan, run_verification
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,11 +36,24 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write output to this path")
 
 
-def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=20000, help="oracle sampling budget")
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite nonnegative float.  A NaN bound would pass every
+    check it guards, and a negative one would fail every file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
+    return value
+
+
+def _add_oracle_flags(p: argparse.ArgumentParser, samples: int) -> None:
+    p.add_argument("--samples", type=int, default=samples,
+                   help=f"coarse oracle samples per search (default {samples})")
     p.add_argument("--refine", type=int, default=200, help="cap on Newton polish steps per restart")
     p.add_argument("--restarts", type=int, default=3, help="refinement restarts")
-    p.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="validation tolerance")
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -213,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--project-bianchi", action="store_true",
                       help="project the Bianchi residual away instead of rejecting")
     _add_common_flags(p_an)
-    _add_oracle_flags(p_an)
+    _add_oracle_flags(p_an, OracleConfig.samples)
     _add_format_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -222,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; has no effect")
     _add_common_flags(p_ver)
-    _add_oracle_flags(p_ver)
+    _add_oracle_flags(p_ver, DEFAULT_SAMPLES)
     _add_format_flags(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

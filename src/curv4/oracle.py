@@ -9,8 +9,11 @@ Two phases: uniform sampling (Haar frames, chunked deterministic streams),
 then a Newton polish from a handful of mutually distant coarse candidates.
 The polish takes its gradient and Hessian in so(4) from the objective's
 values on a fixed 42-point finite-difference stencil of rotated frames, and
-steps each frame by -H^+ g until a step no longer improves its value; it
-draws no random numbers.
+steps each frame by -H^+ g over the Hessian's positive directions.  Where
+that step does not improve the value at a frame that is not stationary, the
+frame tries -|H|^+ g, which also descends along negative directions, halved
+until it improves; a frame stops at a stationary point, when no trial
+improves, or at its step cap.  The polish draws no random numbers.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, and the polish
@@ -67,6 +70,8 @@ _FLAT_RTOL = 1e-8
 _ROUNDING_BAND = 1e-5
 _TRUST_RADIUS = 0.25
 _POLISH_BLOCK = 48
+#: Times a failed fallback step of the polish is halved before its frame stops.
+_FALLBACK_HALVINGS = 8
 
 MODES = ("min", "max")
 
@@ -387,15 +392,32 @@ def _derivatives(stencil: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, n
     return grad, hess
 
 
+def _step(vec: np.ndarray, inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The rotation generator -V diag(inv) V^T g of each frame, capped at the
+    trust radius: far from an extremum the quadratic model overshoots."""
+    omega = -np.einsum("fij,fj,fkj,fk->fi", vec, inv, vec, grad)
+    return omega * (_TRUST_RADIUS / np.maximum(np.linalg.norm(omega, axis=1, keepdims=True),
+                                               _TRUST_RADIUS))
+
+
 def _polish(evaluate, matrices, signs, frames, values, caps):
     """Newton steps minimizing ``signs * evaluate`` from each frame, until a
     step fails to improve or the frame's step cap is reached.
 
+    Each step rotates the frame by -H^+ g over the Hessian's curved
+    directions, skipping flat and negative ones.  Where that step does not
+    improve the value and the frame is not stationary (its gradient is
+    outside the rounding band, or its Hessian has an eigenvalue below minus
+    that band), the frame tries the fallback -|H|^+ g, which descends along
+    the negative directions too, halving it up to :data:`_FALLBACK_HALVINGS`
+    times; the frame stops only if no trial improves.
+
     ``frames`` and ``values`` (signed) are updated in place.  Returns the
-    steps taken per frame, and whether the frame stopped before its cap at a
-    point whose last gradient is within the rounding band of zero and whose
-    last Hessian has no eigenvalue below minus that band.
+    objective evaluations per frame (:data:`_STEP_EVALUATIONS` per step and
+    one per fallback trial), and whether the frame stopped before its cap at
+    a stationary point.
     """
+    evaluations = np.zeros(len(values), dtype=int)
     taken = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
     band = _ROUNDING_BAND * np.max(np.abs(matrices), axis=(1, 2))
@@ -406,22 +428,36 @@ def _polish(evaluate, matrices, signs, frames, values, caps):
         grad, hess = _derivatives(stencil, values[live])
         lam, vec = np.linalg.eigh(hess)
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
-        # -H^+ g over the curved directions; flat and negative ones are skipped
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > flat)
-        omega = -np.einsum("fij,fj,fkj,fk->fi", vec, inv, vec, grad)
-        # Far from an extremum the quadratic model overshoots: cap the angle.
-        omega *= _TRUST_RADIUS / np.maximum(np.linalg.norm(omega, axis=1, keepdims=True),
-                                            _TRUST_RADIUS)
-        trial = _rotated(f, rotation_from_generator(omega))
+        trial = _rotated(f, rotation_from_generator(_step(vec, inv, grad)))
         trial_values = sign * evaluate(m, trial[:, None])[:, 0]
         better = trial_values < values[live]
+        stationary = ((np.max(np.abs(grad), axis=1) <= band[live])
+                      & (lam[:, 0] >= -band[live]))
         taken[live] += 1
-        converged[live] = (~better & (np.max(np.abs(grad), axis=1) <= band[live])
-                           & (lam[:, 0] >= -band[live]))
+        evaluations[live] += _STEP_EVALUATIONS
+        converged[live] = ~better & stationary
+        stalled = np.flatnonzero(~better & ~stationary)
+        if stalled.size:
+            lam_abs = np.abs(lam[stalled])
+            inv = np.divide(1.0, lam_abs, out=np.zeros_like(lam_abs),
+                            where=lam_abs > flat[stalled])
+            omega = _step(vec[stalled], inv, grad[stalled])
+            for _ in range(_FALLBACK_HALVINGS + 1):
+                tried = _rotated(f[stalled], rotation_from_generator(omega))
+                tried_values = sign[stalled] * evaluate(m[stalled], tried[:, None])[:, 0]
+                evaluations[live[stalled]] += 1
+                ok = tried_values < values[live[stalled]]
+                trial[stalled[ok]] = tried[ok]
+                trial_values[stalled[ok]] = tried_values[ok]
+                better[stalled[ok]] = True
+                stalled, omega = stalled[~ok], omega[~ok] / 2.0
+                if not stalled.size:
+                    break
         frames[live[better]] = trial[better]
         values[live[better]] = trial_values[better]
         live = live[better & (taken[live] < caps[live])]
-    return taken, converged
+    return evaluations, converged
 
 
 def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int, bool]]:
@@ -440,13 +476,13 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
     matrices = np.stack([s.matrix for s in searches])[owner]
     signs = np.array([s.sign for s in searches])[owner]
     caps = np.array([s.cfg.refine_iters for s in searches])[owner]
-    taken = np.zeros(len(values), dtype=int)
+    evaluations = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
     for objective in dict.fromkeys(s.objective for s in searches):
         rows = np.flatnonzero([searches[o].objective == objective for o in owner])
         for block in np.split(rows, range(_POLISH_BLOCK, len(rows), _POLISH_BLOCK)):
             f, v = frames[block], values[block]
-            taken[block], converged[block] = _polish(
+            evaluations[block], converged[block] = _polish(
                 _BATCH_OBJECTIVES[objective], matrices[block], signs[block], f, v, caps[block])
             frames[block], values[block] = f, v
 
@@ -454,7 +490,7 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         winner = lo + int(np.argmin(values[lo:hi]))
         out.append((float(values[winner]), frames[winner],
-                    _STEP_EVALUATIONS * int(taken[lo:hi].sum()), bool(converged[winner])))
+                    int(evaluations[lo:hi].sum()), bool(converged[winner])))
     return out
 
 

@@ -2,8 +2,9 @@
 
 Each test prints a one-line verdict; the conftest summary hook repeats the
 pass/fail table after the run.  Criteria 1, 5 and 7 exercise the brute-force
-search at its default budget; criteria 1 and 7 share one in-process verify
-run, which criterion 7 repeats once through the CLI.
+search: criteria 1 and 7 at verify's default budget, in one shared in-process
+verify run that criterion 7 repeats once through the CLI, and criterion 5 at
+the library's default budget.
 """
 
 import json
@@ -46,9 +47,9 @@ def announce(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def verification():
-    """The in-process ``verify --trials 500 --seed 7`` report, shared by
-    criteria 1 and 7."""
-    return run_verification(trials=TRIALS, seed=SEED, oracle=OracleConfig())
+    """The in-process ``verify --trials 500 --seed 7`` report at verify's
+    default budget, shared by criteria 1 and 7."""
+    return run_verification(trials=TRIALS, seed=SEED)
 
 
 @pytest.mark.acceptance(criterion=1, summary="oracle matches closed-form spectrum on "

@@ -211,6 +211,26 @@ class TestCliMalformedTensorFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # A NaN bound would pass this matrix, whose (0,1) and (1,0) entries are 5
+    # and 0, and print "tolerance": NaN; a negative one would fail every file.
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-9x"])
+    def test_bad_tolerance_takes_the_error_path(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"format": "curv4-v1",
+                                    "matrix": [[1.0, 5.0, 0.0, 0.0, 0.0, 0.0]]
+                                    + SPHERE_ROWS[1:]}))
+        argv = [command, f"--tol={tol}", "--json"] + ([str(path)] if command == "analyze" else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: argument --tol: ")
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"format": "curv4-v1", "matrix": SPHERE_ROWS}))
+        assert main(["analyze", str(path), "--tol", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tolerance"] == 0.0
+
     def test_asymmetry_message_has_plain_floats(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(MALFORMED_TENSOR_FILES["asymmetric matrix"])

@@ -10,7 +10,7 @@ from curv4.errors import ValidationError
 from curv4.models import cp2, random_bianchi
 from curv4.numerics import RngStream
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import TRIAL_BLOCK, _run_trials, run_verification
+from curv4.verify import DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification
 
 SMALL = OracleConfig(samples=3000, refine_iters=60, restarts=2, seed=5)
 
@@ -34,7 +34,8 @@ def assert_matches_alone(searches):
 
 def test_verification_records_equal_single_trials():
     report = run_verification(trials=6, seed=3)
-    assert report.records == tuple(_run_trials(3, [i], OracleConfig())[0] for i in range(6))
+    cfg = OracleConfig(samples=DEFAULT_SAMPLES)
+    assert report.records == tuple(_run_trials(3, [i], cfg)[0] for i in range(6))
 
 
 def test_verification_across_a_trial_block_boundary():

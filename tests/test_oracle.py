@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from curv4 import oracle
-from curv4.core import Plane, biortho_spectrum, biorthogonal, decompose, sectional
+from curv4.core import (CurvatureOperator, Plane, biortho_spectrum, biorthogonal, decompose,
+                        sectional)
 from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, random_bianchi, sphere
-from curv4.numerics import RngStream, random_frames, rotation_from_generator
+from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
 from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST, _STENCIL,
                           MODES, ExtremumResult, OracleConfig, Search, _coarse_starts, _polish,
                           _rotated, _select_candidates, extremize_batch, isotropic_curvature)
-from curv4.verify import run_verification, trial_operators
+from curv4.verify import run_verification, trial_matrices, trial_operators
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -249,9 +250,10 @@ class TestNewtonPolish:
         m = cp2(1.0).matrix[None]
         values = evaluate(m, frames[:, None])[:, 0]
         assert values[0] - 1.0 > 1e-8
-        taken, converged = _polish(evaluate, m, np.ones(1), frames, values, np.array([200]))
+        evaluations, converged = _polish(evaluate, m, np.ones(1), frames, values,
+                                         np.array([200]))
         assert abs(values[0] - 1.0) <= 1e-14
-        assert 1 <= taken[0] < 200 and converged[0]
+        assert 43 <= evaluations[0] < 43 * 200 and converged[0]
         assert evaluate(m, frames[:, None])[0, 0] == values[0]
 
     def test_far_restarts_reach_a_stationary_point(self):
@@ -263,7 +265,7 @@ class TestNewtonPolish:
         frames = np.concatenate([f for f, _ in starts])
         values = np.concatenate([v for _, v in starts])
         owner = np.repeat(np.arange(len(searches)), [len(v) for _, v in starts])
-        taken, converged = _polish(
+        _, converged = _polish(
             _BATCH_OBJECTIVES["sectional"], np.stack([s.matrix for s in searches])[owner],
             np.array([s.sign for s in searches])[owner], frames, values, np.full(len(values), 200))
         assert len(values) == 300 and converged.all()
@@ -278,6 +280,42 @@ class TestNewtonPolish:
         assert not capped.converged
         assert free.converged
         assert free.value < capped.value
+
+    # (verify seed, trial, samples) where the positive-part Newton step alone
+    # stops every restart of the min search where the gradient is large and
+    # the Hessian indefinite, since it skips every negative direction: the
+    # search then ends 0.099 and 1.02e-3 above k1.
+    STALLS = [(1000025, 65, 256), (7919023844, 47, 2048)]
+
+    @staticmethod
+    def stalled_search(seed: int, trial: int, samples: int) -> Search:
+        """The min search of one verify trial, seeded as verify seeds it."""
+        cfg = OracleConfig(samples=samples, seed=int(derive_seeds(seed, [trial], 1)[0]))
+        return Search(trial_matrices(seed, [trial])[0], "biorthogonal", "min", cfg)
+
+    @pytest.mark.parametrize("seed, trial, samples", STALLS)
+    def test_stalled_restarts_descend_to_k1(self, seed, trial, samples):
+        search = self.stalled_search(seed, trial, samples)
+        res, = extremize_batch([search])
+        k1 = biortho_spectrum(CurvatureOperator(matrix=search.matrix)).k1
+        assert abs(res.value - k1) <= 1e-12 * np.max(np.abs(search.matrix))
+        assert res.converged
+
+    def test_evaluations_count_every_frame_evaluated(self):
+        # 43 per Newton step and one per fallback trial, which these restarts take.
+        search = self.stalled_search(*self.STALLS[0])
+        (frames, values), = _coarse_starts([search])
+        evaluated = []
+
+        def counting(m, f):
+            evaluated.append(int(np.prod(f.shape[:-2])))
+            return _BATCH_OBJECTIVES["biorthogonal"](m, f)
+
+        evaluations, converged = _polish(counting, np.stack([search.matrix] * len(values)),
+                                         np.ones(len(values)), frames, values,
+                                         np.full(len(values), 200))
+        assert evaluations.sum() == sum(evaluated)
+        assert np.any(evaluations % 43) and converged.all()
 
     def test_known_near_degenerate_miss_is_closed(self):
         # Trial 2 of this run has w2+ = 1.189 and w3+ = 1.220; a random-direction
@@ -324,6 +362,7 @@ class TestIsotropic:
 class TestBudgetAccounting:
     def test_samples_used_counts_all_evaluations(self):
         # 43 evaluations per Newton step: 42 stencil points and the trial frame.
+        # These restarts take no fallback step, which would add one per trial.
         op = random_bianchi(RngStream(57))
         capped, free = extremize_batch([
             Search(op.matrix, "sectional", "max",

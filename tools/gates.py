@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twelve fixed curv4 commands.
+"""Byte gates: the sha256 of the output of thirteen fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -44,9 +44,11 @@ GATES = {
     "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
     # Rows whose float sum overflows, written through json.
     "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
-    "verify --trials 500 --seed 7 --json": "d554b0b31893f234",
-    "verify --seed 1 --json": "86a9b031a7df9110",
+    "verify --trials 500 --seed 7 --json": "f582802ae5e38c92",
+    "verify --seed 1 --json": "e588b31e02de9136",
     "verify --seed 1 --text": "1954a4ff8f25a66b",
+    # verify at analyze's 20 000-sample budget.
+    "verify --seed 1 --samples 20000 --json": "86a9b031a7df9110",
     "analyze --model cp2 --run-oracle --json": "f2998bf5a3320c2e",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "17ae06dbe7acee34",
     "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
