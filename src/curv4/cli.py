@@ -53,7 +53,6 @@ def _add_oracle_flags(p: argparse.ArgumentParser, samples: int) -> None:
                    help=f"coarse oracle samples per search (default {samples})")
     p.add_argument("--refine", type=int, default=200, help="cap on Newton polish steps per restart")
     p.add_argument("--restarts", type=int, default=3, help="refinement restarts")
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="validation tolerance")
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -226,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="add brute-force sectional and isotropic extrema")
     p_an.add_argument("--project-bianchi", action="store_true",
                       help="project the Bianchi residual away instead of rejecting")
+    p_an.add_argument("--tol", type=_tolerance, default=1e-9,
+                      help="validation tolerance for the tensor")
     _add_common_flags(p_an)
     _add_oracle_flags(p_an, OracleConfig.samples)
     _add_format_flags(p_an)
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a --samples budget too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

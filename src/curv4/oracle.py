@@ -8,12 +8,20 @@ orthonormal 4-frames.
 Two phases: uniform sampling (Haar frames, chunked deterministic streams),
 then a Newton polish from a handful of mutually distant coarse candidates.
 The polish takes its gradient and Hessian in so(4) from the objective's
-values on a fixed 42-point finite-difference stencil of rotated frames, and
-steps each frame by -H^+ g over the Hessian's positive directions.  Where
-that step does not improve the value at a frame that is not stationary, the
-frame tries -|H|^+ g, which also descends along negative directions, halved
-until it improves; a frame stops at a stationary point, when no trial
-improves, or at its step cap.  The polish draws no random numbers.
+values on a fixed 42-point finite-difference stencil of rotations, and steps
+each frame by -H^+ g over the Hessian's positive directions.  Where that
+step does not improve the value at a frame that is not stationary, the frame
+tries -|H|^+ g, which also descends along negative directions, halved until
+it improves; a frame stops at a stationary point, when no trial improves, or
+at its step cap.  The polish draws no random numbers.
+
+The stencil values come from the operator side: a rotation Q acts on
+2-forms through L = Lambda^2 Q, so the objective of M at the rotated frame
+F Q^T is the objective of L^T M L at F.  Each search's operator is
+conjugated by the 42 stencil rotations once per polish block, and a step
+reads a frame's 42 values off one contraction with the frame's form P(F).
+Trial frames are still evaluated directly, so every reported value is
+attained by its witness.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, and the polish
@@ -44,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CurvatureOperator, Plane, wedge
+from .core import PAIRS, CurvatureOperator, Plane, wedge
 from .errors import ValidationError
 from .numerics import RngStream, random_frames, rotation_from_generator, stream_generators
 
@@ -64,7 +72,8 @@ _DIVERSITY_MIN_DIST = 0.5
 # to _FLAT_RTOL times the largest |eigenvalue| count as flat; _ROUNDING_BAND
 # times max|M| bounds the finite-difference rounding of the gradient and
 # Hessian at an extremum (Hessian eigenvalues on exactly flat directions reach
-# 5.4e-7 max|M|); the largest rotation angle of one step.
+# 6.9e-7 max|M| at 1 200 polished frames per objective); the largest rotation
+# angle of one step.
 _FD_STEP = 1e-4
 _FLAT_RTOL = 1e-8
 _ROUNDING_BAND = 1e-5
@@ -74,6 +83,11 @@ _POLISH_BLOCK = 48
 _FALLBACK_HALVINGS = 8
 
 MODES = ("min", "max")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# A coarse pass holds 16 float64 per frame in one buffer, whose size in bytes
+# numpy must be able to address.
+_MAX_SAMPLES = int(np.iinfo(np.intp).max) // (16 * 8)
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,12 @@ class OracleConfig:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.refine_iters < 0 or self.restarts < 0:
             raise ValidationError("refine_iters and restarts must be nonnegative")
+        if max(self.samples, self.refine_iters, self.restarts) > _INT64_MAX:
+            raise ValidationError(f"samples, refine_iters and restarts must be at most "
+                                  f"{_INT64_MAX}")
+        if self.samples > _MAX_SAMPLES:
+            raise ValidationError(f"samples must be at most {_MAX_SAMPLES}, the most frames "
+                                  f"a coarse pass can address, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +192,41 @@ _BATCH_OBJECTIVES = {
     "sectional": _sectional_batch,
     "biorthogonal": _biortho_batch,
     "isotropic": _iso_batch,
+}
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
+def _sectional_form(frames: np.ndarray) -> np.ndarray:
+    w01 = wedge(frames[..., 0, :], frames[..., 1, :])
+    return _outer(w01, w01)
+
+
+def _biortho_form(frames: np.ndarray) -> np.ndarray:
+    w01 = wedge(frames[..., 0, :], frames[..., 1, :])
+    w23 = wedge(frames[..., 2, :], frames[..., 3, :])
+    return (_outer(w01, w01) + _outer(w23, w23)) / 2.0
+
+
+def _iso_form(frames: np.ndarray) -> np.ndarray:
+    f = [frames[..., i, :] for i in range(4)]
+    total = np.zeros(frames.shape[:-2] + (6, 6))
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        w = wedge(f[i], f[j])
+        total += _outer(w, w)
+    coupling = _outer(wedge(f[0], f[1]), wedge(f[2], f[3]))
+    return total - (coupling + np.swapaxes(coupling, -1, -2))
+
+
+#: The frame form P(F) of each objective: the symmetric (..., 6, 6) matrix
+#: with <P(F), M> equal to the objective of M at the frame F, since
+#: <M a, b> = <a (x) b, M>.
+_FRAME_FORMS = {
+    "sectional": _sectional_form,
+    "biorthogonal": _biortho_form,
+    "isotropic": _iso_form,
 }
 
 
@@ -370,11 +425,31 @@ _DIRECTIONS = np.concatenate([np.eye(6), np.eye(6)[_PAIR_I] + np.eye(6)[_PAIR_J]
 _STENCIL = rotation_from_generator(_FD_STEP * np.concatenate([_DIRECTIONS, -_DIRECTIONS]))
 # Objective evaluations per Newton step: the stencil plus the trial frame.
 _STEP_EVALUATIONS = len(_STENCIL) + 1
+# The action L = Lambda^2 Q of each stencil rotation on 2-forms, (42, 6, 6):
+# row (a, b) is Q[a] ^ Q[b], so that (Q u) ^ (Q v) = L (u ^ v).  An objective
+# of M at the rotated frame F Q^T is therefore the objective of L^T M L at F.
+_STENCIL_LAMBDA = wedge(_STENCIL[:, [a for a, _ in PAIRS]], _STENCIL[:, [b for _, b in PAIRS]])
 
 
 def _rotated(frames: np.ndarray, rots: np.ndarray) -> np.ndarray:
     """Rows of each frame rotated by Q, F' = F Q^T, broadcast over leading axes."""
     return np.einsum("...mj,...ij->...mi", frames, rots)
+
+
+def _conjugated(matrices: np.ndarray) -> np.ndarray:
+    """L_k^T M L_k for each operator (S, 6, 6) and stencil rotation k: (S, 42, 6, 6).
+
+    Contracted with einsum, not matmul, whose rounding can depend on the BLAS
+    build.
+    """
+    half = np.einsum("sij,kjb->skib", matrices, _STENCIL_LAMBDA)
+    return np.einsum("kia,skib->skab", _STENCIL_LAMBDA, half)
+
+
+def _stencil_values(objective: str, conjugated: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """The objective at the 42 stencil rotations of each frame (F, 4, 4), from
+    each frame's conjugated operators (F, 42, 6, 6): <P(F), L_k^T M L_k>."""
+    return np.einsum("fab,fkab->fk", _FRAME_FORMS[objective](frames), conjugated)
 
 
 def _derivatives(stencil: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,9 +475,15 @@ def _step(vec: np.ndarray, inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
                                                _TRUST_RADIUS))
 
 
-def _polish(evaluate, matrices, signs, frames, values, caps):
-    """Newton steps minimizing ``signs * evaluate`` from each frame, until a
+def _polish(objective, matrices, owner, signs, frames, values, caps):
+    """Newton steps minimizing ``signs * objective`` from each frame, until a
     step fails to improve or the frame's step cap is reached.
+
+    ``matrices`` holds the distinct operators (S, 6, 6) and ``owner`` the
+    index of each frame's operator.  Each operator is conjugated by the
+    stencil rotations once, up front, so a step gets the frame's 42 stencil
+    values from its frame form alone (:func:`_stencil_values`); trial frames
+    are evaluated directly, so every value kept is attained by its frame.
 
     Each step rotates the frame by -H^+ g over the Hessian's curved
     directions, skipping flat and negative ones.  Where that step does not
@@ -417,14 +498,17 @@ def _polish(evaluate, matrices, signs, frames, values, caps):
     one per fallback trial), and whether the frame stopped before its cap at
     a stationary point.
     """
+    evaluate = _BATCH_OBJECTIVES[objective]
+    conjugated = _conjugated(matrices)
     evaluations = np.zeros(len(values), dtype=int)
     taken = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
-    band = _ROUNDING_BAND * np.max(np.abs(matrices), axis=(1, 2))
+    band = (_ROUNDING_BAND * np.max(np.abs(matrices), axis=(1, 2)))[owner]
     live = np.flatnonzero(caps > 0)
     while live.size:
-        f, m, sign = frames[live], matrices[live], signs[live]
-        stencil = sign[:, None] * evaluate(m, _rotated(f[:, None], _STENCIL))
+        f, sign, own = frames[live], signs[live], owner[live]
+        m = matrices[own]
+        stencil = sign[:, None] * _stencil_values(objective, conjugated[own], f)
         grad, hess = _derivatives(stencil, values[live])
         lam, vec = np.linalg.eigh(hess)
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
@@ -465,7 +549,8 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
     signed value.  Returns (value, frame, evaluations, converged).
 
     The frames of one objective are polished :data:`_POLISH_BLOCK` at a time,
-    which keeps the stencil arrays small; each frame's steps depend on that
+    which keeps the stencil arrays small: only the operators of the searches
+    in a block are conjugated with it.  Each frame's steps depend on that
     frame alone.  A search is converged when its winning frame is.
     """
     counts = [len(values) for _, values in starts]
@@ -473,7 +558,7 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
     owner = np.repeat(np.arange(len(searches)), counts)
     frames = np.concatenate([f for f, _ in starts])
     values = np.concatenate([v for _, v in starts])
-    matrices = np.stack([s.matrix for s in searches])[owner]
+    matrices = np.stack([s.matrix for s in searches])
     signs = np.array([s.sign for s in searches])[owner]
     caps = np.array([s.cfg.refine_iters for s in searches])[owner]
     evaluations = np.zeros(len(values), dtype=int)
@@ -482,8 +567,9 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
         rows = np.flatnonzero([searches[o].objective == objective for o in owner])
         for block in np.split(rows, range(_POLISH_BLOCK, len(rows), _POLISH_BLOCK)):
             f, v = frames[block], values[block]
+            ids, local = np.unique(owner[block], return_inverse=True)
             evaluations[block], converged[block] = _polish(
-                _BATCH_OBJECTIVES[objective], matrices[block], signs[block], f, v, caps[block])
+                objective, matrices[ids], local, signs[block], f, v, caps[block])
             frames[block], values[block] = f, v
 
     out = []

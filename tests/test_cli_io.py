@@ -213,6 +213,7 @@ class TestCliMalformedTensorFiles:
 
     # A NaN bound would pass this matrix, whose (0,1) and (1,0) entries are 5
     # and 0, and print "tolerance": NaN; a negative one would fail every file.
+    # verify loads no tensor, so it has no --tol at all.
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-9x"])
     def test_bad_tolerance_takes_the_error_path(self, tmp_path, capsys, command, tol):
@@ -223,13 +224,19 @@ class TestCliMalformedTensorFiles:
         argv = [command, f"--tol={tol}", "--json"] + ([str(path)] if command == "analyze" else [])
         assert main(argv) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: argument --tol: ")
+        expected = ("error: argument --tol: " if command == "analyze"
+                    else f"error: unrecognized arguments: --tol={tol}")
+        assert out == "" and err.startswith(expected)
 
     def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"format": "curv4-v1", "matrix": SPHERE_ROWS}))
         assert main(["analyze", str(path), "--tol", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["tolerance"] == 0.0
+        for tol in ("0", "5"):
+            assert main(["verify", "--trials", "1", "--tol", tol, "--json"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: unrecognized arguments: --tol")
 
     def test_asymmetry_message_has_plain_floats(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -262,6 +269,19 @@ class TestCliVerify:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "4 trials" in out and "result: PASS" in out
+
+    # Budgets numpy refuses at once: beyond int64, beyond what one coarse pass
+    # buffer can address, and a buffer of 2 EiB, larger than any address space.
+    @pytest.mark.parametrize("command", [["verify", "--trials", "1"],
+                                         ["analyze", "--model", "cp2", "--run-oracle"]])
+    @pytest.mark.parametrize("samples, message", [
+        ("99999999999999999999", "error: samples, refine_iters and restarts must be at most"),
+        (str(2**56), "error: samples must be at most"),
+        (str(2**54), "error: out of memory: ")])
+    def test_oversized_samples_take_the_error_path(self, capsys, command, samples, message):
+        assert main(command + ["--samples", samples, "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and "Traceback" not in err
 
     def test_starved_oracle_fails_with_exit_2(self, capsys):
         code = main(["verify", "--trials", "2", "--seed", "11",

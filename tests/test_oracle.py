@@ -7,13 +7,15 @@ import pytest
 
 from curv4 import oracle
 from curv4.core import (CurvatureOperator, Plane, biortho_spectrum, biorthogonal, decompose,
-                        sectional)
+                        sectional, wedge)
 from curv4.errors import ValidationError
-from curv4.models import cp2, product_surfaces, random_bianchi, sphere
+from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
-from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST, _STENCIL,
-                          MODES, ExtremumResult, OracleConfig, Search, _coarse_starts, _polish,
-                          _rotated, _select_candidates, extremize_batch, isotropic_curvature)
+from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST,
+                          _FRAME_FORMS, _ROUNDING_BAND, _STENCIL, MODES, ExtremumResult,
+                          OracleConfig, Search, _coarse_starts, _conjugated, _derivatives,
+                          _polish, _refine, _rotated, _select_candidates, _stencil_values,
+                          extremize_batch, isotropic_curvature)
 from curv4.verify import run_verification, trial_matrices, trial_operators
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
@@ -42,6 +44,16 @@ class TestConfig:
     def test_budgets_must_be_integers(self, field, value):
         with pytest.raises(ValidationError, match=field):
             OracleConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["samples", "refine_iters", "restarts"])
+    def test_budgets_must_fit_in_int64(self, field):
+        OracleConfig(**{field: 2**55})
+        with pytest.raises(ValidationError, match="at most"):
+            OracleConfig(**{field: 2**63})
+
+    def test_samples_must_fit_in_one_addressable_pass(self):
+        with pytest.raises(ValidationError, match="address"):
+            OracleConfig(samples=2**56)
 
     def test_integer_budgets_are_plain_ints(self):
         cfg = OracleConfig(samples=np.int64(2500), refine_iters=np.int32(3), restarts=np.uint8(2))
@@ -230,6 +242,40 @@ class TestPerturbations:
         assert np.max(np.abs(moved - self.FRAMES)) <= 1e-7
 
 
+class TestFrameForms:
+    """The polish's operator side: the frame form P(F) with <P(F), M> the
+    objective of M at F, and the operators conjugated by the stencil."""
+
+    # Random tensors, then the sphere, cp2 and the flat tensor.
+    MATRICES = np.concatenate([trial_matrices(4, range(6)),
+                               np.stack([sphere(1.0).matrix, cp2(1.0).matrix, flat().matrix])])
+    SCALE = np.max(np.abs(MATRICES), axis=(1, 2))
+    FRAMES = random_frames(RngStream(9), 45)
+    OWNER = np.arange(45) % len(MATRICES)
+
+    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    def test_form_pairs_to_the_objective(self, objective):
+        m = self.MATRICES[self.OWNER]
+        got = np.einsum("fab,fab->f", _FRAME_FORMS[objective](self.FRAMES), m)
+        want = _BATCH_OBJECTIVES[objective](m, self.FRAMES[:, None])[:, 0]
+        assert np.all(np.abs(got - want) <= 1e-14 * self.SCALE[self.OWNER])
+        assert not got[self.OWNER == len(self.MATRICES) - 1].any()   # flat: exactly 0
+
+    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    def test_form_is_symmetric(self, objective):
+        form = _FRAME_FORMS[objective](self.FRAMES)
+        assert np.array_equal(form, np.swapaxes(form, -1, -2))
+
+    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    def test_stencil_values_match_rotated_frames(self, objective):
+        got = _stencil_values(objective, _conjugated(self.MATRICES)[self.OWNER], self.FRAMES)
+        want = _BATCH_OBJECTIVES[objective](self.MATRICES[self.OWNER],
+                                            _rotated(self.FRAMES[:, None], _STENCIL))
+        assert got.shape == (45, 42)
+        assert np.all(np.abs(got - want) <= 1e-14 * self.SCALE[self.OWNER, None])
+        assert not got[self.OWNER == len(self.MATRICES) - 1].any()
+
+
 class TestNewtonPolish:
     def test_stencil_rotations_are_orthonormal(self):
         assert _STENCIL.shape == (42, 4, 4)
@@ -250,8 +296,8 @@ class TestNewtonPolish:
         m = cp2(1.0).matrix[None]
         values = evaluate(m, frames[:, None])[:, 0]
         assert values[0] - 1.0 > 1e-8
-        evaluations, converged = _polish(evaluate, m, np.ones(1), frames, values,
-                                         np.array([200]))
+        evaluations, converged = _polish(objective, m, np.zeros(1, dtype=int), np.ones(1),
+                                         frames, values, np.array([200]))
         assert abs(values[0] - 1.0) <= 1e-14
         assert 43 <= evaluations[0] < 43 * 200 and converged[0]
         assert evaluate(m, frames[:, None])[0, 0] == values[0]
@@ -266,9 +312,31 @@ class TestNewtonPolish:
         values = np.concatenate([v for _, v in starts])
         owner = np.repeat(np.arange(len(searches)), [len(v) for _, v in starts])
         _, converged = _polish(
-            _BATCH_OBJECTIVES["sectional"], np.stack([s.matrix for s in searches])[owner],
+            "sectional", np.stack([s.matrix for s in searches]), owner,
             np.array([s.sign for s in searches])[owner], frames, values, np.full(len(values), 200))
         assert len(values) == 300 and converged.all()
+
+    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    def test_flat_directions_stay_inside_the_rounding_band(self, objective):
+        # Rotating within span(f0, f1) or span(f2, f3) leaves every objective
+        # unchanged, so the Hessian vanishes on span{f0^f1, f2^f3}; at
+        # polished frames its finite-difference rounding there stays far
+        # inside the band that the stationarity test allows.
+        matrices = trial_matrices(5, range(40))
+        searches = [Search(m, objective, mode, OracleConfig(samples=2048, seed=i))
+                    for i, m in enumerate(matrices) for mode in MODES]
+        out = _refine(searches, [_coarse_starts([s])[0] for s in searches])
+        frames = np.stack([frame for _, frame, _, _ in out])
+        values = np.array([value for value, _, _, _ in out])
+        m = np.stack([s.matrix for s in searches])
+        sign = np.array([s.sign for s in searches])
+        stencil = sign[:, None] * _stencil_values(objective, _conjugated(m), frames)
+        _, hess = _derivatives(stencil, values)
+        flat_dirs = np.stack([wedge(frames[:, 0], frames[:, 1]),
+                              wedge(frames[:, 2], frames[:, 3])], axis=-1)
+        reduced = np.einsum("fia,fij,fjb->fab", flat_dirs, hess, flat_dirs)
+        worst = np.max(np.abs(np.linalg.eigvalsh(reduced)), axis=1)
+        assert np.all(worst <= 0.1 * _ROUNDING_BAND * np.max(np.abs(m), axis=(1, 2)))
 
     def test_step_cap_leaves_search_unconverged(self):
         op = random_bianchi(RngStream(61))
@@ -301,19 +369,27 @@ class TestNewtonPolish:
         assert abs(res.value - k1) <= 1e-12 * np.max(np.abs(search.matrix))
         assert res.converged
 
-    def test_evaluations_count_every_frame_evaluated(self):
-        # 43 per Newton step and one per fallback trial, which these restarts take.
+    def test_evaluations_count_every_frame_evaluated(self, monkeypatch):
+        # 43 per Newton step and one per fallback trial, which these restarts
+        # take.  The 42 stencil values of a frame come from its frame form.
         search = self.stalled_search(*self.STALLS[0])
         (frames, values), = _coarse_starts([search])
         evaluated = []
+        evaluate, form = _BATCH_OBJECTIVES["biorthogonal"], _FRAME_FORMS["biorthogonal"]
 
         def counting(m, f):
             evaluated.append(int(np.prod(f.shape[:-2])))
-            return _BATCH_OBJECTIVES["biorthogonal"](m, f)
+            return evaluate(m, f)
 
-        evaluations, converged = _polish(counting, np.stack([search.matrix] * len(values)),
-                                         np.ones(len(values)), frames, values,
-                                         np.full(len(values), 200))
+        def counting_form(f):
+            evaluated.append(len(_STENCIL) * int(np.prod(f.shape[:-2])))
+            return form(f)
+
+        monkeypatch.setitem(_BATCH_OBJECTIVES, "biorthogonal", counting)
+        monkeypatch.setitem(_FRAME_FORMS, "biorthogonal", counting_form)
+        evaluations, converged = _polish("biorthogonal", search.matrix[None],
+                                         np.zeros(len(values), dtype=int), np.ones(len(values)),
+                                         frames, values, np.full(len(values), 200))
         assert evaluations.sum() == sum(evaluated)
         assert np.any(evaluations % 43) and converged.all()
 

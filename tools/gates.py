@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of thirteen fixed curv4 commands.
+"""Byte gates: the sha256 of the output of fifteen fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -44,18 +44,22 @@ GATES = {
     "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
     # Rows whose float sum overflows, written through json.
     "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
-    "verify --trials 500 --seed 7 --json": "f582802ae5e38c92",
-    "verify --seed 1 --json": "e588b31e02de9136",
+    "verify --trials 500 --seed 7 --json": "4bf3b37a016b64bd",
+    "verify --seed 1 --json": "a267244416622aff",
     "verify --seed 1 --text": "1954a4ff8f25a66b",
     # verify at analyze's 20 000-sample budget.
-    "verify --seed 1 --samples 20000 --json": "86a9b031a7df9110",
-    "analyze --model cp2 --run-oracle --json": "f2998bf5a3320c2e",
-    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "17ae06dbe7acee34",
+    "verify --seed 1 --samples 20000 --json": "eb1635d5282775a0",
+    "analyze --model cp2 --run-oracle --json": "89e4c2110157e0b8",
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "2761cfc5dd656455",
     "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
     # Budgets that end a coarse pass on a partial chunk.
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json":
-        "3fac7ab24827b074",
-    "verify --trials 3 --seed 2 --samples 4097 --json": "ed1403e9a4a622e8",
+        "b7932bd81ad04b79",
+    "verify --trials 3 --seed 2 --samples 4097 --json": "e89879a109820582",
+    # The coarse phase alone: each search reports its best sample.
+    "verify --seed 1 --refine 0 --json": "52cb37d1e37e0f0b",
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --refine 0 --json":
+        "c49b060438d558bc",
 }
 
 
