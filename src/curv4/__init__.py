@@ -8,8 +8,8 @@ search over 2-planes, and diagnose curvature-pinching hypotheses.
 
 __version__ = "0.1.0"
 
-from .analyzer import (AnalyzeConfig, PinchingReport, analyze, check_nnic,
-                       check_pinching, classification_hints, implication_audit)
+from .analyzer import (AnalyzeConfig, PinchingReport, analyze, classification_hints,
+                       implication_audit)
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
                    Invariants, Plane, bianchi_residual, biortho_spectrum,
                    biorthogonal, complement, decompose, from_components, from_matrix,
@@ -27,10 +27,10 @@ __all__ = [
     "CurvatureDecomposition", "CurvatureOperator", "DegenerateInputError",
     "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig", "PinchingReport",
     "Plane", "RngStream", "Search", "ValidationError", "__version__", "analyze",
-    "bianchi_residual", "biortho_spectrum", "biorthogonal", "check_nnic",
-    "check_pinching", "classification_hints", "complement", "cp2", "decompose",
-    "derive_seed", "derive_seeds", "eig_sym", "extremize_batch", "flat",
-    "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
+    "bianchi_residual", "biortho_spectrum", "biorthogonal", "classification_hints",
+    "complement", "cp2", "decompose", "derive_seed", "derive_seeds", "eig_sym",
+    "extremize_batch", "flat", "from_components", "from_matrix", "gram_schmidt",
+    "implication_audit", "invariants",
     "isotropic_curvature", "make_operator", "parse_model_spec",
     "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
     "ricci", "rotate_operator", "run_scan", "run_verification",

@@ -10,9 +10,12 @@ eigenvalues):
 
 Whenever s > 0 and either hypothesis holds, both Weyl halves must satisfy
 w3 <= s/6, which is the eigenvalue criterion for nonnegative isotropic
-curvature (NNIC).  ``implication_audit`` walks that derivation inequality by
-inequality; a violation means the arithmetic of the decomposition is broken,
-never that the input was merely unusual.
+curvature (NNIC).  Both hypotheses and NNIC, with their margins, are columns
+of the operator's invariants pass (:func:`curv4.core.invariants`), and the
+report of :func:`analyze` carries that one row as it is.
+``implication_audit`` walks the derivation inequality by inequality; a
+violation means the arithmetic of the decomposition is broken, never that
+the input was merely unusual.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   biortho_spectrum, decompose, norm_max)
+                   Invariants, biortho_spectrum, decompose, norm_max)
 from .numerics import eig_sym
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
@@ -38,26 +41,6 @@ HINT_CP2 = ("CP2-like borderline: Einstein, one Weyl half vanishes, "
             "lowest biorthogonal curvature sits exactly at s/24")
 HINT_LINE_SPHERE = "line-times-3-sphere pattern: Weyl vanishes, Ricci has rank 3"
 HINT_FLAT = "flat: all curvature quantities vanish"
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    holds: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class PinchingChecks:
-    hypothesis_a: HypothesisCheck
-    hypothesis_b: HypothesisCheck
-    scalar_positive: bool
-
-
-@dataclass(frozen=True)
-class NnicCheck:
-    holds: bool
-    margin_plus: float
-    margin_minus: float
 
 
 @dataclass(frozen=True)
@@ -101,15 +84,12 @@ class AnalyzeConfig:
 
 @dataclass(frozen=True)
 class PinchingReport:
-    s: float
+    """A full report.  ``invariants`` is the operator's one-row invariants
+    pass: s, the Weyl spectra, the biorthogonal spectrum, and the pinching
+    and NNIC margins and verdicts are read from row 0."""
+
+    invariants: Invariants = field(repr=False)
     bianchi_residual: float
-    weyl_plus: tuple[float, float, float]
-    weyl_minus: tuple[float, float, float]
-    spectrum: BiorthoSpectrum
-    hypothesis_a: HypothesisCheck
-    hypothesis_b: HypothesisCheck
-    nnic: NnicCheck
-    scalar_positive: bool
     chain: ChainRecord
     hints: tuple[str, ...]
     config: AnalyzeConfig
@@ -120,26 +100,7 @@ class PinchingReport:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
-
-
-def check_pinching(r: CurvatureOperator) -> PinchingChecks:
-    """Evaluate both pinching hypotheses and the scalar-positivity gate."""
-    inv = r.invariants
-    return PinchingChecks(
-        hypothesis_a=HypothesisCheck(holds=bool(inv.hypothesis_a[0]),
-                                     margin=float(inv.margin_a[0])),
-        hypothesis_b=HypothesisCheck(holds=bool(inv.hypothesis_b[0]),
-                                     margin=float(inv.margin_b[0])),
-        scalar_positive=bool(inv.scalar_positive[0]),
-    )
-
-
-def check_nnic(r: CurvatureOperator) -> NnicCheck:
-    """Eigenvalue criterion for nonnegative isotropic curvature: w3+/- <= s/6."""
-    inv = r.invariants
-    return NnicCheck(holds=bool(inv.nnic[0]), margin_plus=float(inv.margin_plus[0]),
-                     margin_minus=float(inv.margin_minus[0]))
+# the implication chain
 
 
 def _step(label: str, lhs: float, relation: str, rhs: float, band: float) -> ChainStep:
@@ -228,12 +189,8 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     if cfg is None:
         cfg = AnalyzeConfig()
     dec = decompose(r)
-    spectrum = biortho_spectrum(r)
-    wp, wm = dec.weyl_spectra()
-    checks = check_pinching(r)
-    nnic = check_nnic(r)
     chain = implication_audit(r)
-    hints = classification_hints(dec, spectrum, scale=norm_max(r))
+    hints = classification_hints(dec, biortho_spectrum(r), scale=norm_max(r))
 
     sectional_extrema = None
     conjecture = None
@@ -253,15 +210,8 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
                                      boundary=bool(abs(margin) <= band))
 
     return PinchingReport(
-        s=dec.s,
+        invariants=r.invariants,
         bianchi_residual=r.bianchi,
-        weyl_plus=tuple(float(x) for x in wp),
-        weyl_minus=tuple(float(x) for x in wm),
-        spectrum=spectrum,
-        hypothesis_a=checks.hypothesis_a,
-        hypothesis_b=checks.hypothesis_b,
-        nnic=nnic,
-        scalar_positive=checks.scalar_positive,
         chain=chain,
         hints=hints,
         config=cfg,

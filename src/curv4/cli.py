@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="randomized closed-form vs oracle verification")
     p_ver.add_argument("--trials", type=int, default=100, help="number of random tensors")
-    p_ver.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
     _add_common_flags(p_ver)
     _add_oracle_flags(p_ver, DEFAULT_SAMPLES)
     _add_format_flags(p_ver)
@@ -244,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="per-tensor invariants over an ensemble")
     p_scan.add_argument("--model", default="random_bianchi:1", help="ensemble spec")
     p_scan.add_argument("--trials", type=int, default=100)
-    p_scan.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     _add_common_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

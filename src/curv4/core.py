@@ -197,7 +197,11 @@ def from_matrix(m, project_bianchi: bool = False,
     if mat.shape != (6, 6):
         raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
     if project_bianchi:
-        mat = project_to_bianchi(mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = project_to_bianchi(mat)
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("matrix entries are too large: projecting the Bianchi "
+                                  "residual away overflows float64")
     b = float(_raw_bianchi(mat))
     scale = float(np.max(np.abs(mat)))
     if abs(b) > tolerance * scale:
@@ -223,12 +227,13 @@ def projected_stack(stack) -> np.ndarray:
     # check_symmetric's tests, then the residual's.  Non-finite rows are
     # flagged first; the NaNs they spread into the other tests are ignored.
     bad = ~np.all(np.isfinite(a), axis=(-2, -1))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         bad |= (np.max(np.abs(a - swap), axis=(-2, -1))
                 > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(a), axis=(-2, -1))))
         mats = project_to_bianchi((a + swap) / 2.0)
-        bad |= (np.abs(_raw_bianchi(mats))
-                > DEFAULT_TOLERANCE * np.max(np.abs(mats), axis=(-2, -1)))
+        scale = np.max(np.abs(mats), axis=(-2, -1))   # not finite iff the row is not
+        bad |= ~np.isfinite(scale)
+        bad |= np.abs(_raw_bianchi(mats)) > DEFAULT_TOLERANCE * scale
     if np.any(bad):
         row = int(np.argmax(bad))
         from_matrix(a[row], project_bianchi=True)
@@ -344,6 +349,19 @@ class Invariants:
     scalar_positive: np.ndarray
 
 
+def _require_finite(*columns: np.ndarray) -> None:
+    """Reject a stack whose invariants overflow float64: name the first
+    matrix whose row of any of ``columns`` (matrix axis first) is not finite."""
+    if all(np.isfinite(col).all() for col in columns):
+        return
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for col in columns:
+        bad |= ~np.all(np.isfinite(col.reshape(len(col), -1)), axis=1)
+    raise ValidationError(f"matrix {int(np.argmax(bad))} is too large: "
+                          "its invariants overflow float64")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def invariants(matrices) -> Invariants:
     """One pass over a stack (N, 6, 6) of validated operator matrices.
 
@@ -352,7 +370,8 @@ def invariants(matrices) -> Invariants:
     matching Weyl eigenvalues; the middle value is cross-checked against the
     trace identity k1 + k2 + k3 = s/4, and a discrepancy beyond rounding
     means the decomposition itself is broken and raises
-    :class:`ConsistencyError`.
+    :class:`ConsistencyError`.  A stack whose invariants overflow float64
+    raises :class:`ValidationError`.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (6, 6):
@@ -362,9 +381,18 @@ def invariants(matrices) -> Invariants:
     shift = (s / 12.0)[:, None, None] * np.eye(3)
     wplus = aplus - shift
     wminus = aminus - shift
-    wp = np.linalg.eigvalsh(wplus)
-    wm = np.linalg.eigvalsh(wminus)
+    try:
+        wp = np.linalg.eigvalsh(wplus)
+        wm = np.linalg.eigvalsh(wminus)
+    except np.linalg.LinAlgError:   # the eigensolve fails on non-finite blocks
+        _require_finite(wplus, wminus)
+        raise
     k = (s / 12.0)[:, None] + (wp + wm) / 2.0
+    margin_a = k[:, 0] - s / 24.0
+    margin_b = s / 6.0 - k[:, 2]
+    margin_plus = s / 6.0 - wp[:, 2]
+    margin_minus = s / 6.0 - wm[:, 2]
+    _require_finite(k, margin_a, margin_b, margin_plus, margin_minus)
     residual = np.abs(k[:, 1] - (s / 4.0 - k[:, 0] - k[:, 2]))
     band = tolerance_band(s, np.max(np.abs(m), axis=(-2, -1)))
     broken = np.flatnonzero(residual > band)
@@ -373,10 +401,6 @@ def invariants(matrices) -> Invariants:
         raise ConsistencyError(
             f"middle biorthogonal value violates the trace identity by {residual[i]:.3e}"
         )
-    margin_a = k[:, 0] - s / 24.0
-    margin_b = s / 6.0 - k[:, 2]
-    margin_plus = s / 6.0 - wp[:, 2]
-    margin_minus = s / 6.0 - wm[:, 2]
     out = Invariants(
         s=s, wplus=wplus, wminus=wminus, weyl_plus=wp, weyl_minus=wm, k=k, band=band,
         margin_a=margin_a, margin_b=margin_b,

@@ -140,6 +140,7 @@ def _oracle_to_dict(cfg: OracleConfig, include_seed: bool = True) -> dict:
 
 
 def report_to_dict(report: PinchingReport) -> dict:
+    inv = report.invariants
     doc = {
         "format": REPORT_FORMAT,
         "tool_version": __version__,
@@ -150,20 +151,19 @@ def report_to_dict(report: PinchingReport) -> dict:
             "run_oracle": report.config.run_oracle,
             "oracle": _oracle_to_dict(report.config.oracle),
         },
-        "s": report.s,
+        "s": float(inv.s[0]),
         "bianchi_residual": report.bianchi_residual,
-        "weyl_plus": list(report.weyl_plus),
-        "weyl_minus": list(report.weyl_minus),
-        "biortho_spectrum": {"k1": report.spectrum.k1, "k2": report.spectrum.k2,
-                             "k3": report.spectrum.k3},
-        "hypothesis_A": {"holds": report.hypothesis_a.holds,
-                         "margin": report.hypothesis_a.margin},
-        "hypothesis_B": {"holds": report.hypothesis_b.holds,
-                         "margin": report.hypothesis_b.margin},
-        "nnic": {"holds": report.nnic.holds,
-                 "margin_plus": report.nnic.margin_plus,
-                 "margin_minus": report.nnic.margin_minus},
-        "scalar_positive": report.scalar_positive,
+        "weyl_plus": inv.weyl_plus[0].tolist(),
+        "weyl_minus": inv.weyl_minus[0].tolist(),
+        "biortho_spectrum": dict(zip(("k1", "k2", "k3"), inv.k[0].tolist())),
+        "hypothesis_A": {"holds": bool(inv.hypothesis_a[0]),
+                         "margin": float(inv.margin_a[0])},
+        "hypothesis_B": {"holds": bool(inv.hypothesis_b[0]),
+                         "margin": float(inv.margin_b[0])},
+        "nnic": {"holds": bool(inv.nnic[0]),
+                 "margin_plus": float(inv.margin_plus[0]),
+                 "margin_minus": float(inv.margin_minus[0])},
+        "scalar_positive": bool(inv.scalar_positive[0]),
         "chain": {
             "applicable": report.chain.applicable,
             "reason": report.chain.reason,

@@ -146,7 +146,8 @@ def random_bianchi_matrices(streams: Sequence[RngStream], scale: float = 1.0) ->
     validated in one pass: row i of the read-only (N, 6, 6) stack is
     ``random_bianchi(streams[i], scale).matrix``."""
     _require_positive(scale, "scale")
-    g = standard_normal_rows(streams, (6, 6)) * scale
+    with np.errstate(over="ignore"):  # projected_stack rejects overflowed draws
+        g = standard_normal_rows(streams, (6, 6)) * scale
     sym = np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
     return projected_stack(sym)
 

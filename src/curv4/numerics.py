@@ -21,10 +21,12 @@ _PIVOT_TOL = 1e-10
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+@np.errstate(over="ignore")
 def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
     """Validate that ``m`` is square and symmetric within ``tol`` (relative).
 
-    Returns the exactly symmetrized matrix as float64.
+    Returns the exactly symmetrized matrix as float64; entries so large that
+    symmetrizing overflows are rejected.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -40,7 +42,10 @@ def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
             f"matrix is not symmetric: entries ({i},{j})={float(a[i, j])!r} and "
             f"({j},{i})={float(a[j, i])!r} differ by {abs(asym[worst]):.3e}"
         )
-    return (a + a.T) / 2.0
+    sym = (a + a.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise ValidationError("matrix entries are too large: symmetrizing overflows float64")
+    return sym
 
 
 def eig_sym(m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analyzer import check_nnic, implication_audit
+from .analyzer import implication_audit
 from .core import CurvatureOperator, Invariants, biortho_spectrum, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
@@ -111,7 +111,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     nnic_ok = True
     chain_ok = True
     if chain.applicable:
-        nnic_ok = check_nnic(op).holds
+        nnic_ok = bool(op.invariants.nnic[0])
         if not nnic_ok:
             failures.append("pinching hypothesis held but NNIC criterion failed")
         chain_ok = chain.all_satisfied

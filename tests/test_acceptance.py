@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from curv4 import io
-from curv4.analyzer import check_nnic, check_pinching, implication_audit
+from curv4.analyzer import implication_audit
 from curv4.core import (bianchi_residual, biortho_spectrum, decompose, from_matrix,
                         invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature,
                         tolerance_band)
@@ -123,8 +123,8 @@ def test_criterion_4_golden_table():
     op = product_surfaces(1.0, 1.0)
     assert scalar_curvature(op) == pytest.approx(4.0, abs=tol)
     assert biortho_spectrum(op).as_tuple() == pytest.approx((0.0, 0.0, 1.0), abs=tol)
-    pc = check_pinching(op)
-    assert not pc.hypothesis_a.holds and not pc.hypothesis_b.holds
+    inv = op.invariants
+    assert not inv.hypothesis_a[0] and not inv.hypothesis_b[0]
 
     op = cp2(1.0)
     dec = decompose(op)
@@ -133,10 +133,10 @@ def test_criterion_4_golden_table():
     assert tuple(wp) == pytest.approx((-2.0, -2.0, 4.0), abs=tol)
     assert np.max(np.abs(wm)) <= tol
     assert biortho_spectrum(op).as_tuple() == pytest.approx((1.0, 1.0, 4.0), abs=tol)
-    assert abs(check_pinching(op).hypothesis_a.margin) <= tol
-    nn = check_nnic(op)
-    assert nn.margin_plus == pytest.approx(0.0, abs=tol)
-    assert nn.margin_minus == pytest.approx(4.0, abs=tol)
+    inv = op.invariants
+    assert abs(inv.margin_a[0]) <= tol
+    assert inv.margin_plus[0] == pytest.approx(0.0, abs=tol)
+    assert inv.margin_minus[0] == pytest.approx(4.0, abs=tol)
 
     op = r_times_s3(1.0)
     dec = decompose(op)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from curv4.analyzer import (HINT_CONSTANT, HINT_CP2, HINT_FLAT, HINT_LINE_SPHERE,
-                            HINT_PRODUCT, AnalyzeConfig, analyze, check_nnic,
-                            check_pinching, classification_hints, implication_audit)
+                            HINT_PRODUCT, AnalyzeConfig, analyze, classification_hints,
+                            implication_audit)
 from curv4.core import (biortho_spectrum, decompose, from_matrix, norm_max,
                         operator_from_blocks, scalar_curvature)
 from curv4.io import load, report_to_dict
@@ -25,49 +25,52 @@ def shifted_random(seed, index, scale=1.0, shift_max=4.0):
 
 
 class TestCheckPinching:
+    """Both hypotheses' verdicts and margins in an operator's invariants row."""
+
     def test_unit_sphere(self):
-        pc = check_pinching(sphere(1.0))
-        assert pc.hypothesis_a.holds and pc.hypothesis_a.margin == pytest.approx(0.5, abs=1e-12)
-        assert pc.hypothesis_b.holds and pc.hypothesis_b.margin == pytest.approx(1.0, abs=1e-12)
-        assert pc.scalar_positive
+        inv = sphere(1.0).invariants
+        assert inv.hypothesis_a[0] and inv.margin_a[0] == pytest.approx(0.5, abs=1e-12)
+        assert inv.hypothesis_b[0] and inv.margin_b[0] == pytest.approx(1.0, abs=1e-12)
+        assert inv.scalar_positive[0]
 
     def test_product_surfaces_fails_both(self):
-        pc = check_pinching(product_surfaces(1.0, 1.0))
-        assert not pc.hypothesis_a.holds
-        assert pc.hypothesis_a.margin == pytest.approx(-1.0 / 6.0, abs=1e-12)
-        assert not pc.hypothesis_b.holds
-        assert pc.hypothesis_b.margin == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        inv = product_surfaces(1.0, 1.0).invariants
+        assert not inv.hypothesis_a[0]
+        assert inv.margin_a[0] == pytest.approx(-1.0 / 6.0, abs=1e-12)
+        assert not inv.hypothesis_b[0]
+        assert inv.margin_b[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_cp2_sits_exactly_on_both_boundaries(self):
-        pc = check_pinching(cp2(1.0))
-        assert pc.hypothesis_a.holds and pc.hypothesis_a.margin == 0.0
-        assert pc.hypothesis_b.holds and pc.hypothesis_b.margin == 0.0
+        inv = cp2(1.0).invariants
+        assert inv.hypothesis_a[0] and inv.margin_a[0] == 0.0
+        assert inv.hypothesis_b[0] and inv.margin_b[0] == 0.0
 
     def test_negative_scalar_is_reported_not_rejected(self):
-        pc = check_pinching(space_form(-1.0))
-        assert not pc.scalar_positive
+        assert not space_form(-1.0).invariants.scalar_positive[0]
 
 
 class TestCheckNnic:
+    """The NNIC verdict and margins in an operator's invariants row."""
+
     def test_unit_sphere_margins(self):
-        nn = check_nnic(sphere(1.0))
-        assert nn.holds
-        assert (nn.margin_plus, nn.margin_minus) == (2.0, 2.0)
+        inv = sphere(1.0).invariants
+        assert inv.nnic[0]
+        assert (inv.margin_plus[0], inv.margin_minus[0]) == (2.0, 2.0)
 
     def test_cp2_margins(self):
-        nn = check_nnic(cp2(1.0))
-        assert nn.holds
-        assert nn.margin_plus == pytest.approx(0.0, abs=1e-12)
-        assert nn.margin_minus == pytest.approx(4.0, abs=1e-12)
+        inv = cp2(1.0).invariants
+        assert inv.nnic[0]
+        assert inv.margin_plus[0] == pytest.approx(0.0, abs=1e-12)
+        assert inv.margin_minus[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_weyl_dominated_tensor_fails(self):
         # self-dual Weyl eigenvalues (-4, -4, 8) with s = 12: w3+ > s/6
         wplus = np.diag([-4.0, -4.0, 8.0])
         op = operator_from_blocks(wplus + np.eye(3), np.eye(3))
         assert scalar_curvature(op) == pytest.approx(12.0, abs=1e-12)
-        nn = check_nnic(op)
-        assert not nn.holds
-        assert nn.margin_plus == pytest.approx(-6.0, abs=1e-12)
+        inv = op.invariants
+        assert not inv.nnic[0]
+        assert inv.margin_plus[0] == pytest.approx(-6.0, abs=1e-12)
 
 
 class TestImplicationAudit:
@@ -144,22 +147,24 @@ class TestClassificationHints:
 class TestAnalyze:
     def test_report_fields_for_cp2(self):
         rep = analyze(cp2(1.0))
-        assert rep.s == 24.0
-        assert rep.weyl_plus == pytest.approx((-2.0, -2.0, 4.0), abs=1e-12)
-        assert rep.weyl_minus == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-        assert rep.spectrum.as_tuple() == pytest.approx((1.0, 1.0, 4.0), abs=1e-12)
-        assert rep.hypothesis_a.margin == 0.0
-        assert rep.nnic.margin_plus == pytest.approx(0.0, abs=1e-12)
-        assert rep.nnic.margin_minus == pytest.approx(4.0, abs=1e-12)
+        inv = rep.invariants
+        assert inv.s[0] == 24.0
+        assert inv.weyl_plus[0] == pytest.approx((-2.0, -2.0, 4.0), abs=1e-12)
+        assert inv.weyl_minus[0] == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+        assert inv.k[0] == pytest.approx((1.0, 1.0, 4.0), abs=1e-12)
+        assert inv.margin_a[0] == 0.0
+        assert inv.margin_plus[0] == pytest.approx(0.0, abs=1e-12)
+        assert inv.margin_minus[0] == pytest.approx(4.0, abs=1e-12)
         assert rep.sectional_extrema is None and rep.iso_min is None
 
     def test_margin_arithmetic_has_no_recomputation_drift(self):
         for seed in range(6):
-            rep = analyze(random_bianchi(RngStream(seed)))
-            assert rep.hypothesis_a.margin == rep.spectrum.k1 - rep.s / 24.0
-            assert rep.hypothesis_b.margin == rep.s / 6.0 - rep.spectrum.k3
-            assert rep.nnic.margin_plus == rep.s / 6.0 - rep.weyl_plus[2]
-            assert rep.nnic.margin_minus == rep.s / 6.0 - rep.weyl_minus[2]
+            doc = report_to_dict(analyze(random_bianchi(RngStream(seed))))
+            s, k, nnic = doc["s"], doc["biortho_spectrum"], doc["nnic"]
+            assert doc["hypothesis_A"]["margin"] == k["k1"] - s / 24.0
+            assert doc["hypothesis_B"]["margin"] == s / 6.0 - k["k3"]
+            assert nnic["margin_plus"] == s / 6.0 - doc["weyl_plus"][2]
+            assert nnic["margin_minus"] == s / 6.0 - doc["weyl_minus"][2]
 
     def test_report_is_deterministic(self):
         op = shifted_random(3, 0)
@@ -169,13 +174,13 @@ class TestAnalyze:
 
     def test_proof_chain_invariant_in_reports(self):
         for i in range(200):
-            rep = analyze(shifted_random(17, i))
-            if rep.scalar_positive and (rep.hypothesis_a.holds or rep.hypothesis_b.holds):
-                assert rep.nnic.holds
+            inv = analyze(shifted_random(17, i)).invariants
+            if inv.scalar_positive[0] and (inv.hypothesis_a[0] or inv.hypothesis_b[0]):
+                assert inv.nnic[0]
 
     def test_negative_scalar_report(self):
         rep = analyze(space_form(-1.0))
-        assert not rep.scalar_positive
+        assert not rep.invariants.scalar_positive[0]
         assert not rep.chain.applicable
 
     def test_oracle_fields_for_cp2(self):
@@ -200,22 +205,19 @@ class TestAnalyze:
 class TestConverseWitness:
     def test_fixture_has_nnic_without_pinching(self):
         # NNIC does not imply the pinching hypotheses: stored counterexample
-        op = load(DATA / "converse_witness.json")
-        pc = check_pinching(op)
-        nn = check_nnic(op)
-        assert pc.scalar_positive
-        assert nn.holds
-        assert not pc.hypothesis_a.holds
-        assert not pc.hypothesis_b.holds
+        inv = load(DATA / "converse_witness.json").invariants
+        assert inv.scalar_positive[0]
+        assert inv.nnic[0]
+        assert not inv.hypothesis_a[0]
+        assert not inv.hypothesis_b[0]
 
     def test_fresh_search_reproduces_such_a_tensor(self):
         found = False
         for i in range(300):
-            op = shifted_random(21, i)
-            pc = check_pinching(op)
-            if not pc.scalar_positive or pc.hypothesis_a.holds or pc.hypothesis_b.holds:
+            inv = shifted_random(21, i).invariants
+            if not inv.scalar_positive[0] or inv.hypothesis_a[0] or inv.hypothesis_b[0]:
                 continue
-            if check_nnic(op).holds:
+            if inv.nnic[0]:
                 found = True
                 break
         assert found

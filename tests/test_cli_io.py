@@ -158,7 +158,12 @@ class TestCliEmitAnalyze:
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
 
     def test_bad_flag_is_input_error(self, capsys):
-        assert main(["analyze", "--model", "sphere", "--definitely-not-a-flag"]) == 1
+        for argv in (["analyze", "--model", "sphere", "--definitely-not-a-flag"],
+                     ["verify", "--trials", "1", "--workers", "1"],
+                     ["scan", "--trials", "1", "--workers", "1"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: unrecognized arguments: ")
 
     def test_project_bianchi_flag(self, tmp_path):
         m = np.eye(6)
@@ -246,6 +251,21 @@ class TestCliMalformedTensorFiles:
                                            "(0,1)=2.0 and (1,0)=0.0 differ by 2.000e+00\n")
 
 
+class TestCliHugeTensors:
+    # Finite entries whose symmetrized matrix (the first, third, fourth and
+    # fifth) or whose invariants (the second) overflow float64.
+    @pytest.mark.parametrize("command", [
+        "emit --model product:1e308,1e308",
+        "analyze --model space_form:3e307",
+        "analyze --model sphere:1e-154",
+        "analyze --model space_form:-1e308 --run-oracle",
+        "scan --model product:1e308,1e308"])
+    def test_takes_the_error_path(self, capsys, command):
+        assert main(command.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCliVerify:
     ARGS = ["verify", "--trials", "4", "--seed", "11", "--samples", "3000",
             "--refine", "120", "--json"]
@@ -256,13 +276,6 @@ class TestCliVerify:
         assert doc["passed"] is True
         assert doc["summary"]["oracle_pass"] == 4
         assert len(doc["records"]) == 4
-
-    def test_byte_identical_across_runs_and_workers(self, capsys):
-        assert main(self.ARGS + ["--workers", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(self.ARGS + ["--workers", "3"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
 
     def test_text_mode_summarizes(self, capsys):
         args = [a for a in self.ARGS if a != "--json"]
@@ -313,12 +326,6 @@ class TestCliScan:
         for row in rows:
             sp = biortho_spectrum(trial_operators(9, [row["trial"]])[0])
             assert row["k1"] == sp.k1 and row["k3"] == sp.k3
-
-    def test_scan_deterministic_across_workers(self, tmp_path):
-        a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        main(["scan", "--trials", "16", "--seed", "2", "--workers", "1", "--out", str(a)])
-        main(["scan", "--trials", "16", "--seed", "2", "--workers", "4", "--out", str(b)])
-        assert a.read_text() == b.read_text()
 
     def test_scan_deterministic_model_repeats_rows(self, capsys):
         assert main(["scan", "--model", "cp2", "--trials", "3", "--seed", "1"]) == 0

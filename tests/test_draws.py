@@ -130,6 +130,17 @@ class TestProjectedStack:
         with pytest.raises(ValidationError, match=r"not symmetric: entries \(0,1\)"):
             projected_stack(stack[[0, 2, 1]])
 
+    def test_overflowing_rows_raise_their_errors(self):
+        # Row 1 overflows when symmetrized, row 2 when its residual is projected away.
+        stack = np.stack([np.eye(6)] * 3)
+        stack[1] = 1e308 * np.eye(6)
+        stack[2, 0, 5] = stack[2, 5, 0] = stack[2, 2, 3] = stack[2, 3, 2] = 8e307
+        stack[2, 1, 4] = stack[2, 4, 1] = -8e307
+        with pytest.raises(ValidationError, match="symmetrizing overflows"):
+            projected_stack(stack)
+        with pytest.raises(ValidationError, match="projecting the Bianchi residual away"):
+            projected_stack(stack[[0, 2]])
+
     def test_shape_is_checked(self):
         with pytest.raises(ValidationError, match="stack of 6x6"):
             projected_stack(np.eye(6))

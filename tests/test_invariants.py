@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from curv4.analyzer import AnalyzeConfig, analyze, check_nnic, check_pinching
+from curv4.analyzer import AnalyzeConfig, analyze
 from curv4.core import (Plane, biortho_spectrum, complement, decompose, from_matrix,
                         invariants, norm_max, operator_from_blocks)
 from curv4.errors import ValidationError
+from curv4.io import report_to_dict
 from curv4.models import ModelSpec, make_operator
 from curv4.numerics import RngStream, derive_seed, gram_schmidt
 from curv4.oracle import OracleConfig, Search, extremize_batch
@@ -31,11 +32,11 @@ def assert_row_matches_views(inv, i, op):
     ``op`` give."""
     dec = decompose(op)
     wp, wm = dec.weyl_spectra()
-    pc = check_pinching(op)
+    doc = report_to_dict(analyze(op))
     assert (inv.s[i], inv.weyl_plus[i, 2], inv.weyl_minus[i, 2]) == (dec.s, wp[2], wm[2])
     assert tuple(inv.k[i]) == biortho_spectrum(op).as_tuple()
     assert (inv.hypothesis_a[i], inv.hypothesis_b[i], inv.nnic[i]) == \
-        (pc.hypothesis_a.holds, pc.hypothesis_b.holds, check_nnic(op).holds)
+        (doc["hypothesis_A"]["holds"], doc["hypothesis_B"]["holds"], doc["nnic"]["holds"])
 
 
 def ensemble():
@@ -58,17 +59,16 @@ class TestBatchMatchesViews:
             assert np.array_equal(wm, inv.weyl_minus[i])
             assert np.array_equal(dec.wplus, inv.wplus[i])
             assert biortho_spectrum(op).as_tuple() == tuple(inv.k[i])
-            pc = check_pinching(op)
-            assert (pc.hypothesis_a.margin, pc.hypothesis_b.margin) == \
-                (inv.margin_a[i], inv.margin_b[i])
-            assert (pc.hypothesis_a.holds, pc.hypothesis_b.holds, pc.scalar_positive) == \
+            doc = report_to_dict(analyze(op))
+            hyp_a, hyp_b, nnic = doc["hypothesis_A"], doc["hypothesis_B"], doc["nnic"]
+            assert (hyp_a["margin"], hyp_b["margin"]) == (inv.margin_a[i], inv.margin_b[i])
+            assert (hyp_a["holds"], hyp_b["holds"], doc["scalar_positive"]) == \
                 (inv.hypothesis_a[i], inv.hypothesis_b[i], inv.scalar_positive[i])
-            nn = check_nnic(op)
-            assert (nn.holds, nn.margin_plus, nn.margin_minus) == \
+            assert (nnic["holds"], nnic["margin_plus"], nnic["margin_minus"]) == \
                 (inv.nnic[i], inv.margin_plus[i], inv.margin_minus[i])
-            rep = analyze(op)
-            assert rep.spectrum.as_tuple() == tuple(inv.k[i])
-            assert rep.weyl_plus == tuple(inv.weyl_plus[i])
+            assert tuple(doc["biortho_spectrum"][key] for key in ("k1", "k2", "k3")) == \
+                tuple(inv.k[i])
+            assert tuple(doc["weyl_plus"]) == tuple(inv.weyl_plus[i])
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_table_through_batch_and_views(self, name):
@@ -107,6 +107,11 @@ class TestBatchMatchesViews:
         with pytest.raises(ValidationError):
             invariants(np.eye(6))
 
+    def test_rejects_a_row_whose_invariants_overflow(self):
+        # s = 12 * 3e307 overflows; so would the eigensolve of its Weyl blocks.
+        with pytest.raises(ValidationError, match="matrix 1 is too large"):
+            invariants(np.stack([np.eye(6), 3e307 * np.eye(6)]))
+
     def test_arrays_are_read_only(self):
         inv = invariants(np.eye(6)[None])
         with pytest.raises(ValueError):
@@ -122,12 +127,11 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_free_tensors_at_every_scale(self, seed):
         base = trace_free(derive_seed(61, seed))
-        k_unit = np.array(analyze(from_matrix(base)).spectrum.as_tuple())
+        k_unit = analyze(from_matrix(base)).invariants.k[0]
         for exponent in range(-6, 10):
             c = 10.0 ** exponent
             op = from_matrix(c * base)
-            rep = analyze(op)
-            k = np.array(rep.spectrum.as_tuple())
+            k = analyze(op).invariants.k[0]
             assert np.max(np.abs(k - c * k_unit)) <= 1e-12 * norm_max(op)
 
     def test_batch_accepts_mixed_scales(self):
@@ -145,10 +149,10 @@ class TestScaleCovariance:
         off = 1e9 * RngStream(derive_seed(67, seed)).generator().standard_normal((3, 3))
         op = operator_from_blocks(np.eye(3), np.eye(3), off)
         rep = analyze(op)
-        assert rep.s == pytest.approx(12.0)
+        assert rep.invariants.s[0] == pytest.approx(12.0)
         assert rep.chain.applicable and rep.chain.all_satisfied, \
             [step for step in rep.chain.steps if not step.satisfied]
-        assert rep.nnic.holds
+        assert rep.invariants.nnic[0]
 
 
 class TestNearlyDependentSpans:

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of fifteen fixed curv4 commands.
+"""Byte gates: the sha256 of the output of seventeen fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -52,6 +52,10 @@ GATES = {
     "analyze --model cp2 --run-oracle --json": "89e4c2110157e0b8",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "2761cfc5dd656455",
     "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
+    # s < 0, so the chain is not applicable.
+    "analyze --model space_form:-1 --json": "2049a549c3b6f26d",
+    # Both hypotheses fail, and NNIC holds on margins of -1.1e-16, inside the band.
+    "analyze --model product --text": "25b45d344d56955e",
     # Budgets that end a coarse pass on a partial chunk.
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json":
         "b7932bd81ad04b79",
