@@ -10,10 +10,9 @@ __version__ = "0.1.0"
 
 from .analyzer import (AnalyzeConfig, PinchingReport, analyze, classification_hints,
                        implication_audit)
-from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   Invariants, Plane, bianchi_residual, biortho_spectrum,
-                   biorthogonal, complement, decompose, from_components, from_matrix,
-                   invariants, ricci, rotate_operator, scalar_curvature, sectional)
+from .core import (CurvatureOperator, Invariants, Plane, bianchi_residual, biorthogonal,
+                   complement, from_components, from_matrix, invariants, ricci,
+                   rotate_operator, sectional)
 from .errors import ConsistencyError, Curv4Error, DegenerateInputError, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
@@ -23,16 +22,14 @@ from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch, isotr
 from .verify import run_scan, run_verification
 
 __all__ = [
-    "AnalyzeConfig", "BiorthoSpectrum", "ConsistencyError", "Curv4Error",
-    "CurvatureDecomposition", "CurvatureOperator", "DegenerateInputError",
-    "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig", "PinchingReport",
-    "Plane", "RngStream", "Search", "ValidationError", "__version__", "analyze",
-    "bianchi_residual", "biortho_spectrum", "biorthogonal", "classification_hints",
-    "complement", "cp2", "decompose", "derive_seed", "derive_seeds", "eig_sym",
-    "extremize_batch", "flat", "from_components", "from_matrix", "gram_schmidt",
-    "implication_audit", "invariants",
+    "AnalyzeConfig", "ConsistencyError", "Curv4Error", "CurvatureOperator",
+    "DegenerateInputError", "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig",
+    "PinchingReport", "Plane", "RngStream", "Search", "ValidationError", "__version__",
+    "analyze", "bianchi_residual", "biorthogonal", "classification_hints", "complement",
+    "cp2", "derive_seed", "derive_seeds", "eig_sym", "extremize_batch", "flat",
+    "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
     "isotropic_curvature", "make_operator", "parse_model_spec",
     "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
     "ricci", "rotate_operator", "run_scan", "run_verification",
-    "scalar_curvature", "sectional", "space_form", "sphere",
+    "sectional", "space_form", "sphere",
 ]

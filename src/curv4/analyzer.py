@@ -12,7 +12,9 @@ Whenever s > 0 and either hypothesis holds, both Weyl halves must satisfy
 w3 <= s/6, which is the eigenvalue criterion for nonnegative isotropic
 curvature (NNIC).  Both hypotheses and NNIC, with their margins, are columns
 of the operator's invariants pass (:func:`curv4.core.invariants`), and the
-report of :func:`analyze` carries that one row as it is.
+report of :func:`analyze` carries that one row as it is.  The advisory
+``classification_hints`` read the same row; only their Einstein and rank
+tests add the Ricci tensor, through :func:`curv4.core.ricci`.
 ``implication_audit`` walks the derivation inequality by inequality; a
 violation means the arithmetic of the decomposition is broken, never that
 the input was merely unusual.
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BiorthoSpectrum, CurvatureDecomposition, CurvatureOperator,
-                   Invariants, biortho_spectrum, decompose, norm_max)
+from .core import CurvatureOperator, Invariants, norm_max, ricci
 from .numerics import eig_sym
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
@@ -149,33 +150,38 @@ def implication_audit(r: CurvatureOperator) -> ChainRecord:
     return ChainRecord(applicable=True, reason="", steps=tuple(steps))
 
 
-def classification_hints(dec: CurvatureDecomposition, spectrum: BiorthoSpectrum,
-                         scale: float) -> tuple[str, ...]:
+def classification_hints(r: CurvatureOperator) -> tuple[str, ...]:
     """Advisory pattern matches against the benchmark geometries.
 
-    ``scale`` is the operator's max-norm.  Thresholds are coarse by design;
-    the hints are never load-bearing.
+    s, the Weyl halves and k1, k2 are read from the operator's invariants
+    row; "Einstein" and the rank test use the traceless Ricci tensor
+    Ric - s/4 I.  Thresholds are coarse by design and scale with the
+    operator's max-norm; the hints are never load-bearing.
     """
-    eps = _HINT_EPS_FACTOR * (1.0 + scale)
-    weyl_plus_zero = norm_max(dec.wplus) <= eps
-    weyl_minus_zero = norm_max(dec.wminus) <= eps
+    inv = r.invariants
+    s = float(inv.s[0])
+    k1, k2, _ = inv.k[0].tolist()
+    eps = _HINT_EPS_FACTOR * (1.0 + norm_max(r))
+    weyl_plus_zero = norm_max(inv.wplus[0]) <= eps
+    weyl_minus_zero = norm_max(inv.wminus[0]) <= eps
     weyl_zero = weyl_plus_zero and weyl_minus_zero
-    einstein = norm_max(dec.traceless_ricci) <= eps
+    ric = ricci(r)
+    einstein = norm_max(ric - (s / 4.0) * np.eye(4)) <= eps
 
     hints: list[str] = []
-    if weyl_zero and einstein and dec.s > eps:
+    if weyl_zero and einstein and s > eps:
         hints.append(HINT_CONSTANT)
-    if abs(spectrum.k1) <= eps and abs(spectrum.k2) <= eps:
+    if abs(k1) <= eps and abs(k2) <= eps:
         hints.append(HINT_PRODUCT)
-    if (weyl_plus_zero != weyl_minus_zero) and einstein and dec.s > eps \
-            and abs(spectrum.k1 - dec.s / 24.0) <= eps:
+    # margin_a is k1 - s/24 in the same float64 arithmetic.
+    if (weyl_plus_zero != weyl_minus_zero) and einstein and s > eps \
+            and abs(inv.margin_a[0]) <= eps:
         hints.append(HINT_CP2)
     if weyl_zero and not einstein:
-        ric_eigs = eig_sym(dec.ricci)
-        small = int(np.sum(np.abs(ric_eigs) <= eps))
+        small = int(np.sum(np.abs(eig_sym(ric)) <= eps))
         if small == 1:
             hints.append(HINT_LINE_SPHERE)
-    if weyl_zero and einstein and abs(dec.s) <= eps:
+    if weyl_zero and einstein and abs(s) <= eps:
         hints.append(HINT_FLAT)
     return tuple(hints)
 
@@ -188,9 +194,9 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     """Assemble the full diagnostic report for one curvature operator."""
     if cfg is None:
         cfg = AnalyzeConfig()
-    dec = decompose(r)
+    inv = r.invariants
     chain = implication_audit(r)
-    hints = classification_hints(dec, biortho_spectrum(r), scale=norm_max(r))
+    hints = classification_hints(r)
 
     sectional_extrema = None
     conjecture = None
@@ -204,13 +210,13 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
             Search(r.matrix, "isotropic", "min", cfg.oracle),
         ])
         sectional_extrema = (sect_min, sect_max)
-        band = r.invariants.band[0]
-        margin = sect_min.value - dec.s / 24.0
+        band = inv.band[0]
+        margin = sect_min.value - float(inv.s[0]) / 24.0
         conjecture = ConjectureCheck(margin=margin, holds=bool(margin > band),
                                      boundary=bool(abs(margin) <= band))
 
     return PinchingReport(
-        invariants=r.invariants,
+        invariants=inv,
         bianchi_residual=r.bianchi,
         chain=chain,
         hints=hints,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,11 +292,6 @@ def from_components(entries, project_bianchi: bool = False,
     return from_matrix(mat, project_bianchi=project_bianchi, tolerance=tolerance)
 
 
-def scalar_curvature(r: CurvatureOperator) -> float:
-    """Scalar curvature s = 2 tr(M)."""
-    return 2.0 * float(np.trace(r.matrix))
-
-
 _BASIS_WEDGE = np.stack([wedge(np.eye(4)[i], np.eye(4)[j]) for i in range(4) for j in range(4)])
 _BASIS_WEDGE = _BASIS_WEDGE.reshape(4, 4, 6)
 _BASIS_WEDGE.flags.writeable = False
@@ -309,7 +304,7 @@ def ricci(r: CurvatureOperator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# invariants
 
 
 def tolerance_band(s, scale=0.0):
@@ -414,38 +409,6 @@ def invariants(matrices) -> Invariants:
     return out
 
 
-@dataclass(frozen=True)
-class CurvatureDecomposition:
-    """Scalar, Ricci and Weyl pieces of a curvature operator.
-
-    ``invariants`` is the operator's cached one-row invariants pass.
-    """
-
-    s: float
-    ricci: np.ndarray
-    traceless_ricci: np.ndarray
-    wplus: np.ndarray
-    wminus: np.ndarray
-    invariants: Invariants = field(repr=False)
-
-    def weyl_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of the two Weyl halves."""
-        return self.invariants.weyl_plus[0], self.invariants.weyl_minus[0]
-
-
-def decompose(r: CurvatureOperator) -> CurvatureDecomposition:
-    """Split a validated operator into scalar, Ricci and Weyl parts."""
-    inv = r.invariants
-    s = float(inv.s[0])
-    ric = ricci(r)
-    traceless = ric - (s / 4.0) * np.eye(4)
-    for arr in (ric, traceless):
-        arr.flags.writeable = False
-    return CurvatureDecomposition(s=s, ricci=ric, traceless_ricci=traceless,
-                                  wplus=inv.wplus[0], wminus=inv.wminus[0],
-                                  invariants=inv)
-
-
 # ---------------------------------------------------------------------------
 # planes and curvature functions
 
@@ -508,30 +471,6 @@ def sectional(r: CurvatureOperator, p: Plane) -> float:
 def biorthogonal(r: CurvatureOperator, p: Plane) -> float:
     """Average of the sectional curvatures of a plane and its complement."""
     return (sectional(r, p) + sectional(r, complement(p))) / 2.0
-
-
-@dataclass(frozen=True)
-class BiorthoSpectrum:
-    """Minimum, middle and maximum of the biorthogonal curvature at a point."""
-
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self):
-        if not (self.k1 <= self.k2 <= self.k3):
-            raise ConsistencyError(
-                f"biorthogonal spectrum out of order: {self.k1!r}, {self.k2!r}, {self.k3!r}"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.k1, self.k2, self.k3)
-
-
-def biortho_spectrum(r: CurvatureOperator) -> BiorthoSpectrum:
-    """Closed-form biorthogonal spectrum: row 0 of the operator's invariants."""
-    k1, k2, k3 = r.invariants.k[0].tolist()
-    return BiorthoSpectrum(k1=k1, k2=k2, k3=k3)
 
 
 # ---------------------------------------------------------------------------

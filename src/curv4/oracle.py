@@ -23,6 +23,12 @@ reads a frame's 42 values off one contraction with the frame's form P(F).
 Trial frames are still evaluated directly, so every reported value is
 attained by its witness.
 
+Each search runs on its operator divided by 2^e, the power of two that
+brings max|M| into [1, 2).  The division is exact, so the values, scaled
+back, are those of the operator itself, and no intermediate overflows for
+an operator near the float64 limit.  A value that overflows float64 when
+scaled back raises :class:`ValidationError`.
+
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, and the polish
 advances the frames of every search together.  Each result is bit-identical
@@ -44,10 +50,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -598,9 +605,13 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     advances the candidates of all searches together.
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
     read-only (4, 4) frame.  Each value is the best value actually
-    evaluated, attained by its witness.
+    evaluated, attained by its witness; one that overflows float64 raises
+    :class:`ValidationError`.
     """
     searches = list(searches)
+    # Each search runs at max-norm [1, 2) (module docstring); _result scales back.
+    exponents = [_exponent(s.matrix) for s in searches]
+    searches = [replace(s, matrix=np.ldexp(s.matrix, -e)) for s, e in zip(searches, exponents)]
     by_seed: dict[int, list[int]] = {}
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
@@ -628,15 +639,27 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
         for i, outcome in zip(refined, _refine([searches[i] for i in refined],
                                                [starts[i] for i in refined])):
             outcomes[i] = outcome
-    return [_result(s, *outcome) for s, outcome in zip(searches, outcomes)]
+    return [_result(s, e, *outcome) for s, e, outcome in zip(searches, exponents, outcomes)]
 
 
-def _result(search: Search, value: float, frame: np.ndarray, refine_evals: int,
-            converged: bool) -> ExtremumResult:
+def _exponent(matrix: np.ndarray) -> int:
+    """The e with max|M| / 2^e in [1, 2); 0 for the zero matrix."""
+    peak = float(np.max(np.abs(matrix)))
+    return math.frexp(peak)[1] - 1 if peak else 0
+
+
+def _result(search: Search, exponent: int, value: float, frame: np.ndarray,
+            refine_evals: int, converged: bool) -> ExtremumResult:
+    """The result of ``search``, run on its operator scaled by 2^-``exponent``."""
+    try:
+        value = math.ldexp(search.sign * value, exponent)
+    except OverflowError:
+        raise ValidationError(f"matrix is too large: the {search.objective} {search.mode} "
+                              "overflows float64") from None
     if search.objective == "isotropic":
         witness = np.array(frame)
         witness.flags.writeable = False
     else:
         witness = Plane(frame[0], frame[1])
-    return ExtremumResult(value=search.sign * value, witness=witness,
+    return ExtremumResult(value=value, witness=witness,
                           samples_used=search.cfg.samples + refine_evals, converged=converged)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analyzer import implication_audit
-from .core import CurvatureOperator, Invariants, biortho_spectrum, invariants
+from .core import CurvatureOperator, Invariants, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seeds
@@ -87,23 +87,22 @@ def _close(value: float, target: float) -> bool:
 
 def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     """Every verification check on one trial's tensor, given its oracle extrema."""
-    spectrum = biortho_spectrum(op)
-    s = float(op.invariants.s[0])
+    inv = op.invariants
+    k1, k2, k3 = inv.k[0].tolist()
+    s = float(inv.s[0])
     failures: list[str] = []
 
-    identity_ok = bool(abs(spectrum.k1 + spectrum.k2 + spectrum.k3 - s / 4.0)
-                       <= op.invariants.band[0])
+    identity_ok = bool(abs(k1 + k2 + k3 - s / 4.0) <= inv.band[0])
     if not identity_ok:
         failures.append("trace identity k1+k2+k3 = s/4 violated")
 
-    oracle_min_ok = _close(lo.value, spectrum.k1)
-    oracle_max_ok = _close(hi.value, spectrum.k3)
+    oracle_min_ok = _close(lo.value, k1)
+    oracle_max_ok = _close(hi.value, k3)
     if not oracle_min_ok:
-        failures.append(f"oracle min {lo.value!r} != k1 {spectrum.k1!r}")
+        failures.append(f"oracle min {lo.value!r} != k1 {k1!r}")
     if not oracle_max_ok:
-        failures.append(f"oracle max {hi.value!r} != k3 {spectrum.k3!r}")
-    sound_ok = (lo.value >= spectrum.k1 - SOUNDNESS_SLACK
-                and hi.value <= spectrum.k3 + SOUNDNESS_SLACK)
+        failures.append(f"oracle max {hi.value!r} != k3 {k3!r}")
+    sound_ok = (lo.value >= k1 - SOUNDNESS_SLACK and hi.value <= k3 + SOUNDNESS_SLACK)
     if not sound_ok:
         failures.append("oracle extremum escapes the closed-form range")
 
@@ -111,7 +110,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     nnic_ok = True
     chain_ok = True
     if chain.applicable:
-        nnic_ok = bool(op.invariants.nnic[0])
+        nnic_ok = bool(inv.nnic[0])
         if not nnic_ok:
             failures.append("pinching hypothesis held but NNIC criterion failed")
         chain_ok = chain.all_satisfied
@@ -119,7 +118,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
             failures.append("implication chain inequality violated")
 
     return TrialResult(
-        index=index, s=s, k1=spectrum.k1, k2=spectrum.k2, k3=spectrum.k3,
+        index=index, s=s, k1=k1, k2=k2, k3=k3,
         oracle_min=lo.value, oracle_max=hi.value,
         identity_ok=identity_ok, oracle_min_ok=oracle_min_ok,
         oracle_max_ok=oracle_max_ok, sound_ok=sound_ok,

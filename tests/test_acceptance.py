@@ -16,9 +16,8 @@ import pytest
 
 from curv4 import io
 from curv4.analyzer import implication_audit
-from curv4.core import (bianchi_residual, biortho_spectrum, decompose, from_matrix,
-                        invariants, lambda_blocks, ricci, rotate_operator, scalar_curvature,
-                        tolerance_band)
+from curv4.core import (bianchi_residual, from_matrix, invariants, lambda_blocks, ricci,
+                        rotate_operator, tolerance_band)
 from curv4.models import (ModelSpec, cp2, make_operator, product_surfaces,
                           r_times_s3, random_bianchi, sphere)
 from curv4.numerics import RngStream, derive_seed, derive_seeds
@@ -73,14 +72,12 @@ def test_criterion_1_oracle_equivalence(verification):
 def test_criterion_2_trace_identity():
     failures = 0
     for op in trial_operators(SEED, range(TRIALS)):
-        sp = biortho_spectrum(op)
-        s = scalar_curvature(op)
-        if abs(sp.k1 + sp.k2 + sp.k3 - s / 4.0) > tolerance_band(s):
+        k, s = op.invariants.k[0], op.invariants.s[0]
+        if abs(k[0] + k[1] + k[2] - s / 4.0) > tolerance_band(s):
             failures += 1
     for op in NAMED_MODELS:
-        sp = biortho_spectrum(op)
-        s = scalar_curvature(op)
-        if abs(sp.k1 + sp.k2 + sp.k3 - s / 4.0) > tolerance_band(s):
+        k, s = op.invariants.k[0], op.invariants.s[0]
+        if abs(k[0] + k[1] + k[2] - s / 4.0) > tolerance_band(s):
             failures += 1
     announce(f"criterion 2: trace identity failures {failures}/{TRIALS + len(NAMED_MODELS)}")
     assert failures == 0
@@ -116,33 +113,30 @@ def test_criterion_3_proof_chain():
 def test_criterion_4_golden_table():
     tol = 1e-12
 
-    op = sphere(1.0)
-    assert scalar_curvature(op) == pytest.approx(12.0, abs=tol)
-    assert biortho_spectrum(op).as_tuple() == pytest.approx((1.0, 1.0, 1.0), abs=tol)
+    inv = sphere(1.0).invariants
+    assert inv.s[0] == pytest.approx(12.0, abs=tol)
+    assert tuple(inv.k[0].tolist()) == pytest.approx((1.0, 1.0, 1.0), abs=tol)
 
-    op = product_surfaces(1.0, 1.0)
-    assert scalar_curvature(op) == pytest.approx(4.0, abs=tol)
-    assert biortho_spectrum(op).as_tuple() == pytest.approx((0.0, 0.0, 1.0), abs=tol)
-    inv = op.invariants
+    inv = product_surfaces(1.0, 1.0).invariants
+    assert inv.s[0] == pytest.approx(4.0, abs=tol)
+    assert tuple(inv.k[0].tolist()) == pytest.approx((0.0, 0.0, 1.0), abs=tol)
     assert not inv.hypothesis_a[0] and not inv.hypothesis_b[0]
 
-    op = cp2(1.0)
-    dec = decompose(op)
-    wp, wm = dec.weyl_spectra()
-    assert scalar_curvature(op) == pytest.approx(24.0, abs=tol)
+    inv = cp2(1.0).invariants
+    wp, wm = inv.weyl_plus[0], inv.weyl_minus[0]
+    assert inv.s[0] == pytest.approx(24.0, abs=tol)
     assert tuple(wp) == pytest.approx((-2.0, -2.0, 4.0), abs=tol)
     assert np.max(np.abs(wm)) <= tol
-    assert biortho_spectrum(op).as_tuple() == pytest.approx((1.0, 1.0, 4.0), abs=tol)
-    inv = op.invariants
+    assert tuple(inv.k[0].tolist()) == pytest.approx((1.0, 1.0, 4.0), abs=tol)
     assert abs(inv.margin_a[0]) <= tol
     assert inv.margin_plus[0] == pytest.approx(0.0, abs=tol)
     assert inv.margin_minus[0] == pytest.approx(4.0, abs=tol)
 
     op = r_times_s3(1.0)
-    dec = decompose(op)
-    assert scalar_curvature(op) == pytest.approx(6.0, abs=tol)
-    assert biortho_spectrum(op).as_tuple() == pytest.approx((0.5, 0.5, 0.5), abs=tol)
-    assert np.max(np.abs(dec.wplus)) <= tol and np.max(np.abs(dec.wminus)) <= tol
+    inv = op.invariants
+    assert inv.s[0] == pytest.approx(6.0, abs=tol)
+    assert tuple(inv.k[0].tolist()) == pytest.approx((0.5, 0.5, 0.5), abs=tol)
+    assert np.max(np.abs(inv.wplus[0])) <= tol and np.max(np.abs(inv.wminus[0])) <= tol
     assert np.max(np.abs(ricci(op) - np.diag([2.0, 2.0, 2.0, 0.0]))) <= tol
 
     announce("criterion 4: golden table values all exact to 1e-12")
@@ -159,9 +153,9 @@ def test_criterion_5_isotropic_consistency():
         else:
             op = random_bianchi(RngStream(derive_seed(37, index, 0)), 1.0)
         index += 1
-        dec = decompose(op)
-        wp, wm = dec.weyl_spectra()
-        margin = min(dec.s / 6.0 - wp[2], dec.s / 6.0 - wm[2])
+        inv = op.invariants
+        s, wp, wm = float(inv.s[0]), inv.weyl_plus[0], inv.weyl_minus[0]
+        margin = min(s / 6.0 - wp[2], s / 6.0 - wm[2])
         if abs(margin) <= 1e-3 * (1.0 + np.max(np.abs(op.matrix))):
             continue
         margins.append(margin)
@@ -201,24 +195,23 @@ def test_criterion_6_structural_invariants():
     qgen = RngStream(53).generator()
     worst = 0.0
     for op in tensors:
-        dec = decompose(op)
-        wp, wm = dec.weyl_spectra()
-        sp = np.array(biortho_spectrum(op).as_tuple())
+        inv = op.invariants
+        wp, wm = inv.weyl_plus[0], inv.weyl_minus[0]
         for _ in range(100):
             q, _ = np.linalg.qr(qgen.standard_normal((4, 4)))
             if qgen.integers(2):
                 q[:, 0] = -q[:, 0]
             rotated = rotate_operator(op, q)
-            dec2 = decompose(rotated)
-            wp2, wm2 = dec2.weyl_spectra()
+            inv2 = rotated.invariants
+            wp2, wm2 = inv2.weyl_plus[0], inv2.weyl_minus[0]
             if np.linalg.det(q) < 0:
                 wp2, wm2 = wm2, wp2
             worst = max(
                 worst,
-                abs(dec2.s - dec.s),
+                float(abs(inv2.s[0] - inv.s[0])),
                 float(np.max(np.abs(wp2 - wp))),
                 float(np.max(np.abs(wm2 - wm))),
-                float(np.max(np.abs(np.array(biortho_spectrum(rotated).as_tuple()) - sp))),
+                float(np.max(np.abs(inv2.k[0] - inv.k[0]))),
             )
     announce(f"criterion 6: worst block-trace defect {worst_bt:.2e}, "
              f"worst frame-invariance drift {worst:.2e}")

@@ -6,8 +6,7 @@ import pytest
 from curv4.analyzer import (HINT_CONSTANT, HINT_CP2, HINT_FLAT, HINT_LINE_SPHERE,
                             HINT_PRODUCT, AnalyzeConfig, analyze, classification_hints,
                             implication_audit)
-from curv4.core import (biortho_spectrum, decompose, from_matrix, norm_max,
-                        operator_from_blocks, scalar_curvature)
+from curv4.core import from_matrix, lambda_blocks, norm_max, operator_from_blocks, ricci
 from curv4.io import load, report_to_dict
 from curv4.models import (cp2, flat, product_surfaces, r_times_s3, random_bianchi,
                           space_form, sphere)
@@ -67,7 +66,7 @@ class TestCheckNnic:
         # self-dual Weyl eigenvalues (-4, -4, 8) with s = 12: w3+ > s/6
         wplus = np.diag([-4.0, -4.0, 8.0])
         op = operator_from_blocks(wplus + np.eye(3), np.eye(3))
-        assert scalar_curvature(op) == pytest.approx(12.0, abs=1e-12)
+        assert op.invariants.s[0] == pytest.approx(12.0, abs=1e-12)
         inv = op.invariants
         assert not inv.nnic[0]
         assert inv.margin_plus[0] == pytest.approx(-6.0, abs=1e-12)
@@ -116,32 +115,43 @@ class TestImplicationAudit:
 class TestClassificationHints:
     def test_sphere(self):
         op = sphere(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
+        hints = classification_hints(op)
         assert HINT_CONSTANT in hints
 
     def test_product(self):
         op = product_surfaces(1.0, 1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
+        hints = classification_hints(op)
         assert hints == (HINT_PRODUCT,)
 
     def test_cp2(self):
         op = cp2(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
+        hints = classification_hints(op)
         assert hints == (HINT_CP2,)
 
     def test_line_times_sphere(self):
         op = r_times_s3(1.0)
-        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
+        hints = classification_hints(op)
         assert hints == (HINT_LINE_SPHERE,)
 
     def test_flat(self):
         op = flat()
-        hints = classification_hints(decompose(op), biortho_spectrum(op), norm_max(op))
+        hints = classification_hints(op)
         assert HINT_FLAT in hints
 
     def test_generic_tensor_has_no_hints(self):
         op = random_bianchi(RngStream(2))
-        assert classification_hints(decompose(op), biortho_spectrum(op), norm_max(op)) == ()
+        assert classification_hints(op) == ()
+
+    def test_einstein_reads_the_traceless_ricci_not_the_off_block(self):
+        # The sphere plus an off-diagonal block C = delta I: max|C| = delta but
+        # max|Ric - s/4 I| = 3 delta, and the threshold lies between them.
+        op = operator_from_blocks(np.eye(3), np.eye(3), 1e-8 * np.eye(3))
+        eps = 1e-8 * (1.0 + norm_max(op))
+        traceless_ricci = ricci(op) - op.invariants.s[0] / 4.0 * np.eye(4)
+        assert np.max(np.abs(lambda_blocks(op.matrix)[2])) < eps < norm_max(traceless_ricci)
+        hints = classification_hints(op)
+        assert HINT_CONSTANT not in hints
+        assert hints == ()
 
 
 class TestAnalyze:

@@ -6,7 +6,6 @@ import pytest
 
 from curv4 import io
 from curv4.cli import build_parser, main
-from curv4.core import biortho_spectrum
 from curv4.errors import ValidationError
 from curv4.models import MODELS, ModelSpec, make_operator, parse_model_spec
 from curv4.numerics import RngStream, derive_seed
@@ -253,17 +252,30 @@ class TestCliMalformedTensorFiles:
 
 class TestCliHugeTensors:
     # Finite entries whose symmetrized matrix (the first, third, fourth and
-    # fifth) or whose invariants (the second) overflow float64.
+    # fifth), whose invariants (the second) or whose isotropic minimum, about
+    # -1.9e308 (the sixth), overflow float64.
     @pytest.mark.parametrize("command", [
         "emit --model product:1e308,1e308",
         "analyze --model space_form:3e307",
         "analyze --model sphere:1e-154",
         "analyze --model space_form:-1e308 --run-oracle",
-        "scan --model product:1e308,1e308"])
+        "scan --model product:1e308,1e308",
+        "analyze --model random_bianchi:4e307 --run-oracle"])
     def test_takes_the_error_path(self, capsys, command):
         assert main(command.split()) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", ["1e307", "2e307", "3e307"])
+    def test_oracle_runs_near_the_float64_limit(self, capsys, scale):
+        # Each search runs on its operator scaled by a power of two, so the
+        # polish's finite differences do not overflow.
+        assert main(["analyze", "--model", f"random_bianchi:{scale}", "--run-oracle",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        values = [doc["sectional_extrema"][mode]["value"] for mode in ("min", "max")]
+        values += [doc["iso_min"]["value"], doc["conjecture_check"]["margin"]]
+        assert all(np.isfinite(values))
 
 
 class TestCliVerify:
@@ -324,8 +336,8 @@ class TestCliScan:
         from curv4.verify import trial_operators
 
         for row in rows:
-            sp = biortho_spectrum(trial_operators(9, [row["trial"]])[0])
-            assert row["k1"] == sp.k1 and row["k3"] == sp.k3
+            k1, _, k3 = trial_operators(9, [row["trial"]])[0].invariants.k[0].tolist()
+            assert row["k1"] == k1 and row["k3"] == k3
 
     def test_scan_deterministic_model_repeats_rows(self, capsys):
         assert main(["scan", "--model", "cp2", "--trials", "3", "--seed", "1"]) == 0

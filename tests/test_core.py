@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curv4.core import (STAR, BiorthoSpectrum, Plane, bianchi_residual,
-                        biortho_spectrum, biorthogonal, complement, decompose,
-                        from_components, from_matrix, lambda_basis,
+from curv4.core import (STAR, Plane, bianchi_residual, biorthogonal, complement,
+                        from_components, from_matrix, invariants, lambda_basis,
                         lambda_blocks, operator_from_blocks,
                         project_to_bianchi, projected_stack, ricci, rotate_operator,
-                        scalar_curvature, sectional, wedge)
-from curv4.errors import ConsistencyError, ValidationError
+                        sectional, wedge)
+from curv4.errors import ValidationError
 from curv4.models import cp2, product_surfaces, r_times_s3, random_bianchi, sphere
 from curv4.numerics import RngStream
 
@@ -23,6 +22,10 @@ def random_symmetric6(seed, scale=1.0):
 
 def random_operator(seed, scale=1.0):
     return random_bianchi(RngStream(seed), scale)
+
+
+def traceless_ricci(op):
+    return ricci(op) - op.invariants.s[0] / 4.0 * np.eye(4)
 
 
 def projector(p):
@@ -191,51 +194,53 @@ class TestFromComponents:
 class TestScalarAndRicci:
     def test_unit_sphere(self):
         op = sphere(1.0)
-        assert scalar_curvature(op) == 12.0
+        assert op.invariants.s[0] == 12.0
         assert np.array_equal(ricci(op), 3.0 * np.eye(4))
 
     def test_line_times_sphere(self):
         op = r_times_s3(1.0)
-        assert scalar_curvature(op) == 6.0
+        assert op.invariants.s[0] == 6.0
         assert np.allclose(ricci(op), np.diag([2.0, 2.0, 2.0, 0.0]), atol=1e-15)
 
     def test_product_surfaces(self):
-        assert scalar_curvature(product_surfaces(1.0, 1.0)) == 4.0
+        assert product_surfaces(1.0, 1.0).invariants.s[0] == 4.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ricci_trace_is_scalar(self, seed):
         op = random_operator(seed)
-        assert np.trace(ricci(op)) == pytest.approx(scalar_curvature(op), rel=1e-12)
+        assert np.trace(ricci(op)) == pytest.approx(op.invariants.s[0], rel=1e-12)
 
 
 class TestDecomposition:
     def test_unit_sphere_is_pure_scalar(self):
-        dec = decompose(sphere(1.0))
-        assert dec.s == 12.0
-        assert np.max(np.abs(dec.wplus)) == 0.0
-        assert np.max(np.abs(dec.wminus)) == 0.0
-        assert np.max(np.abs(dec.traceless_ricci)) == 0.0
+        op = sphere(1.0)
+        inv = op.invariants
+        assert inv.s[0] == 12.0
+        assert np.max(np.abs(inv.wplus[0])) == 0.0
+        assert np.max(np.abs(inv.wminus[0])) == 0.0
+        assert np.max(np.abs(traceless_ricci(op))) == 0.0
 
     def test_product_surfaces_weyl(self):
-        dec = decompose(product_surfaces(1.0, 1.0))
+        inv = product_surfaces(1.0, 1.0).invariants
         third = 1.0 / 3.0
-        for w in (dec.wplus, dec.wminus):
+        for w in (inv.wplus[0], inv.wminus[0]):
             assert np.allclose(eigvals(w), [-third, -third, 2 * third], atol=1e-15)
 
     def test_cp2_weyl(self):
-        dec = decompose(cp2(1.0))
-        assert np.allclose(eigvals(dec.wplus), [-2.0, -2.0, 4.0], atol=1e-12)
-        assert np.max(np.abs(dec.wminus)) <= 1e-12
-        assert np.max(np.abs(dec.traceless_ricci)) <= 1e-12
+        op = cp2(1.0)
+        inv = op.invariants
+        assert np.allclose(eigvals(inv.wplus[0]), [-2.0, -2.0, 4.0], atol=1e-12)
+        assert np.max(np.abs(inv.wminus[0])) <= 1e-12
+        assert np.max(np.abs(traceless_ricci(op))) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weyl_traces_vanish(self, seed):
         op = random_operator(seed)
-        dec = decompose(op)
+        inv = op.invariants
         scale = 1.0 + np.max(np.abs(op.matrix))
-        assert abs(np.trace(dec.wplus)) <= 1e-10 * scale
-        assert abs(np.trace(dec.wminus)) <= 1e-10 * scale
-        assert abs(np.trace(dec.traceless_ricci)) <= 1e-10 * scale
+        assert abs(np.trace(inv.wplus[0])) <= 1e-10 * scale
+        assert abs(np.trace(inv.wminus[0])) <= 1e-10 * scale
+        assert abs(np.trace(traceless_ricci(op))) <= 1e-10 * scale
 
     @pytest.mark.parametrize("name,op", [
         ("sphere", sphere(1.0)), ("cp2", cp2(1.0)), ("product", product_surfaces(1.0, 1.0)),
@@ -363,42 +368,47 @@ class TestBiorthoSpectrum:
         (r_times_s3(1.0), (0.5, 0.5, 0.5)),
     ])
     def test_model_spectra(self, op, expected):
-        assert biortho_spectrum(op).as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert tuple(op.invariants.k[0].tolist()) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sum_identity(self, seed):
-        op = random_operator(seed)
-        sp = biortho_spectrum(op)
-        s = scalar_curvature(op)
-        assert abs(sp.k1 + sp.k2 + sp.k3 - s / 4.0) <= 1e-12 * (1.0 + abs(s))
+        inv = random_operator(seed).invariants
+        k, s = inv.k[0], inv.s[0]
+        assert abs(k[0] + k[1] + k[2] - s / 4.0) <= 1e-12 * (1.0 + abs(s))
 
-    def test_ordering_is_enforced(self):
-        with pytest.raises(ConsistencyError):
-            BiorthoSpectrum(1.0, 0.5, 2.0)
+    def test_rows_are_ascending(self):
+        # Each row of k is s/12 plus half the sum of two ascending Weyl spectra,
+        # and rounded addition is monotone, so it stays ascending even where a
+        # Weyl eigenvalue repeats (sphere, cp2, product).
+        mats = [random_operator(seed).matrix for seed in range(200)]
+        mats += [op.matrix for op in (sphere(1.0), cp2(1.0), product_surfaces(1.0, 1.0),
+                                      product_surfaces(2.0, -3.0), r_times_s3(1.0))]
+        inv = invariants(np.stack(mats))
+        for rows in (inv.k, inv.weyl_plus, inv.weyl_minus):
+            assert np.all(np.diff(rows, axis=1) >= 0.0)
 
 
 class TestFrameInvariance:
     @pytest.mark.parametrize("seed", range(5))
     def test_conjugation_preserves_invariants(self, seed):
         op = random_operator(seed + 50)
-        dec = decompose(op)
-        wp, wm = dec.weyl_spectra()
-        sp = np.array(biortho_spectrum(op).as_tuple())
+        inv = op.invariants
+        wp, wm = inv.weyl_plus[0], inv.weyl_minus[0]
         gen = RngStream(seed).generator()
         q, _ = np.linalg.qr(gen.standard_normal((4, 4)))
         if seed % 2:
             q[:, 0] = -q[:, 0]
         rotated = rotate_operator(op, q)
-        dec2 = decompose(rotated)
-        wp2, wm2 = dec2.weyl_spectra()
-        assert abs(dec2.s - dec.s) <= 1e-9
+        inv2 = rotated.invariants
+        wp2, wm2 = inv2.weyl_plus[0], inv2.weyl_minus[0]
+        assert abs(inv2.s[0] - inv.s[0]) <= 1e-9
         if np.linalg.det(q) > 0:
             assert np.max(np.abs(wp2 - wp)) <= 1e-9
             assert np.max(np.abs(wm2 - wm)) <= 1e-9
         else:
             assert np.max(np.abs(wp2 - wm)) <= 1e-9
             assert np.max(np.abs(wm2 - wp)) <= 1e-9
-        assert np.max(np.abs(np.array(biortho_spectrum(rotated).as_tuple()) - sp)) <= 1e-9
+        assert np.max(np.abs(inv2.k[0] - inv.k[0])) <= 1e-9
 
 
 class TestOperatorFromBlocks:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from curv4.analyzer import AnalyzeConfig, analyze
-from curv4.core import (Plane, biortho_spectrum, complement, decompose, from_matrix,
-                        invariants, norm_max, operator_from_blocks)
+from curv4.core import (Plane, complement, from_matrix, invariants, norm_max,
+                        operator_from_blocks)
 from curv4.errors import ValidationError
 from curv4.io import report_to_dict
 from curv4.models import ModelSpec, make_operator
@@ -29,12 +29,12 @@ GOLDEN = {
 
 def assert_row_matches_views(inv, i, op):
     """Row i of a scan's invariants pass holds what the one-operator views of
-    ``op`` give."""
-    dec = decompose(op)
-    wp, wm = dec.weyl_spectra()
+    ``op`` (its own one-row pass and its report) give."""
+    one = op.invariants
     doc = report_to_dict(analyze(op))
-    assert (inv.s[i], inv.weyl_plus[i, 2], inv.weyl_minus[i, 2]) == (dec.s, wp[2], wm[2])
-    assert tuple(inv.k[i]) == biortho_spectrum(op).as_tuple()
+    assert (inv.s[i], inv.weyl_plus[i, 2], inv.weyl_minus[i, 2]) == \
+        (one.s[0], one.weyl_plus[0, 2], one.weyl_minus[0, 2])
+    assert tuple(inv.k[i]) == tuple(one.k[0].tolist())
     assert (inv.hypothesis_a[i], inv.hypothesis_b[i], inv.nnic[i]) == \
         (doc["hypothesis_A"]["holds"], doc["hypothesis_B"]["holds"], doc["nnic"]["holds"])
 
@@ -52,13 +52,12 @@ class TestBatchMatchesViews:
         inv = invariants(np.stack([op.matrix for op in ops]))
         assert len(inv.s) == len(ops)
         for i, op in enumerate(ops):
-            dec = decompose(op)
-            wp, wm = dec.weyl_spectra()
-            assert dec.s == inv.s[i]
-            assert np.array_equal(wp, inv.weyl_plus[i])
-            assert np.array_equal(wm, inv.weyl_minus[i])
-            assert np.array_equal(dec.wplus, inv.wplus[i])
-            assert biortho_spectrum(op).as_tuple() == tuple(inv.k[i])
+            one = op.invariants
+            assert one.s[0] == inv.s[i]
+            assert np.array_equal(one.weyl_plus[0], inv.weyl_plus[i])
+            assert np.array_equal(one.weyl_minus[0], inv.weyl_minus[i])
+            assert np.array_equal(one.wplus[0], inv.wplus[i])
+            assert tuple(one.k[0].tolist()) == tuple(inv.k[i])
             doc = report_to_dict(analyze(op))
             hyp_a, hyp_b, nnic = doc["hypothesis_A"], doc["hypothesis_B"], doc["nnic"]
             assert (hyp_a["margin"], hyp_b["margin"]) == (inv.margin_a[i], inv.margin_b[i])
@@ -75,11 +74,10 @@ class TestBatchMatchesViews:
         s, wplus, wminus, k = GOLDEN[name]
         op = make_operator(ModelSpec(name))
         inv = invariants(np.stack([trial_operators(1, [0])[0].matrix, op.matrix]))
-        dec = decompose(op)
-        wp, wm = dec.weyl_spectra()
+        one = op.invariants
         for got_s, got_wp, got_wm, got_k in (
                 (inv.s[1], inv.weyl_plus[1], inv.weyl_minus[1], inv.k[1]),
-                (dec.s, wp, wm, biortho_spectrum(op).as_tuple())):
+                (one.s[0], one.weyl_plus[0], one.weyl_minus[0], one.k[0])):
             assert got_s == pytest.approx(s, abs=1e-12)
             assert tuple(got_wp) == pytest.approx(wplus, abs=1e-12)
             assert tuple(got_wm) == pytest.approx(wminus, abs=1e-12)

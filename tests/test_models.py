@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curv4.core import biortho_spectrum, decompose, ricci, scalar_curvature, sectional, Plane
+from curv4.core import ricci, sectional, Plane
 from curv4.errors import ValidationError
 from curv4.models import (MODELS, ModelSpec, cp2, flat, make_operator,
                           parse_model_spec, product_surfaces, r_times_s3,
@@ -9,6 +9,10 @@ from curv4.models import (MODELS, ModelSpec, cp2, flat, make_operator,
 from curv4.numerics import RngStream, derive_seed
 
 E = np.eye(4)
+
+
+def traceless_ricci(op):
+    return ricci(op) - op.invariants.s[0] / 4.0 * np.eye(4)
 
 
 class TestModelSpec:
@@ -64,31 +68,31 @@ class TestNamedModels:
 
     def test_sphere_scaling(self):
         op = sphere(2.0)
-        assert scalar_curvature(op) == 3.0
+        assert op.invariants.s[0] == 3.0
         assert sectional(op, Plane(E[0], E[3])) == 0.25
 
     def test_space_form_covers_hyperbolic(self):
         op = space_form(-1.0)
-        assert scalar_curvature(op) == -12.0
-        assert biortho_spectrum(op).as_tuple() == (-1.0, -1.0, -1.0)
+        assert op.invariants.s[0] == -12.0
+        assert tuple(op.invariants.k[0].tolist()) == (-1.0, -1.0, -1.0)
 
     def test_flat_is_zero(self):
         assert np.array_equal(flat().matrix, np.zeros((6, 6)))
-        assert scalar_curvature(flat()) == 0.0
+        assert flat().invariants.s[0] == 0.0
 
     def test_product_scaling(self):
         op = product_surfaces(2.0, 3.0)
-        assert scalar_curvature(op) == 10.0
+        assert op.invariants.s[0] == 10.0
         assert sectional(op, Plane(E[0], E[1])) == 2.0
         assert sectional(op, Plane(E[2], E[3])) == 3.0
 
     def test_product_zero_is_flat(self):
-        assert scalar_curvature(product_surfaces(0.0, 0.0)) == 0.0
+        assert product_surfaces(0.0, 0.0).invariants.s[0] == 0.0
 
     @pytest.mark.parametrize("k1,k2", [(1.0, 1.0), (2.0, 3.0), (-2.0, 1.0), (-1.0, -1.0)])
     def test_product_lowest_biortho_value(self, k1, k2):
-        sp = biortho_spectrum(product_surfaces(k1, k2))
-        assert sp.k1 == pytest.approx(min(0.0, (k1 + k2) / 2.0), abs=1e-12)
+        k = product_surfaces(k1, k2).invariants.k[0]
+        assert k[0] == pytest.approx(min(0.0, (k1 + k2) / 2.0), abs=1e-12)
 
     def test_cp2_sectional_range_endpoints(self):
         op = cp2(1.0)
@@ -98,22 +102,20 @@ class TestNamedModels:
 
     def test_cp2_scaling(self):
         op = cp2(2.0)
-        assert scalar_curvature(op) == 48.0
+        assert op.invariants.s[0] == 48.0
         assert sectional(op, Plane(E[0], E[1])) == 8.0
 
     def test_r_times_s3_scaling(self):
         op = r_times_s3(2.0)
-        assert scalar_curvature(op) == 1.5
-        assert biortho_spectrum(op).as_tuple() == pytest.approx((0.125,) * 3, abs=1e-15)
+        assert op.invariants.s[0] == 1.5
+        assert tuple(op.invariants.k[0].tolist()) == pytest.approx((0.125,) * 3, abs=1e-15)
 
     @pytest.mark.parametrize("op", [sphere(1.0), cp2(1.0), product_surfaces(2.0, 2.0)])
     def test_einstein_models(self, op):
-        dec = decompose(op)
-        assert np.max(np.abs(dec.traceless_ricci)) <= 1e-12
+        assert np.max(np.abs(traceless_ricci(op))) <= 1e-12
 
     def test_r_times_s3_is_not_einstein(self):
-        dec = decompose(r_times_s3(1.0))
-        assert np.max(np.abs(dec.traceless_ricci)) > 0.5
+        assert np.max(np.abs(traceless_ricci(r_times_s3(1.0)))) > 0.5
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_models_satisfy_bianchi(self, name):
@@ -123,9 +125,8 @@ class TestNamedModels:
     def test_sphere_satisfies_lower_pinching_for_any_radius(self):
         for radius in (0.5, 1.0, 3.0):
             op = sphere(radius)
-            sp = biortho_spectrum(op)
-            s = scalar_curvature(op)
-            assert sp.k1 >= s / 24.0
+            inv = op.invariants
+            assert inv.k[0, 0] >= inv.s[0] / 24.0
 
 
 class TestRandomBianchi:
@@ -144,6 +145,6 @@ class TestRandomBianchi:
 
     def test_ensemble_mean_scalar_is_near_zero(self):
         n = 1000
-        mean = np.mean([scalar_curvature(random_bianchi(RngStream(derive_seed(123, i))))
+        mean = np.mean([random_bianchi(RngStream(derive_seed(123, i))).invariants.s[0]
                         for i in range(n)])
         assert abs(mean) < 4.0 * np.sqrt(6.0 / n)

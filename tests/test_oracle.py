@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from curv4 import oracle
-from curv4.core import (CurvatureOperator, Plane, biortho_spectrum, biorthogonal, decompose,
-                        sectional, wedge)
+from curv4.core import CurvatureOperator, Plane, biorthogonal, sectional, wedge
 from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
@@ -95,13 +94,13 @@ class TestModelExtrema:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_closed_form_on_random_tensors(self, seed):
         op = random_bianchi(RngStream(seed + 100))
-        sp = biortho_spectrum(op)
+        k1, _, k3 = op.invariants.k[0].tolist()
         lo, hi = extremize_batch([Search(op.matrix, "biorthogonal", mode, OracleConfig(seed=seed))
                                   for mode in MODES])
-        assert lo.value == pytest.approx(sp.k1, abs=1e-6, rel=1e-6)
-        assert hi.value == pytest.approx(sp.k3, abs=1e-6, rel=1e-6)
-        assert lo.value >= sp.k1 - 1e-9
-        assert hi.value <= sp.k3 + 1e-9
+        assert lo.value == pytest.approx(k1, abs=1e-6, rel=1e-6)
+        assert hi.value == pytest.approx(k3, abs=1e-6, rel=1e-6)
+        assert lo.value >= k1 - 1e-9
+        assert hi.value <= k3 + 1e-9
 
 
 class TestSoundness:
@@ -365,7 +364,7 @@ class TestNewtonPolish:
     def test_stalled_restarts_descend_to_k1(self, seed, trial, samples):
         search = self.stalled_search(seed, trial, samples)
         res, = extremize_batch([search])
-        k1 = biortho_spectrum(CurvatureOperator(matrix=search.matrix)).k1
+        k1 = CurvatureOperator(matrix=search.matrix).invariants.k[0, 0]
         assert abs(res.value - k1) <= 1e-12 * np.max(np.abs(search.matrix))
         assert res.converged
 
@@ -425,9 +424,9 @@ class TestIsotropic:
     @pytest.mark.parametrize("seed", range(3))
     def test_sign_matches_eigenvalue_criterion(self, seed):
         op = random_bianchi(RngStream(seed + 40))
-        dec = decompose(op)
-        wp, wm = dec.weyl_spectra()
-        margin = min(dec.s / 6.0 - wp[2], dec.s / 6.0 - wm[2])
+        inv = op.invariants
+        s, wp, wm = float(inv.s[0]), inv.weyl_plus[0], inv.weyl_minus[0]
+        margin = min(s / 6.0 - wp[2], s / 6.0 - wm[2])
         assert abs(margin) > 1e-3  # these seeds are far from the borderline
         res, = extremize_batch([Search(op.matrix, "isotropic", "min", OracleConfig(seed=seed))])
         assert np.sign(res.value) == np.sign(margin)
@@ -450,9 +449,9 @@ class TestBudgetAccounting:
 
     def test_witness_value_is_between_bounds(self):
         op = random_bianchi(RngStream(55))
-        sp = biortho_spectrum(op)
+        k1, _, k3 = op.invariants.k[0].tolist()
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
-        assert sp.k1 - 1e-9 <= res.value <= sp.k3 + 1e-9
+        assert k1 - 1e-9 <= res.value <= k3 + 1e-9
         assert biorthogonal(op, res.witness) == pytest.approx(res.value, abs=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of seventeen fixed curv4 commands.
+"""Byte gates: the sha256 of the output of eighteen fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -64,6 +64,8 @@ GATES = {
     "verify --seed 1 --refine 0 --json": "52cb37d1e37e0f0b",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --refine 0 --json":
         "c49b060438d558bc",
+    # Near the float64 limit: the oracle searches at a power-of-two scale.
+    "analyze --model random_bianchi:1e307 --run-oracle --json": "f68d425ce49531e3",
 }
 
 
