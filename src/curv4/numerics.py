@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +278,33 @@ _FRAME_TERMS = np.array([
 ])
 
 
-def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
+class _FrameScratch:
+    """:func:`random_frames`' working arrays for chunks of ``n`` frames."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.normals = np.empty((n, 8))
+        self.uniforms = np.empty(n)
+        self.pq = np.empty((2, 4, n))
+        self.squares = np.empty((2, 4, n))
+        self.norms = np.empty((2, n))
+        self.products = np.empty((2, 4, 4, n))
+        self.terms = np.empty((2, 16 * n))
+
+
+#: Each thread's :class:`_FrameScratch`, for the chunk size it drew last.
+_frame_scratch = threading.local()
+
+
+def _scratch_for(n: int) -> _FrameScratch:
+    scratch = getattr(_frame_scratch, "arrays", None)
+    if scratch is None or scratch.n != n:
+        scratch = _frame_scratch.arrays = _FrameScratch(n)
+    return scratch
+
+
+def random_frames(rng: RngStream | np.random.Generator, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """``n`` Haar-random orthonormal 4-frames (rows are the frame vectors).
 
     Row k of a frame is p e_k q-bar, for unit quaternions p and q uniform on
@@ -294,25 +321,51 @@ def random_frames(rng: RngStream | np.random.Generator, n: int) -> np.ndarray:
     place.  Each step is elementwise and exact up to the products' and sums'
     own rounding, so the frames are orthonormal to rounding and their bytes
     do not depend on the BLAS build.
-    The result is a transposed view of a component-major (4, 4, n) array:
-    the frame axis is innermost in memory, so the rows' wedges are too.
+
+    The working arrays (normals, uniforms, p and q, their squares and norms,
+    the signed outer product and the gathered terms) are allocated once per
+    thread and chunk size and reused by every call on that thread, so a
+    warm call allocates no array.  With ``out``, a writable (m, 4, 4) array
+    with m <= n, the first m frames are written into it and ``out`` is
+    returned; all n frames are still drawn, so the generator ends where it
+    would without ``out``.  Without ``out`` the frames are a fresh array, a
+    transposed view of a component-major (4, 4, n) array: the frame axis is
+    innermost in memory, so the rows' wedges are too.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    g = gen.standard_normal((n, 8))
-    flip = gen.random(n) < 0.5
-    pq = np.ascontiguousarray(g.T).reshape(2, 4, n)
-    sq = pq * pq
-    pq /= np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])[:, None]
-    products = np.empty((2, 4, 4, n))
+    buf = _scratch_for(n)
+    if out is None:
+        out = np.empty((4, 4, n)).transpose(2, 1, 0)
+    m = len(out)
+    gen.standard_normal(out=buf.normals)
+    # signs = np.where(u < 0.5, -1.0, 1.0): u - 0.5 is negative exactly when
+    # u < 0.5, and +0.0 at u = 0.5.
+    signs = gen.random(out=buf.uniforms)
+    np.subtract(signs, 0.5, out=signs)
+    np.copysign(1.0, signs, out=signs)
+    pq, sq, norms = buf.pq, buf.squares, buf.norms
+    pq.reshape(8, n)[...] = buf.normals.T
+    np.multiply(pq, pq, out=sq)
+    np.add(sq[:, 0], sq[:, 1], out=norms)
+    norms += sq[:, 2]
+    norms += sq[:, 3]
+    pq /= np.sqrt(norms, out=norms)[:, None]
+    products = buf.products
     np.multiply(pq[0][:, None], pq[1][None], out=products[0])
     np.negative(products[0], out=products[1])
     flat = products.reshape(32, n)
     # component c of row k of frame i at [c, k, i]; one term gathered at a time
-    rows = flat[_FRAME_TERMS[0]] + flat[_FRAME_TERMS[1]]
-    rows += flat[_FRAME_TERMS[2]]
-    rows += flat[_FRAME_TERMS[3]]
-    rows[:, 3] *= np.where(flip, -1.0, 1.0)
-    return rows.transpose(2, 1, 0)
+    first, term = (t.reshape(4, 4, n) for t in buf.terms)
+    rows = out.transpose(2, 1, 0)
+    np.take(flat, _FRAME_TERMS[0], axis=0, out=first, mode="clip")
+    np.take(flat, _FRAME_TERMS[1], axis=0, out=term, mode="clip")
+    np.add(first[..., :m], term[..., :m], out=rows)
+    for terms in _FRAME_TERMS[2:]:
+        np.take(flat, terms, axis=0, out=term, mode="clip")
+        rows += term[..., :m]
+    for component in rows[:, 3]:  # 1-D operands, which the ufunc does not buffer
+        np.multiply(component, signs[:m], out=component)
+    return out
 
 
 def rotation_from_generator(omega: np.ndarray) -> np.ndarray:

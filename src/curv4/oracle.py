@@ -54,7 +54,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -317,12 +317,16 @@ def _coarse_samples(seed: int, samples: int, targets, pool=None,
     (objective, matrix) target on them.
 
     Chunk c of the frames is drawn from ``RngStream(seed, c)`` and written,
-    with its values, into buffers allocated once.  The chunks are shared out
-    over ``workers`` workers as :func:`_share` does; each worker re-keys its
-    own generator and writes only its own chunks' slices, so the result does
-    not depend on the workers.  The frame buffer keeps :func:`random_frames`'
-    layout, a transposed view with the frame axis innermost; callers gather
-    the rows they keep into C order.
+    with its values, into buffers allocated once: :func:`random_frames`
+    writes straight into the chunk's slice of the frame buffer, working in
+    its thread's own scratch arrays.  Every chunk draws all
+    :data:`SAMPLE_CHUNK` frames, and a short final chunk keeps their prefix,
+    so a larger budget extends the sample stream and never reshuffles it.
+    The chunks are shared out over ``workers`` workers as :func:`_share`
+    does; each worker re-keys its own generator and writes only its own
+    chunks' slices, so the result does not depend on the workers.  The frame
+    buffer keeps :func:`random_frames`' layout, a transposed view with the
+    frame axis innermost; callers gather the rows they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
@@ -332,11 +336,8 @@ def _coarse_samples(seed: int, samples: int, targets, pool=None,
         chunks, keys = itertools.tee(chunks)
         for chunk, gen in zip(chunks, stream_generators(RngStream(seed, c) for c in keys)):
             lo = chunk * SAMPLE_CHUNK
-            # Always draw a full chunk so a larger budget extends, never
-            # reshuffles, the sample stream.
-            batch = random_frames(gen, SAMPLE_CHUNK)[:samples - lo]
-            hi = lo + len(batch)
-            frames[lo:hi] = batch
+            hi = min(lo + SAMPLE_CHUNK, samples)
+            batch = random_frames(gen, SAMPLE_CHUNK, out=frames[lo:hi])
             for out, (objective, m) in zip(values, targets):
                 out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
 
@@ -392,20 +393,21 @@ def _refined(cfg: OracleConfig) -> bool:
     return cfg.restarts > 0 and cfg.refine_iters > 0
 
 
-def _coarse_starts(group: list[Search], pool=None,
+def _coarse_starts(group: list[Search], matrices: list[np.ndarray], pool=None,
                    workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
     distinct (objective, matrix) is evaluated once, its chunks spread over
-    ``workers`` workers as :func:`_coarse_samples` does.
+    ``workers`` workers as :func:`_coarse_samples` does.  ``matrices[i]`` is
+    the operator search ``i`` runs on (its own matrix, or that matrix scaled).
 
     Returns each search's starting rows (frames, signed values): its diverse
     refine candidates, or only its best sample when it is not refined.  The
     full sample arrays are released when this returns.
     """
-    keys = [(s.objective, s.matrix.tobytes()) for s in group]
+    keys = [(s.objective, m.tobytes()) for s, m in zip(group, matrices)]
     targets = {}
-    for s, key in zip(group, keys):
-        targets.setdefault(key, (s.objective, s.matrix))
+    for s, m, key in zip(group, matrices, keys):
+        targets.setdefault(key, (s.objective, m))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
                                      list(targets.values()), pool, workers)
     raw = dict(zip(targets, values))
@@ -551,9 +553,11 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     return evaluations, converged
 
 
-def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int, bool]]:
+def _refine(searches: list[Search], matrices: list[np.ndarray],
+            starts) -> list[tuple[float, np.ndarray, int, bool]]:
     """Newton polish from every search's candidates, minimizing each search's
-    signed value.  Returns (value, frame, evaluations, converged).
+    signed value on its operator ``matrices[i]``.  Returns (value, frame,
+    evaluations, converged).
 
     The frames of one objective are polished :data:`_POLISH_BLOCK` at a time,
     which keeps the stencil arrays small: only the operators of the searches
@@ -565,7 +569,7 @@ def _refine(searches: list[Search], starts) -> list[tuple[float, np.ndarray, int
     owner = np.repeat(np.arange(len(searches)), counts)
     frames = np.concatenate([f for f, _ in starts])
     values = np.concatenate([v for _, v in starts])
-    matrices = np.stack([s.matrix for s in searches])
+    matrices = np.stack(matrices)
     signs = np.array([s.sign for s in searches])[owner]
     caps = np.array([s.cfg.refine_iters for s in searches])[owner]
     evaluations = np.zeros(len(values), dtype=int)
@@ -611,7 +615,7 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     searches = list(searches)
     # Each search runs at max-norm [1, 2) (module docstring); _result scales back.
     exponents = [_exponent(s.matrix) for s in searches]
-    searches = [replace(s, matrix=np.ldexp(s.matrix, -e)) for s, e in zip(searches, exponents)]
+    scaled = [np.ldexp(s.matrix, -e) for s, e in zip(searches, exponents)]
     by_seed: dict[int, list[int]] = {}
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
@@ -621,7 +625,8 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     def run_groups(pulled, pool=None, workers: int = 1) -> None:
         for members in pulled:
             group = [searches[i] for i in members]
-            for i, start in zip(members, _coarse_starts(group, pool, workers)):
+            matrices = [scaled[i] for i in members]
+            for i, start in zip(members, _coarse_starts(group, matrices, pool, workers)):
                 starts[i] = start
 
     lone = len(groups) == 1
@@ -637,6 +642,7 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]
     if refined:
         for i, outcome in zip(refined, _refine([searches[i] for i in refined],
+                                               [scaled[i] for i in refined],
                                                [starts[i] for i in refined])):
             outcomes[i] = outcome
     return [_result(s, e, *outcome) for s, e, outcome in zip(searches, exponents, outcomes)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analyzer import implication_audit
-from .core import CurvatureOperator, Invariants, invariants
+from .core import CurvatureOperator, Invariants, invariants, operators
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seeds
@@ -77,8 +77,9 @@ def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
 
 
 def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOperator]:
-    """The random curvature tensors examined by trials ``indices`` of a run."""
-    return [CurvatureOperator(matrix=m) for m in trial_matrices(seed, indices, scale)]
+    """The random curvature tensors examined by trials ``indices`` of a run,
+    their invariants rows taken from one stacked pass."""
+    return operators(trial_matrices(seed, indices, scale))
 
 
 def _close(value: float, target: float) -> bool:
@@ -129,7 +130,8 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
 
 def _run_trials(seed: int, indices, oracle: OracleConfig,
                 scale: float = 1.0) -> list[TrialResult]:
-    """Trials ``indices`` of a run, with all their oracle searches in one batch."""
+    """Trials ``indices`` of a run: one invariants pass and one batch of
+    oracle searches for all of them."""
     ops = trial_operators(seed, indices, scale)
     configs = [replace(oracle, seed=s) for s in derive_seeds(seed, indices, 1).tolist()]
     searches = [Search(op.matrix, "biorthogonal", mode, cfg)
@@ -145,10 +147,11 @@ def run_verification(trials: int, seed: int,
     """Run ``trials`` independent verification trials.
 
     ``oracle`` defaults to :data:`DEFAULT_SAMPLES` samples per search and
-    :class:`OracleConfig`'s other defaults.  The oracle searches of each
-    block of :data:`TRIAL_BLOCK` trials run as one batch, which leaves every
-    record as it would be if its trial ran alone: each trial's randomness is
-    a pure function of (seed, trial index).
+    :class:`OracleConfig`'s other defaults.  Each block of
+    :data:`TRIAL_BLOCK` trials takes one invariants pass and runs its oracle
+    searches as one batch, which leaves every record as it would be if its
+    trial ran alone: each trial's randomness is a pure function of (seed,
+    trial index).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")

@@ -3,6 +3,9 @@ reproduce the code they replace bit for bit, random frames are orthonormal
 and Haar on O(4), and the bytes of both are pinned."""
 
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +188,76 @@ class TestRandomFrames:
         det = np.linalg.det(f)
         assert np.max(np.abs(np.abs(det) - 1.0)) <= 1e-13
         assert abs(np.mean(det > 0) - 0.5) <= 0.02
+
+
+class TestFrameScratch:
+    """random_frames works in per-thread scratch arrays: a warm call allocates
+    no array, results never alias the scratch, and threads do not share it."""
+
+    def test_warm_call_into_out_allocates_no_array(self):
+        gen = next(stream_generators([RngStream(4, 0)]))
+        out = np.empty((4, 4, SAMPLE_CHUNK)).transpose(2, 1, 0)
+        random_frames(gen, SAMPLE_CHUNK, out=out)  # warms this thread's scratch
+        tracemalloc.start()
+        try:
+            random_frames(gen, SAMPLE_CHUNK, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The scratch is about 1.4 MB for a chunk; the frames alone are 256 KB.
+        assert peak <= 256 * 1024
+
+    @pytest.mark.parametrize("m", [1, 1000, SAMPLE_CHUNK])
+    def test_out_takes_a_prefix_of_the_full_draw(self, m):
+        stream = RngStream(6, 3)
+        gen = stream.generator()
+        buffer = np.full((4, 4, m + 5), np.nan).transpose(2, 1, 0)
+        got = random_frames(gen, SAMPLE_CHUNK, out=buffer[2:m + 2])
+        assert got.base is buffer.base
+        assert np.isnan(buffer[:2]).all() and np.isnan(buffer[m + 2:]).all()
+        assert np.array_equal(bits(got), bits(reference_random_frames(stream, SAMPLE_CHUNK)[:m]))
+        # The whole chunk was drawn: the generator goes on where a full draw leaves it.
+        full = stream.generator()
+        random_frames(full, SAMPLE_CHUNK)
+        assert np.array_equal(bits(gen.random(5)), bits(full.random(5)))
+
+    def test_calls_without_out_return_independent_arrays(self):
+        a = random_frames(RngStream(8, 0), SAMPLE_CHUNK)
+        a_bytes = a.copy()
+        b = random_frames(RngStream(8, 1), SAMPLE_CHUNK)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(bits(a), bits(a_bytes))
+        assert np.array_equal(bits(a), bits(reference_random_frames(RngStream(8, 0), SAMPLE_CHUNK)))
+        assert np.array_equal(bits(b), bits(reference_random_frames(RngStream(8, 1), SAMPLE_CHUNK)))
+
+    def test_threads_drawing_at_once_get_the_serial_bytes(self):
+        streams = {name: [RngStream(seed, c) for c in range(12)]
+                   for name, seed in (("a", 21), ("b", 2**63 + 9), ("c", 5))}
+        serial = {name: [random_frames(st, SAMPLE_CHUNK) for st in group]
+                  for name, group in streams.items()}
+        got: dict = {}
+        start = threading.Barrier(len(streams))
+
+        def draw(name):
+            start.wait(timeout=30)
+            gens = stream_generators(streams[name])
+            got[name] = [random_frames(gen, SAMPLE_CHUNK).copy() for gen in gens]
+
+        threads = [threading.Thread(target=draw, args=(name,)) for name in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name, frames in serial.items():
+            assert len(got[name]) == len(frames)
+            for mine, want in zip(got[name], frames):
+                assert np.array_equal(bits(mine), bits(want))
 
 
 class TestCoarseSamples:

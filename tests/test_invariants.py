@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from curv4 import core
 from curv4.analyzer import AnalyzeConfig, analyze
-from curv4.core import (Plane, complement, from_matrix, invariants, norm_max,
-                        operator_from_blocks)
+from curv4.core import (CurvatureOperator, Plane, complement, from_matrix, invariants,
+                        norm_max, operator_from_blocks)
 from curv4.errors import ValidationError
 from curv4.io import report_to_dict
 from curv4.models import ModelSpec, make_operator
 from curv4.numerics import RngStream, derive_seed, gram_schmidt
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import run_scan, trial_operators
+from curv4.verify import TRIAL_BLOCK, run_scan, run_verification, trial_operators
 
 THIRD = 1.0 / 3.0
 
@@ -114,6 +115,38 @@ class TestBatchMatchesViews:
         inv = invariants(np.eye(6)[None])
         with pytest.raises(ValueError):
             inv.k[0, 0] = 2.0
+
+
+class TestVerifyBlockPass:
+    """verify takes one stacked invariants pass per block of trials, and
+    every trial reads its row of it."""
+
+    def test_one_pass_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(matrices):
+            calls.append(len(matrices))
+            return invariants(matrices)
+
+        monkeypatch.setattr(core, "invariants", counting)
+        trials = TRIAL_BLOCK + 7
+        tiny = OracleConfig(samples=64, refine_iters=2, restarts=1)
+        report = run_verification(trials, seed=3, oracle=tiny)
+        # One stacked pass per block; no record recomputes its trial's row.
+        assert len(report.records) == trials
+        assert calls == [TRIAL_BLOCK, 7]
+
+    def test_trial_rows_equal_one_row_passes(self):
+        ops = trial_operators(9, range(40))
+        for op in ops:
+            row = op.invariants
+            alone = invariants(op.matrix[None])
+            for name, col in vars(row).items():
+                assert col.shape == getattr(alone, name).shape
+                assert np.array_equal(np.ascontiguousarray(col).view(np.uint8),
+                                      np.ascontiguousarray(getattr(alone, name)).view(np.uint8))
+                assert not col.flags.writeable
+            assert_row_matches_views(row, 0, CurvatureOperator(matrix=op.matrix))
 
 
 def trace_free(seed: int) -> np.ndarray:

@@ -306,7 +306,7 @@ class TestNewtonPolish:
         # leave 24 frames stopped where the gradient is still large.
         searches = [Search(op.matrix, "sectional", mode, OracleConfig(samples=4000, seed=i))
                     for i, op in enumerate(trial_operators(1, range(50))) for mode in MODES]
-        starts = [_coarse_starts([s])[0] for s in searches]
+        starts = [_coarse_starts([s], [s.matrix])[0] for s in searches]
         frames = np.concatenate([f for f, _ in starts])
         values = np.concatenate([v for _, v in starts])
         owner = np.repeat(np.arange(len(searches)), [len(v) for _, v in starts])
@@ -324,7 +324,8 @@ class TestNewtonPolish:
         matrices = trial_matrices(5, range(40))
         searches = [Search(m, objective, mode, OracleConfig(samples=2048, seed=i))
                     for i, m in enumerate(matrices) for mode in MODES]
-        out = _refine(searches, [_coarse_starts([s])[0] for s in searches])
+        out = _refine(searches, [s.matrix for s in searches],
+                      [_coarse_starts([s], [s.matrix])[0] for s in searches])
         frames = np.stack([frame for _, frame, _, _ in out])
         values = np.array([value for value, _, _, _ in out])
         m = np.stack([s.matrix for s in searches])
@@ -372,7 +373,7 @@ class TestNewtonPolish:
         # 43 per Newton step and one per fallback trial, which these restarts
         # take.  The 42 stencil values of a frame come from its frame form.
         search = self.stalled_search(*self.STALLS[0])
-        (frames, values), = _coarse_starts([search])
+        (frames, values), = _coarse_starts([search], [search.matrix])
         evaluated = []
         evaluate, form = _BATCH_OBJECTIVES["biorthogonal"], _FRAME_FORMS["biorthogonal"]
 

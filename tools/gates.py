@@ -6,13 +6,16 @@ Run from anywhere, with the checkout's own ``src`` on the import path:
 
 Each command runs in-process through ``curv4.cli.main`` with stdout
 captured.  One line is printed per command: the first 16 hex digits of the
-sha256 of its stdout, its exit code, the command, and its in-process wall
-time.  Every output is a pure function of its seeds, and the script holds
-the hash each output is expected to have: a line whose hash differs ends in
-``MISMATCH (expected ...)`` and the script exits with status 1.  A change
-that moves an output on purpose updates its hash in :data:`GATES`.  The
-times are only a rough guide, since the first command also pays for
-building the CLI parser.
+sha256 of its stdout, its exit code, the command, its in-process wall time,
+and the minor page faults the process took while it ran (the change in
+``resource.getrusage``'s ``ru_minflt``, which counts faults of every thread
+of the process).  Every output is a pure function of its seeds, and the
+script holds the hash each output is expected to have: a line whose hash
+differs ends in ``MISMATCH (expected ...)`` and the script exits with status
+1.  A change that moves an output on purpose updates its hash in
+:data:`GATES`.  The times and fault counts are not checked and are only a
+rough guide: the first command also pays for building the CLI parser and
+for the first touch of the memory the process goes on to reuse.
 
 The oracle's coarse phase runs on up to two of the CPUs available to the
 process, so the oracle gates (``verify`` and ``analyze --run-oracle``) then
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -69,15 +73,21 @@ GATES = {
 }
 
 
-def gate(command: str) -> tuple[str, int, float]:
-    """The sha256 prefix of ``curv4 COMMAND``'s stdout, its exit code, and
-    its wall time in seconds."""
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def gate(command: str) -> tuple[str, int, float, int]:
+    """The sha256 prefix of ``curv4 COMMAND``'s stdout, its exit code, its
+    wall time in seconds, and the minor page faults taken while it ran."""
     out = io.StringIO()
+    faults = _minor_faults()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = main(command.split())
     wall = time.perf_counter() - start
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code, wall
+    faults = _minor_faults() - faults
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code, wall, faults
 
 
 def is_oracle_gate(command: str) -> bool:
@@ -87,10 +97,11 @@ def is_oracle_gate(command: str) -> bool:
 def check(command: str, note: str = "") -> bool:
     """Run one gate, print its line, and return whether its hash is the
     expected one."""
-    digest, code, wall = gate(command)
+    digest, code, wall, faults = gate(command)
     expected = GATES[command]
     flag = "" if digest == expected else f"  MISMATCH (expected {expected})"
-    print(f"{digest}  {code}  {command}  {wall:.3f}s{note}{flag}", flush=True)
+    print(f"{digest}  {code}  {command}  {wall:.3f}s  {faults} faults{note}{flag}",
+          flush=True)
     return not flag
 
 
