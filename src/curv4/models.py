@@ -16,6 +16,7 @@ Model names, parameter arities and defaults are part of the CLI contract:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,6 +51,11 @@ class ModelSpec:
             raise ValidationError(
                 f"model {name!r} takes {len(defaults)} parameter(s), got {len(params)}"
             )
+        # A builder given inf would divide it away (1/R^2 = 0) or fill its
+        # matrix with nan; reject it before any builder sees it.
+        for p in params:
+            if not math.isfinite(p):
+                raise ValidationError(f"model {name!r} parameters must be finite, got {p!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "parameters", params)
 

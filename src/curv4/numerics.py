@@ -231,6 +231,19 @@ def _spawn_state(seed: int, key_words: list) -> tuple:
     return tuple(state)
 
 
+def _index_array(indices) -> np.ndarray:
+    """``indices`` as a uint64 array.  A range is laid out by numpy rather
+    than iterated in Python.  Negative indices and indices of 2**64 or more
+    raise OverflowError."""
+    if not (isinstance(indices, range) and indices):
+        return np.fromiter(map(operator.index, indices), dtype=np.uint64)
+    first, last = indices[0], indices[-1]
+    if min(first, last) < 0 or max(first, last) >= 1 << 64:
+        raise OverflowError(f"indices must lie in [0, 2**64), got {indices!r}")
+    offsets = np.arange(len(indices), dtype=np.uint64) * np.uint64(abs(indices.step))
+    return np.uint64(first) + offsets if indices.step > 0 else np.uint64(first) - offsets
+
+
 def derive_seeds(seed: int, indices, *tail: int) -> np.ndarray:
     """``derive_seed(seed, i, *tail)`` for every ``i`` in ``indices``, as one
     uint64 array.
@@ -242,8 +255,7 @@ def derive_seeds(seed: int, indices, *tail: int) -> np.ndarray:
     two words and form their own group.
     """
     tail_words = [w for t in tail for w in _words(operator.index(t))]
-    # Negative indices and indices of 2**64 or more raise OverflowError.
-    idx = np.fromiter(map(operator.index, indices), dtype=np.uint64)
+    idx = _index_array(indices)
     out = np.empty(idx.size, dtype=np.uint64)
     wide = idx > _MASK32
     for group, width in ((~wide, 1), (wide, 2)):

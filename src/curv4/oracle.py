@@ -17,8 +17,8 @@ at its step cap.  The polish draws no random numbers.
 
 The stencil values come from the operator side: a rotation Q acts on
 2-forms through L = Lambda^2 Q, so the objective of M at the rotated frame
-F Q^T is the objective of L^T M L at F.  Each search's operator is
-conjugated by the 42 stencil rotations once per polish block, and a step
+F Q^T is the objective of L^T M L at F.  Each distinct operator of a batch
+is conjugated by the 42 stencil rotations once per objective, and a step
 reads a frame's 42 values off one contraction with the frame's form P(F).
 Trial frames are still evaluated directly, so every reported value is
 attained by its witness.
@@ -30,9 +30,12 @@ an operator near the float64 limit.  A value that overflows float64 when
 scaled back raises :class:`ValidationError`.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
-searches that share a seed share one coarse frame draw, and the polish
-advances the frames of every search together.  Each result is bit-identical
-to running its search alone.
+searches that share a seed share one coarse frame draw, searches on equal
+matrices share one operator, and the polish advances the frames of every
+search of one objective together.  Each result is bit-identical to running
+its search alone.  The polish's memory grows with the batch, its frames
+and distinct operators; verify bounds it by running
+:data:`~curv4.verify.TRIAL_BLOCK` trials per batch.
 
 The coarse phase runs on up to two of the CPUs available to the process,
 worker 0 being the calling thread and the other a thread of a pool that
@@ -85,7 +88,6 @@ _FD_STEP = 1e-4
 _FLAT_RTOL = 1e-8
 _ROUNDING_BAND = 1e-5
 _TRUST_RADIUS = 0.25
-_POLISH_BLOCK = 48
 #: Times a failed fallback step of the polish is halved before its frame stops.
 _FALLBACK_HALVINGS = 8
 
@@ -393,21 +395,21 @@ def _refined(cfg: OracleConfig) -> bool:
     return cfg.restarts > 0 and cfg.refine_iters > 0
 
 
-def _coarse_starts(group: list[Search], matrices: list[np.ndarray], pool=None,
+def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int], pool=None,
                    workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
-    distinct (objective, matrix) is evaluated once, its chunks spread over
-    ``workers`` workers as :func:`_coarse_samples` does.  ``matrices[i]`` is
-    the operator search ``i`` runs on (its own matrix, or that matrix scaled).
+    distinct (objective, operator) is evaluated once, its chunks spread over
+    ``workers`` workers as :func:`_coarse_samples` does.  Search ``i`` runs
+    on the operator ``table[ids[i]]`` (its matrix, or that matrix scaled).
 
     Returns each search's starting rows (frames, signed values): its diverse
     refine candidates, or only its best sample when it is not refined.  The
     full sample arrays are released when this returns.
     """
-    keys = [(s.objective, m.tobytes()) for s, m in zip(group, matrices)]
+    keys = [(s.objective, i) for s, i in zip(group, ids)]
     targets = {}
-    for s, m, key in zip(group, matrices, keys):
-        targets.setdefault(key, (s.objective, m))
+    for s, i, key in zip(group, ids, keys):
+        targets.setdefault(key, (s.objective, table[i]))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
                                      list(targets.values()), pool, workers)
     raw = dict(zip(targets, values))
@@ -449,16 +451,39 @@ def _conjugated(matrices: np.ndarray) -> np.ndarray:
     """L_k^T M L_k for each operator (S, 6, 6) and stencil rotation k: (S, 42, 6, 6).
 
     Contracted with einsum, not matmul, whose rounding can depend on the BLAS
-    build.
+    build.  The result keeps the layout einsum gives it, with the stencil
+    axis innermost in memory: the summation order of :func:`_stencil_values`
+    follows that layout, and a C-ordered copy would round differently.
     """
     half = np.einsum("sij,kjb->skib", matrices, _STENCIL_LAMBDA)
     return np.einsum("kia,skib->skab", _STENCIL_LAMBDA, half)
 
 
-def _stencil_values(objective: str, conjugated: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """The objective at the 42 stencil rotations of each frame (F, 4, 4), from
-    each frame's conjugated operators (F, 42, 6, 6): <P(F), L_k^T M L_k>."""
-    return np.einsum("fab,fkab->fk", _FRAME_FORMS[objective](frames), conjugated)
+def _slots(owner: np.ndarray) -> np.ndarray:
+    """Each frame's place among the frames of its operator: frame i is the
+    ``slots[i]``-th frame whose owner is ``owner[i]``."""
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner)
+    slots = np.empty_like(owner)
+    slots[order] = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return slots
+
+
+def _stencil_values(objective: str, conjugated: np.ndarray, forms: np.ndarray,
+                    frames: np.ndarray, owner: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The objective at the 42 stencil rotations of each frame (F, 4, 4):
+    <P(F), L_k^T M L_k>, where M is operator ``owner[i]`` for frame i.
+
+    ``conjugated`` holds the conjugated operators (S, 42, 6, 6) and
+    ``forms`` (S, R, 6, 6) one place per frame of each operator, ``slots``
+    the frame's place.  Each frame form is written to its place, and one
+    contraction of every place with its operator's 42 conjugates is read
+    back at the frames' places, so no frame copies its operator's conjugates.
+    Places no frame here holds keep their old contents, and their values are
+    computed and dropped.
+    """
+    forms[owner, slots] = _FRAME_FORMS[objective](frames)
+    return np.einsum("srab,skab->srk", forms, conjugated)[owner, slots]
 
 
 def _derivatives(stencil: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,8 +516,14 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     ``matrices`` holds the distinct operators (S, 6, 6) and ``owner`` the
     index of each frame's operator.  Each operator is conjugated by the
     stencil rotations once, up front, so a step gets the frame's 42 stencil
-    values from its frame form alone (:func:`_stencil_values`); trial frames
-    are evaluated directly, so every value kept is attained by its frame.
+    values from its frame form alone (:func:`_stencil_values`), through one
+    padded (S, R, 6, 6) array of frame forms set up here, R being the most
+    frames any operator has.  Trial frames are evaluated directly, so every
+    value kept is attained by its frame.
+
+    The memory grows with the operators (42 conjugates of each) and with
+    the frames polished (each step's arrays), never with their product: no
+    frame gathers its operator's conjugates.
 
     Each step rotates the frame by -H^+ g over the Hessian's curved
     directions, skipping flat and negative ones.  Where that step does not
@@ -509,6 +540,8 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     """
     evaluate = _BATCH_OBJECTIVES[objective]
     conjugated = _conjugated(matrices)
+    slots = _slots(owner)
+    forms = np.zeros((len(matrices), int(slots.max(initial=0)) + 1, 6, 6))
     evaluations = np.zeros(len(values), dtype=int)
     taken = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
@@ -517,7 +550,8 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     while live.size:
         f, sign, own = frames[live], signs[live], owner[live]
         m = matrices[own]
-        stencil = sign[:, None] * _stencil_values(objective, conjugated[own], f)
+        stencil = sign[:, None] * _stencil_values(objective, conjugated, forms, f, own,
+                                                  slots[live])
         grad, hess = _derivatives(stencil, values[live])
         lam, vec = np.linalg.eigh(hess)
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
@@ -550,38 +584,44 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
         frames[live[better]] = trial[better]
         values[live[better]] = trial_values[better]
         live = live[better & (taken[live] < caps[live])]
+        # Free this step's largest per-frame arrays before the next step
+        # allocates its own, which would otherwise add to the polish's peak.
+        del m, stencil, hess, vec, trial
     return evaluations, converged
 
 
-def _refine(searches: list[Search], matrices: list[np.ndarray],
+def _refine(searches: list[Search], table: np.ndarray, ids: Sequence[int],
             starts) -> list[tuple[float, np.ndarray, int, bool]]:
     """Newton polish from every search's candidates, minimizing each search's
-    signed value on its operator ``matrices[i]``.  Returns (value, frame,
-    evaluations, converged).
+    signed value on its operator ``table[ids[i]]``, where ``table`` (S, 6, 6)
+    holds the distinct operators.  Returns (value, frame, evaluations,
+    converged).
 
-    The frames of one objective are polished :data:`_POLISH_BLOCK` at a time,
-    which keeps the stencil arrays small: only the operators of the searches
-    in a block are conjugated with it.  Each frame's steps depend on that
-    frame alone.  A search is converged when its winning frame is.
+    All frames of one objective are polished in one :func:`_polish` call,
+    which conjugates each operator they use once, so searches on one
+    operator share its conjugates.  Its memory grows with the frames and
+    operators of the batch; verify bounds it by running
+    :data:`~curv4.verify.TRIAL_BLOCK` trials per batch.  Each frame's steps
+    depend on that frame alone.  A search is converged when its winning
+    frame is.
     """
     counts = [len(values) for _, values in starts]
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    owner = np.repeat(np.arange(len(searches)), counts)
+    owner = np.repeat(np.asarray(ids), counts)
     frames = np.concatenate([f for f, _ in starts])
     values = np.concatenate([v for _, v in starts])
-    matrices = np.stack(matrices)
-    signs = np.array([s.sign for s in searches])[owner]
-    caps = np.array([s.cfg.refine_iters for s in searches])[owner]
+    signs = np.repeat([s.sign for s in searches], counts)
+    caps = np.repeat([s.cfg.refine_iters for s in searches], counts)
+    objectives = np.repeat([s.objective for s in searches], counts)
     evaluations = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
     for objective in dict.fromkeys(s.objective for s in searches):
-        rows = np.flatnonzero([searches[o].objective == objective for o in owner])
-        for block in np.split(rows, range(_POLISH_BLOCK, len(rows), _POLISH_BLOCK)):
-            f, v = frames[block], values[block]
-            ids, local = np.unique(owner[block], return_inverse=True)
-            evaluations[block], converged[block] = _polish(
-                objective, matrices[ids], local, signs[block], f, v, caps[block])
-            frames[block], values[block] = f, v
+        rows = np.flatnonzero(objectives == objective)
+        f, v = frames[rows], values[rows]
+        used, local = np.unique(owner[rows], return_inverse=True)
+        evaluations[rows], converged[rows] = _polish(
+            objective, table[used], local, signs[rows], f, v, caps[rows])
+        frames[rows], values[rows] = f, v
 
     out = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
@@ -605,17 +645,31 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     call, joined before this returns.  With two or more groups an item is a
     whole group, whose pass and candidate selection run on the worker that
     pulled it, so there is one pass buffer per worker; a lone group's items
-    are the chunks of its pass.  One refine loop on the calling thread then
-    advances the candidates of all searches together.
+    are the chunks of its pass.  One refine loop per objective on the
+    calling thread then advances the candidates of all its searches
+    together.  Each distinct matrix is scaled once into one table of
+    operators: searches on equal matrices share their stencil conjugates,
+    and also their coarse values when their seed and objective are the same.
+    The polish's memory grows with the batch; verify bounds it through
+    :data:`~curv4.verify.TRIAL_BLOCK`.
+
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
     read-only (4, 4) frame.  Each value is the best value actually
     evaluated, attained by its witness; one that overflows float64 raises
     :class:`ValidationError`.
     """
     searches = list(searches)
-    # Each search runs at max-norm [1, 2) (module docstring); _result scales back.
+    # Each search runs at max-norm [1, 2) (module docstring); _result scales
+    # back.  Each distinct matrix is scaled once, into one table of operators.
     exponents = [_exponent(s.matrix) for s in searches]
-    scaled = [np.ldexp(s.matrix, -e) for s, e in zip(searches, exponents)]
+    distinct: dict[bytes, int] = {}
+    ids, scaled = [], []
+    for s, e in zip(searches, exponents):
+        row = distinct.setdefault(s.matrix.tobytes(), len(distinct))
+        if row == len(scaled):
+            scaled.append(np.ldexp(s.matrix, -e))
+        ids.append(row)
+    table = np.stack(scaled)
     by_seed: dict[int, list[int]] = {}
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
@@ -625,8 +679,8 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     def run_groups(pulled, pool=None, workers: int = 1) -> None:
         for members in pulled:
             group = [searches[i] for i in members]
-            matrices = [scaled[i] for i in members]
-            for i, start in zip(members, _coarse_starts(group, matrices, pool, workers)):
+            for i, start in zip(members, _coarse_starts(group, table, [ids[i] for i in members],
+                                                        pool, workers)):
                 starts[i] = start
 
     lone = len(groups) == 1
@@ -641,8 +695,8 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
     refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]
     if refined:
-        for i, outcome in zip(refined, _refine([searches[i] for i in refined],
-                                               [scaled[i] for i in refined],
+        for i, outcome in zip(refined, _refine([searches[i] for i in refined], table,
+                                               [ids[i] for i in refined],
                                                [starts[i] for i in refined])):
             outcomes[i] = outcome
     return [_result(s, e, *outcome) for s, e, outcome in zip(searches, exponents, outcomes)]

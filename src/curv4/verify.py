@@ -35,6 +35,10 @@ TRIAL_BLOCK = 100
 #: sectional and isotropic searches do have spurious minima.
 DEFAULT_SAMPLES = SAMPLE_CHUNK
 
+#: Most rows a scan takes: its invariants pass holds a (trials, 6, 6) float64
+#: stack, whose size in bytes numpy must be able to address.
+_MAX_SCAN_TRIALS = int(np.iinfo(np.intp).max) // (6 * 6 * 8)
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -198,6 +202,9 @@ def run_scan(spec: ModelSpec, trials: int, seed: int) -> ScanReport:
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_SCAN_TRIALS:
+        raise ValidationError(f"trials must be at most {_MAX_SCAN_TRIALS}, the most rows "
+                              f"a scan can address, got {trials}")
     if spec.name == "random_bianchi":
         matrices = trial_matrices(seed, range(trials), spec.parameters[0])
     else:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from curv4.errors import ValidationError
 from curv4.models import MODELS, ModelSpec, make_operator, parse_model_spec
 from curv4.numerics import RngStream, derive_seed
 from curv4.models import random_bianchi
-from curv4.verify import run_scan
+from curv4.verify import _MAX_SCAN_TRIALS, run_scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -343,6 +344,43 @@ class TestCliScan:
         assert main(["scan", "--model", "cp2", "--trials", "3", "--seed", "1"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1:-1]
         assert all(row["k3"] == 4.0 for row in rows)
+
+    # Row counts numpy refuses at once: beyond int64, beyond what a
+    # (trials, 6, 6) stack can address, and 144 PiB of seeds or rows, larger
+    # than any address space.
+    @pytest.mark.parametrize("model", ["cp2", "random_bianchi:1"])
+    @pytest.mark.parametrize("trials, message", [
+        ("99999999999999999999", "error: trials must be at most"),
+        (str(_MAX_SCAN_TRIALS + 1), "error: trials must be at most"),
+        (str(2**54), "error: out of memory: ")])
+    def test_oversized_trials_take_the_error_path(self, capsys, model, trials, message):
+        assert main(["scan", "--model", model, "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+class TestCliNonFiniteModelParameters:
+    # An infinite radius once gave a flat tensor (1/R^2 underflows to 0) and
+    # an infinite scale a matrix of nan, with a numpy RuntimeWarning; every
+    # non-finite parameter now takes the error path before a builder runs.
+    @pytest.mark.parametrize("command", [
+        "analyze --model sphere:inf", "analyze --model r_times_s3:inf --json",
+        "analyze --model cp2:inf", "analyze --model space_form:inf",
+        "analyze --model space_form:-inf --run-oracle", "analyze --model product:1,nan",
+        "scan --model sphere:inf", "scan --model cp2:nan", "scan --model random_bianchi:inf",
+        "emit --model r_times_s3:inf"])
+    def test_takes_the_error_path(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+    def test_spec_rejects_non_finite_parameters(self):
+        for text in ("sphere:inf", "cp2:-inf", "product:nan,1", "random_bianchi:inf"):
+            with pytest.raises(ValidationError, match="must be finite"):
+                parse_model_spec(text)
 
 
 def json_row(index, s, k, w3p, w3m, hyp_a, hyp_b, nnic):

@@ -9,8 +9,9 @@ from curv4.core import Plane
 from curv4.errors import ValidationError
 from curv4.models import cp2, random_bianchi
 from curv4.numerics import RngStream
-from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification
+from curv4.oracle import MODES, OracleConfig, Search, extremize_batch
+from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
+                          trial_matrices)
 
 SMALL = OracleConfig(samples=3000, refine_iters=60, restarts=2, seed=5)
 
@@ -67,6 +68,26 @@ def test_mixed_batch_equals_searches_alone():
         Search(cp2(1.0).matrix, "sectional", "min", other),
         Search(a.matrix, "biorthogonal", "min", SMALL),   # a duplicate
     ])
+
+
+def test_one_polish_pass_equals_searches_alone():
+    # One biorthogonal polish pass over more than 48 frames; searches with
+    # 1, 2 and 3 candidate frames; min and max on one operator; one matrix
+    # under several seeds; and sectional and isotropic searches beside them.
+    matrices = trial_matrices(23, range(9))
+    searches = [Search(m, "biorthogonal", mode, OracleConfig(samples=2048, seed=i))
+                for i, m in enumerate(matrices) for mode in MODES]
+    searches += [Search(matrices[0], "biorthogonal", "min", OracleConfig(samples=n, seed=40 + n))
+                 for n in (1, 2)]
+    searches += [Search(matrices[1], "biorthogonal", "max", OracleConfig(samples=2048, seed=seed))
+                 for seed in (50, 51)]
+    searches += [Search(matrices[2], "sectional", "min", OracleConfig(samples=2, seed=2)),
+                 Search(matrices[2], "isotropic", "min", OracleConfig(samples=2048, seed=2)),
+                 Search(matrices[3], "isotropic", "max", OracleConfig(samples=1, seed=60))]
+    frames = sum(min(s.cfg.samples, s.cfg.restarts) for s in searches
+                 if s.objective == "biorthogonal")
+    assert frames > 48
+    assert_matches_alone(searches)
 
 
 def test_unrefined_searches_in_a_batch():

@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from
 from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST,
                           _FRAME_FORMS, _ROUNDING_BAND, _STENCIL, MODES, ExtremumResult,
                           OracleConfig, Search, _coarse_starts, _conjugated, _derivatives,
-                          _polish, _refine, _rotated, _select_candidates, _stencil_values,
-                          extremize_batch, isotropic_curvature)
-from curv4.verify import run_verification, trial_matrices, trial_operators
+                          _polish, _refine, _rotated, _select_candidates, _slots,
+                          _stencil_values, extremize_batch, isotropic_curvature)
+from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
+                          trial_matrices, trial_operators)
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -241,6 +243,14 @@ class TestPerturbations:
         assert np.max(np.abs(moved - self.FRAMES)) <= 1e-7
 
 
+def stencil_values(objective, matrices, frames, owner):
+    """The polish's stencil values of each frame on its operator
+    ``matrices[owner[i]]``, every frame given its own place."""
+    slots = _slots(owner)
+    forms = np.zeros((len(matrices), slots.max() + 1, 6, 6))
+    return _stencil_values(objective, _conjugated(matrices), forms, frames, owner, slots)
+
+
 class TestFrameForms:
     """The polish's operator side: the frame form P(F) with <P(F), M> the
     objective of M at F, and the operators conjugated by the stencil."""
@@ -267,7 +277,7 @@ class TestFrameForms:
 
     @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
     def test_stencil_values_match_rotated_frames(self, objective):
-        got = _stencil_values(objective, _conjugated(self.MATRICES)[self.OWNER], self.FRAMES)
+        got = stencil_values(objective, self.MATRICES, self.FRAMES, self.OWNER)
         want = _BATCH_OBJECTIVES[objective](self.MATRICES[self.OWNER],
                                             _rotated(self.FRAMES[:, None], _STENCIL))
         assert got.shape == (45, 42)
@@ -306,7 +316,7 @@ class TestNewtonPolish:
         # leave 24 frames stopped where the gradient is still large.
         searches = [Search(op.matrix, "sectional", mode, OracleConfig(samples=4000, seed=i))
                     for i, op in enumerate(trial_operators(1, range(50))) for mode in MODES]
-        starts = [_coarse_starts([s], [s.matrix])[0] for s in searches]
+        starts = [_coarse_starts([s], s.matrix[None], [0])[0] for s in searches]
         frames = np.concatenate([f for f, _ in starts])
         values = np.concatenate([v for _, v in starts])
         owner = np.repeat(np.arange(len(searches)), [len(v) for _, v in starts])
@@ -324,19 +334,47 @@ class TestNewtonPolish:
         matrices = trial_matrices(5, range(40))
         searches = [Search(m, objective, mode, OracleConfig(samples=2048, seed=i))
                     for i, m in enumerate(matrices) for mode in MODES]
-        out = _refine(searches, [s.matrix for s in searches],
-                      [_coarse_starts([s], [s.matrix])[0] for s in searches])
+        ids = np.arange(len(searches)) // 2
+        out = _refine(searches, matrices, ids,
+                      [_coarse_starts([s], matrices, [i])[0] for s, i in zip(searches, ids)])
         frames = np.stack([frame for _, frame, _, _ in out])
         values = np.array([value for value, _, _, _ in out])
         m = np.stack([s.matrix for s in searches])
         sign = np.array([s.sign for s in searches])
-        stencil = sign[:, None] * _stencil_values(objective, _conjugated(m), frames)
+        stencil = sign[:, None] * stencil_values(objective, matrices, frames, ids)
         _, hess = _derivatives(stencil, values)
         flat_dirs = np.stack([wedge(frames[:, 0], frames[:, 1]),
                               wedge(frames[:, 2], frames[:, 3])], axis=-1)
         reduced = np.einsum("fia,fij,fjb->fab", flat_dirs, hess, flat_dirs)
         worst = np.max(np.abs(np.linalg.eigvalsh(reduced)), axis=1)
         assert np.all(worst <= 0.1 * _ROUNDING_BAND * np.max(np.abs(m), axis=(1, 2)))
+
+    # tracemalloc peak of the polish of one verify block (100 trials, min and
+    # max, 600 frames): 2.9 MB, of which 1.2 MB are the 100 operators'
+    # conjugates.  Gathering each frame's 42 conjugates would alone add 7.3 MB.
+    POLISH_PEAK_BOUND = 4e6
+
+    def test_verify_block_polish_memory(self, monkeypatch):
+        conjugated, peaks = [], []
+        conjugate, refine = oracle._conjugated, oracle._refine
+
+        def counting(matrices):
+            conjugated.append(len(matrices))
+            return conjugate(matrices)
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                return refine(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(oracle, "_conjugated", counting)
+        monkeypatch.setattr(oracle, "_refine", measured)
+        _run_trials(1, range(TRIAL_BLOCK), OracleConfig(samples=DEFAULT_SAMPLES))
+        assert conjugated == [TRIAL_BLOCK]   # a trial's min and max share one operator
+        assert len(peaks) == 1 and peaks[0] <= self.POLISH_PEAK_BOUND
 
     def test_step_cap_leaves_search_unconverged(self):
         op = random_bianchi(RngStream(61))
@@ -373,7 +411,7 @@ class TestNewtonPolish:
         # 43 per Newton step and one per fallback trial, which these restarts
         # take.  The 42 stencil values of a frame come from its frame form.
         search = self.stalled_search(*self.STALLS[0])
-        (frames, values), = _coarse_starts([search], [search.matrix])
+        (frames, values), = _coarse_starts([search], search.matrix[None], [0])
         evaluated = []
         evaluate, form = _BATCH_OBJECTIVES["biorthogonal"], _FRAME_FORMS["biorthogonal"]
 

@@ -56,3 +56,19 @@ def test_empty_and_array_indices():
 def test_bad_indices_are_rejected(bad):
     with pytest.raises((OverflowError, TypeError)):
         derive_seeds(1, bad, 0)
+
+
+@pytest.mark.parametrize("indices", [
+    range(0), range(7), range(3, 40, 6), range(40, 3, -6), range(2**32 - 3, 2**32 + 3),
+    range(2**64 - 5, 2**64), range(2**64 - 1, 2**64 - 9, -2)])
+def test_range_equals_its_list(indices):
+    got = derive_seeds(7919, indices, 1)
+    assert got.dtype == np.uint64
+    assert got.tolist() == derive_seeds(7919, list(indices), 1).tolist()
+
+
+@pytest.mark.parametrize("bad", [range(-1, 3), range(3, -2, -1), range(2**64 - 2, 2**64 + 1)])
+def test_bad_ranges_are_rejected(bad):
+    with pytest.raises(OverflowError):
+        derive_seeds(1, bad, 0)
+

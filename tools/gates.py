@@ -13,9 +13,12 @@ of the process).  Every output is a pure function of its seeds, and the
 script holds the hash each output is expected to have: a line whose hash
 differs ends in ``MISMATCH (expected ...)`` and the script exits with status
 1.  A change that moves an output on purpose updates its hash in
-:data:`GATES`.  The times and fault counts are not checked and are only a
-rough guide: the first command also pays for building the CLI parser and
-for the first touch of the memory the process goes on to reuse.
+:data:`GATES`.  After the last gate the script prints the process's peak
+resident set size over the whole run (``ru_maxrss``).  The times, fault
+counts and peak RSS are not checked and are only a rough guide: the first
+command also pays for building the CLI parser and for the first touch of
+the memory the process goes on to reuse, and the peak is that of the
+largest command, with every earlier command's leftovers.
 
 The oracle's coarse phase runs on up to two of the CPUs available to the
 process, so the oracle gates (``verify`` and ``analyze --run-oracle``) then
@@ -105,20 +108,28 @@ def check(command: str, note: str = "") -> bool:
     return not flag
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MiB: ``ru_maxrss``,
+    which Linux gives in KiB and macOS in bytes."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run() -> int:
     mismatches = sum(not check(command) for command in GATES)
-    if not hasattr(os, "sched_setaffinity"):
+    if hasattr(os, "sched_setaffinity"):
+        saved = os.sched_getaffinity(0)
+        cpu = min(saved)
+        os.sched_setaffinity(0, {cpu})
+        try:
+            mismatches += sum(not check(command, f"  pinned to CPU {cpu}")
+                              for command in filter(is_oracle_gate, GATES))
+        finally:
+            os.sched_setaffinity(0, saved)
+    else:
         print("note: os.sched_setaffinity is not available here; the oracle gates "
               "were not re-run on one CPU", flush=True)
-        return 1 if mismatches else 0
-    saved = os.sched_getaffinity(0)
-    cpu = min(saved)
-    os.sched_setaffinity(0, {cpu})
-    try:
-        mismatches += sum(not check(command, f"  pinned to CPU {cpu}")
-                          for command in filter(is_oracle_gate, GATES))
-    finally:
-        os.sched_setaffinity(0, saved)
+    print(f"peak RSS {peak_rss_mb():.1f} MiB", flush=True)
     return 1 if mismatches else 0
 
 
