@@ -83,10 +83,20 @@ def _require_positive(value: float, what: str) -> float:
     return value
 
 
+def _inverse_square(radius: float, model: str) -> float:
+    """1/R^2 for a positive radius R of ``model``; a radius so small that
+    1/R^2 overflows float64 is an input error naming the model."""
+    _require_positive(radius, "radius")
+    square = radius**2
+    if not square or math.isinf(1.0 / square):
+        raise ValidationError(f"model {model!r} overflows float64: 1/radius^2 at radius "
+                              f"{radius!r}")
+    return 1.0 / square
+
+
 def sphere(radius: float = 1.0) -> CurvatureOperator:
     """Round sphere of the given radius: every sectional curvature is 1/R^2."""
-    _require_positive(radius, "radius")
-    return from_matrix(np.eye(6) / radius**2)
+    return from_matrix(_inverse_square(radius, "sphere") * np.eye(6))
 
 
 def space_form(k: float) -> CurvatureOperator:
@@ -123,27 +133,28 @@ def cp2(scale: float = 1.0) -> CurvatureOperator:
     delta = np.eye(4)
 
     def component(i: int, j: int, k: int, l: int) -> float:
-        return scale * (
-            delta[i, k] * delta[j, l] - delta[i, l] * delta[j, k]
-            + _J[i, k] * _J[j, l] - _J[i, l] * _J[j, k]
-            + 2.0 * _J[i, j] * _J[k, l]
-        )
+        return (delta[i, k] * delta[j, l] - delta[i, l] * delta[j, k]
+                + _J[i, k] * _J[j, l] - _J[i, l] * _J[j, k]
+                + 2.0 * _J[i, j] * _J[k, l])
 
     from .core import PAIRS
 
-    mat = np.zeros((6, 6))
+    unit = np.zeros((6, 6))
     for a, (i, j) in enumerate(PAIRS):
         for b, (k, l) in enumerate(PAIRS):
-            mat[a, b] = component(i, j, k, l)
+            unit[a, b] = component(i, j, k, l)
+    with np.errstate(over="ignore"):
+        mat = scale * unit
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"model 'cp2' overflows float64: 4*scale at scale {scale!r}")
     return from_matrix(mat)
 
 
 def r_times_s3(radius: float = 1.0) -> CurvatureOperator:
     """Line times round 3-sphere; the flat direction is e4."""
-    _require_positive(radius, "radius")
     mat = np.zeros((6, 6))
     for idx in (0, 1, 3):  # e12, e13, e23: planes inside the sphere factor
-        mat[idx, idx] = 1.0 / radius**2
+        mat[idx, idx] = _inverse_square(radius, "r_times_s3")
     return from_matrix(mat)
 
 

@@ -7,21 +7,20 @@ orthonormal 4-frames.
 
 Two phases: uniform sampling (Haar frames, chunked deterministic streams),
 then a Newton polish from a handful of mutually distant coarse candidates.
-The polish takes its gradient and Hessian in so(4) from the objective's
-values on a fixed 42-point finite-difference stencil of rotations, and steps
-each frame by -H^+ g over the Hessian's positive directions.  Where that
-step does not improve the value at a frame that is not stationary, the frame
-tries -|H|^+ g, which also descends along negative directions, halved until
-it improves; a frame stops at a stationary point, when no trial improves, or
-at its step cap.  The polish draws no random numbers.
+The polish takes the exact gradient and Hessian of the objective in so(4)
+(Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
+Manifolds*, 2008, ch. 6), and steps each frame by -H^+ g over the Hessian's
+positive directions.  Where that step does not improve the value at a frame
+that is not stationary, the frame tries -|H|^+ g, which also descends along
+negative directions, halved until it improves; a frame stops at a
+stationary point, when no trial improves, or at its step cap.  The polish
+draws no random numbers.
 
-The stencil values come from the operator side: a rotation Q acts on
-2-forms through L = Lambda^2 Q, so the objective of M at the rotated frame
-F Q^T is the objective of L^T M L at F.  Each distinct operator of a batch
-is conjugated by the 42 stencil rotations once per objective, and a step
-reads a frame's 42 values off one contraction with the frame's form P(F).
-Trial frames are still evaluated directly, so every reported value is
-attained by its witness.
+The gradient and Hessian pair the frame form P(F) of the objective
+<P(F), M> with 6 + 21 fixed matrices of M, its jets (:func:`_jet_gather`),
+since a rotation exp(X) acts on 2-forms by exp(D_X), D_X(u ^ v) = Xu ^ v +
+u ^ Xv; a step takes them in one contraction.  Trial frames are evaluated
+directly, so every reported value is attained by its witness.
 
 Each search runs on its operator divided by 2^e, the power of two that
 brings max|M| into [1, 2).  The division is exact, so the values, scaled
@@ -78,13 +77,12 @@ _MAX_WORKERS = 2
 _CANDIDATE_POOL = 200
 _DIVERSITY_MIN_DIST = 0.5
 
-# Newton polish: the finite-difference step in so(4); Hessian eigenvalues up
-# to _FLAT_RTOL times the largest |eigenvalue| count as flat; _ROUNDING_BAND
-# times max|M| bounds the finite-difference rounding of the gradient and
-# Hessian at an extremum (Hessian eigenvalues on exactly flat directions reach
-# 6.9e-7 max|M| at 1 200 polished frames per objective); the largest rotation
-# angle of one step.
-_FD_STEP = 1e-4
+# Newton polish: Hessian eigenvalues up to _FLAT_RTOL times the largest
+# |eigenvalue| count as flat; a frame is stationary when its gradient and the
+# Hessian's negative part are within _ROUNDING_BAND max|M| (the exact Hessian
+# rounds by at most 3.3e-15 max|M| on flat directions, but converged frames'
+# gradients reach 4.2e-8 max|M|: a step is kept only if it improves the value,
+# which cannot resolve a smaller step's gain); the largest angle of one step.
 _FLAT_RTOL = 1e-8
 _ROUNDING_BAND = 1e-5
 _TRUST_RADIUS = 0.25
@@ -430,16 +428,38 @@ def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int], p
 # refine phase
 
 
-_PAIR_I, _PAIR_J = np.triu_indices(6, 1)
-_DIRECTIONS = np.concatenate([np.eye(6), np.eye(6)[_PAIR_I] + np.eye(6)[_PAIR_J]])
-# The stencil: rotations by h e_i and h (e_i + e_j), i < j, then their inverses.
-_STENCIL = rotation_from_generator(_FD_STEP * np.concatenate([_DIRECTIONS, -_DIRECTIONS]))
-# Objective evaluations per Newton step: the stencil plus the trial frame.
-_STEP_EVALUATIONS = len(_STENCIL) + 1
-# The action L = Lambda^2 Q of each stencil rotation on 2-forms, (42, 6, 6):
-# row (a, b) is Q[a] ^ Q[b], so that (Q u) ^ (Q v) = L (u ^ v).  An objective
-# of M at the rotated frame F Q^T is therefore the objective of L^T M L at F.
-_STENCIL_LAMBDA = wedge(_STENCIL[:, [a for a, _ in PAIRS]], _STENCIL[:, [b for _, b in PAIRS]])
+# The generators X_k = E_ab - E_ba, (a, b) = PAIRS[k], of
+# rotation_from_generator, and their actions D_k on 2-forms,
+# D_k(u ^ v) = X_k u ^ v + u ^ X_k v: row (a, b) of D_k is X_k[a] ^ e_b + e_a ^ X_k[b].
+_P, _Q = np.array(PAIRS).T
+_E4 = np.eye(4)
+_GENERATORS = _outer(_E4[_P], _E4[_Q]) - _outer(_E4[_Q], _E4[_P])
+_DERIVATIONS = wedge(_GENERATORS[:, _P], _E4[_Q]) + wedge(_E4[_P], _GENERATORS[:, _Q])
+# The Hessian's upper triangle, i <= j, in the order the jets hold it.
+_HESS_I, _HESS_J = np.triu_indices(6)
+
+
+def _jet_gather() -> tuple[np.ndarray, np.ndarray]:
+    """The jets as a signed gather of an operator's 36 entries: jet j < 6 is
+    g_j = 2 M D_j, jet 6 + t is H_il = 2 D_i^T M D_l + M (D_i D_l + D_l D_i)
+    for (i, l) = (``_HESS_I[t]``, ``_HESS_J[t]``), both paired with P(F).
+
+    Each D_k is a signed permutation on its support, so a jet entry is at
+    most two entries of M times +-1 or +-2: their flat indices and
+    coefficients, (2, 27 * 36) each, a missing term with coefficient 0.
+    """
+    d, i, l, eye = _DERIVATIONS, _HESS_I, _HESS_J, np.eye(6)
+    grad = 2.0 * np.einsum("ap,jqb->jabpq", eye, d)
+    hess = (2.0 * np.einsum("tpa,tqb->tabpq", d[i], d[l])
+            + np.einsum("ap,tqb->tabpq", eye, d[i] @ d[l] + d[l] @ d[i]))
+    rows = np.concatenate([grad, hess]).reshape(-1, 36)
+    index = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :np.count_nonzero(rows, 1).max()]
+    return index.T.copy(), np.take_along_axis(rows, index, axis=1).T.copy()
+
+
+_JET_INDEX, _JET_COEF = _jet_gather()
+# Objective evaluations per Newton step: the jet contraction and the trial frame.
+_STEP_EVALUATIONS = 2
 
 
 def _rotated(frames: np.ndarray, rots: np.ndarray) -> np.ndarray:
@@ -447,16 +467,16 @@ def _rotated(frames: np.ndarray, rots: np.ndarray) -> np.ndarray:
     return np.einsum("...mj,...ij->...mi", frames, rots)
 
 
-def _conjugated(matrices: np.ndarray) -> np.ndarray:
-    """L_k^T M L_k for each operator (S, 6, 6) and stencil rotation k: (S, 42, 6, 6).
-
-    Contracted with einsum, not matmul, whose rounding can depend on the BLAS
-    build.  The result keeps the layout einsum gives it, with the stencil
-    axis innermost in memory: the summation order of :func:`_stencil_values`
-    follows that layout, and a C-ordered copy would round differently.
-    """
-    half = np.einsum("sij,kjb->skib", matrices, _STENCIL_LAMBDA)
-    return np.einsum("kia,skib->skab", _STENCIL_LAMBDA, half)
+def _jets(matrices: np.ndarray) -> np.ndarray:
+    """The 27 jets (:func:`_jet_gather`) of each operator (S, 6, 6): (S, 27, 6, 6)."""
+    flat = matrices.reshape(len(matrices), 36)
+    jets = np.take(flat, _JET_INDEX[0], axis=1)
+    jets *= _JET_COEF[0]
+    for index, coef in zip(_JET_INDEX[1:], _JET_COEF[1:]):
+        term = np.take(flat, index, axis=1)
+        term *= coef
+        jets += term
+    return jets.reshape(len(matrices), 27, 6, 6)
 
 
 def _slots(owner: np.ndarray) -> np.ndarray:
@@ -469,42 +489,32 @@ def _slots(owner: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _stencil_values(objective: str, conjugated: np.ndarray, forms: np.ndarray,
-                    frames: np.ndarray, owner: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The objective at the 42 stencil rotations of each frame (F, 4, 4):
-    <P(F), L_k^T M L_k>, where M is operator ``owner[i]`` for frame i.
+def _jet_values(objective: str, jets: np.ndarray, forms: np.ndarray, frames: np.ndarray,
+                owner: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """<P(F), J_k> for each frame F (F, 4, 4) and jet J_k of its operator
+    ``owner[i]``: (F, 27).  ``jets`` is (S, 27, 6, 6), ``forms`` (S, R, 6, 6)
+    one place per frame of each operator, ``slots`` the frame's place.
 
-    ``conjugated`` holds the conjugated operators (S, 42, 6, 6) and
-    ``forms`` (S, R, 6, 6) one place per frame of each operator, ``slots``
-    the frame's place.  Each frame form is written to its place, and one
-    contraction of every place with its operator's 42 conjugates is read
-    back at the frames' places, so no frame copies its operator's conjugates.
-    Places no frame here holds keep their old contents, and their values are
-    computed and dropped.
+    Each frame form is written to its place and read back off one contraction
+    of every place with its operator's jets, so no frame copies its
+    operator's jets; places no frame here holds are computed and dropped.
     """
     forms[owner, slots] = _FRAME_FORMS[objective](frames)
-    return np.einsum("srab,skab->srk", forms, conjugated)[owner, slots]
+    return np.einsum("srab,skab->srk", forms, jets)[owner, slots]
 
 
-def _derivatives(stencil: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient (F, 6) and Hessian (F, 6, 6) in so(4) from
-    the stencil values (F, 42) around the center values (F,)."""
-    h = _FD_STEP
-    plus, minus = stencil[:, :21], stencil[:, 21:]
-    grad = (plus[:, :6] - minus[:, :6]) / (2.0 * h)
-    curv = (plus + minus - 2.0 * center[:, None]) / (h * h)   # d^T H d per direction d
-    diag = curv[:, :6]
-    hess = np.empty((len(center), 6, 6))
-    hess[:, _PAIR_I, _PAIR_J] = hess[:, _PAIR_J, _PAIR_I] = (
-        curv[:, 6:] - diag[:, _PAIR_I] - diag[:, _PAIR_J]) / 2.0
-    hess[:, np.arange(6), np.arange(6)] = diag
-    return grad, hess
+def _derivatives(jet_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient (F, 6) and Hessian (F, 6, 6) in so(4) of each frame,
+    scattered from its jet values (F, 27)."""
+    hess = np.empty((len(jet_values), 6, 6))
+    hess[:, _HESS_I, _HESS_J] = hess[:, _HESS_J, _HESS_I] = jet_values[:, 6:]
+    return jet_values[:, :6], hess
 
 
 def _step(vec: np.ndarray, inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The rotation generator -V diag(inv) V^T g of each frame, capped at the
     trust radius: far from an extremum the quadratic model overshoots."""
-    omega = -np.einsum("fij,fj,fkj,fk->fi", vec, inv, vec, grad)
+    omega = -np.einsum("fij,fj->fi", vec, inv * np.einsum("fkj,fk->fj", vec, grad))
     return omega * (_TRUST_RADIUS / np.maximum(np.linalg.norm(omega, axis=1, keepdims=True),
                                                _TRUST_RADIUS))
 
@@ -514,24 +524,18 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     step fails to improve or the frame's step cap is reached.
 
     ``matrices`` holds the distinct operators (S, 6, 6) and ``owner`` the
-    index of each frame's operator.  Each operator is conjugated by the
-    stencil rotations once, up front, so a step gets the frame's 42 stencil
-    values from its frame form alone (:func:`_stencil_values`), through one
-    padded (S, R, 6, 6) array of frame forms set up here, R being the most
-    frames any operator has.  Trial frames are evaluated directly, so every
-    value kept is attained by its frame.
-
-    The memory grows with the operators (42 conjugates of each) and with
-    the frames polished (each step's arrays), never with their product: no
-    frame gathers its operator's conjugates.
+    index of each frame's operator.  Each operator's jets are built once, and
+    a step reads each frame's exact gradient and Hessian off them through one
+    padded (S, R, 6, 6) array of frame forms (:func:`_jet_values`), R being
+    the most frames of one operator, so the memory grows with the operators
+    and the frames, never with their product.  Trial frames are evaluated
+    directly, so every value kept is attained by its frame.
 
     Each step rotates the frame by -H^+ g over the Hessian's curved
-    directions, skipping flat and negative ones.  Where that step does not
-    improve the value and the frame is not stationary (its gradient is
-    outside the rounding band, or its Hessian has an eigenvalue below minus
-    that band), the frame tries the fallback -|H|^+ g, which descends along
-    the negative directions too, halving it up to :data:`_FALLBACK_HALVINGS`
-    times; the frame stops only if no trial improves.
+    directions.  Where that does not improve the value at a frame that is not
+    stationary (its gradient or negative curvature outside the rounding
+    band), the frame tries -|H|^+ g, halved up to :data:`_FALLBACK_HALVINGS`
+    times, and stops only if no trial improves.
 
     ``frames`` and ``values`` (signed) are updated in place.  Returns the
     objective evaluations per frame (:data:`_STEP_EVALUATIONS` per step and
@@ -539,7 +543,7 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     a stationary point.
     """
     evaluate = _BATCH_OBJECTIVES[objective]
-    conjugated = _conjugated(matrices)
+    jets = _jets(matrices)
     slots = _slots(owner)
     forms = np.zeros((len(matrices), int(slots.max(initial=0)) + 1, 6, 6))
     evaluations = np.zeros(len(values), dtype=int)
@@ -550,9 +554,8 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     while live.size:
         f, sign, own = frames[live], signs[live], owner[live]
         m = matrices[own]
-        stencil = sign[:, None] * _stencil_values(objective, conjugated, forms, f, own,
-                                                  slots[live])
-        grad, hess = _derivatives(stencil, values[live])
+        grad, hess = _derivatives(sign[:, None] * _jet_values(objective, jets, forms, f, own,
+                                                              slots[live]))
         lam, vec = np.linalg.eigh(hess)
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > flat)
@@ -584,9 +587,8 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
         frames[live[better]] = trial[better]
         values[live[better]] = trial_values[better]
         live = live[better & (taken[live] < caps[live])]
-        # Free this step's largest per-frame arrays before the next step
-        # allocates its own, which would otherwise add to the polish's peak.
-        del m, stencil, hess, vec, trial
+        # Free this step's per-frame arrays before the next step allocates its own.
+        del m, grad, hess, vec, trial
     return evaluations, converged
 
 
@@ -598,12 +600,9 @@ def _refine(searches: list[Search], table: np.ndarray, ids: Sequence[int],
     converged).
 
     All frames of one objective are polished in one :func:`_polish` call,
-    which conjugates each operator they use once, so searches on one
-    operator share its conjugates.  Its memory grows with the frames and
-    operators of the batch; verify bounds it by running
-    :data:`~curv4.verify.TRIAL_BLOCK` trials per batch.  Each frame's steps
-    depend on that frame alone.  A search is converged when its winning
-    frame is.
+    which builds the jets of each operator they use once, so searches on one
+    operator share its jets.  Each frame's steps depend on that frame alone.
+    A search is converged when its winning frame is.
     """
     counts = [len(values) for _, values in starts]
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -648,9 +647,9 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     are the chunks of its pass.  One refine loop per objective on the
     calling thread then advances the candidates of all its searches
     together.  Each distinct matrix is scaled once into one table of
-    operators: searches on equal matrices share their stencil conjugates,
-    and also their coarse values when their seed and objective are the same.
-    The polish's memory grows with the batch; verify bounds it through
+    operators: searches on equal matrices share their jets, and also their
+    coarse values when their seed and objective are the same.  The polish's
+    memory grows with the batch; verify bounds it through
     :data:`~curv4.verify.TRIAL_BLOCK`.
 
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a

@@ -269,8 +269,8 @@ class TestCliHugeTensors:
 
     @pytest.mark.parametrize("scale", ["1e307", "2e307", "3e307"])
     def test_oracle_runs_near_the_float64_limit(self, capsys, scale):
-        # Each search runs on its operator scaled by a power of two, so the
-        # polish's finite differences do not overflow.
+        # Each search runs on its operator scaled by a power of two, so no
+        # intermediate of the search overflows.
         assert main(["analyze", "--model", f"random_bianchi:{scale}", "--run-oracle",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -381,6 +381,25 @@ class TestCliNonFiniteModelParameters:
         for text in ("sphere:inf", "cp2:-inf", "product:nan,1", "random_bianchi:inf"):
             with pytest.raises(ValidationError, match="must be finite"):
                 parse_model_spec(text)
+
+
+class TestCliOverflowingModelParameters:
+    # Finite parameters whose model matrix overflows float64: 4*scale for
+    # cp2, 1/radius^2 for the round factors (radius^2 underflows to 0 at
+    # 1e-200).  The builders reject them, naming the model, before numpy
+    # warns or Python divides by zero.
+    @pytest.mark.parametrize("command, model", [
+        ("analyze --model cp2:1e308", "cp2"), ("scan --model cp2:1e308 --trials 2", "cp2"),
+        ("analyze --model sphere:1e-160", "sphere"), ("analyze --model sphere:1e-200", "sphere"),
+        ("analyze --model r_times_s3:1e-200 --json", "r_times_s3"),
+        ("emit --model r_times_s3:1e-160", "r_times_s3")])
+    def test_takes_the_error_path(self, capsys, command, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"model {model!r} overflows float64" in err and "RuntimeWarning" not in err
 
 
 def json_row(index, s, k, w3p, w3m, hyp_a, hyp_b, nnic):

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from curv4 import oracle
-from curv4.core import CurvatureOperator, Plane, biorthogonal, sectional, wedge
+from curv4.core import PAIRS, CurvatureOperator, Plane, biorthogonal, sectional, wedge
 from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
-from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DIVERSITY_MIN_DIST,
-                          _FRAME_FORMS, _ROUNDING_BAND, _STENCIL, MODES, ExtremumResult,
-                          OracleConfig, Search, _coarse_starts, _conjugated, _derivatives,
-                          _polish, _refine, _rotated, _select_candidates, _slots,
-                          _stencil_values, extremize_batch, isotropic_curvature)
+from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST,
+                          _FRAME_FORMS, _STEP_EVALUATIONS, MODES, ExtremumResult, OracleConfig,
+                          Search, _coarse_starts, _derivatives, _jet_values, _jets, _polish,
+                          _refine, _rotated, _select_candidates, _slots, extremize_batch,
+                          isotropic_curvature)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices, trial_operators)
 
@@ -243,17 +243,17 @@ class TestPerturbations:
         assert np.max(np.abs(moved - self.FRAMES)) <= 1e-7
 
 
-def stencil_values(objective, matrices, frames, owner):
-    """The polish's stencil values of each frame on its operator
+def derivatives(objective, matrices, frames, owner):
+    """The polish's gradient and Hessian of each frame on its operator
     ``matrices[owner[i]]``, every frame given its own place."""
     slots = _slots(owner)
     forms = np.zeros((len(matrices), slots.max() + 1, 6, 6))
-    return _stencil_values(objective, _conjugated(matrices), forms, frames, owner, slots)
+    return _derivatives(_jet_values(objective, _jets(matrices), forms, frames, owner, slots))
 
 
 class TestFrameForms:
     """The polish's operator side: the frame form P(F) with <P(F), M> the
-    objective of M at F, and the operators conjugated by the stencil."""
+    objective of M at F, and the jets that give its exact derivatives."""
 
     # Random tensors, then the sphere, cp2 and the flat tensor.
     MATRICES = np.concatenate([trial_matrices(4, range(6)),
@@ -275,27 +275,56 @@ class TestFrameForms:
         form = _FRAME_FORMS[objective](self.FRAMES)
         assert np.array_equal(form, np.swapaxes(form, -1, -2))
 
+    # Central differences of the objective at the frames rotated by
+    # exp(sum w_k X_k), step h = 1e-3, about w = 0.  Against the exact jets
+    # their error is their O(h^2) truncation, at most 10.2 h^2 max|M| here
+    # (isotropic Hessian), and the same multiple of h^2 at h = 1e-2 and 5e-4.
+    FD_STEP = 1e-3
+
     @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
-    def test_stencil_values_match_rotated_frames(self, objective):
-        got = stencil_values(objective, self.MATRICES, self.FRAMES, self.OWNER)
-        want = _BATCH_OBJECTIVES[objective](self.MATRICES[self.OWNER],
-                                            _rotated(self.FRAMES[:, None], _STENCIL))
-        assert got.shape == (45, 42)
-        assert np.all(np.abs(got - want) <= 1e-14 * self.SCALE[self.OWNER, None])
-        assert not got[self.OWNER == len(self.MATRICES) - 1].any()
+    def test_jets_match_central_differences(self, objective):
+        h, eye = self.FD_STEP, np.eye(6)
+        i, j = np.triu_indices(6)
+        # w = +-h e_i, then +-h (e_i + e_j) and +-h (e_i - e_j) for i <= j
+        steps = h * np.concatenate([eye, -eye, eye[i] + eye[j], -eye[i] - eye[j],
+                                    eye[i] - eye[j], eye[j] - eye[i]])
+        rotated = _rotated(self.FRAMES[:, None], rotation_from_generator(steps))
+        values = _BATCH_OBJECTIVES[objective](self.MATRICES[self.OWNER], rotated)
+        plus, minus = values[:, :6], values[:, 6:12]
+        sums = values[:, 12:33] + values[:, 33:54] - values[:, 54:75] - values[:, 75:]
+        fd_hess = np.zeros((45, 6, 6))
+        fd_hess[:, i, j] = fd_hess[:, j, i] = sums / (4.0 * h * h)
+        grad, hess = derivatives(objective, self.MATRICES, self.FRAMES, self.OWNER)
+        bound = 16.0 * h * h * self.SCALE[self.OWNER]
+        assert np.all(np.max(np.abs(grad - (plus - minus) / (2.0 * h)), axis=1) <= bound)
+        assert np.all(np.max(np.abs(hess - fd_hess), axis=(1, 2)) <= bound)
+        flat = self.OWNER == len(self.MATRICES) - 1
+        assert not grad[flat].any() and not hess[flat].any()
+
+    def test_sectional_jets_vanish_on_the_unit_sphere(self):
+        # Every plane has curvature 1, so every derivative is exactly 0.
+        grad, hess = derivatives("sectional", sphere(1.0).matrix[None], self.FRAMES,
+                                 np.zeros(45, dtype=int))
+        assert not grad.any() and not hess.any()
+
+
+class TestDerivations:
+    """D_k, the action on 2-forms of the k-th generator of rotation_from_generator."""
+
+    def test_antisymmetric(self):
+        assert np.array_equal(np.swapaxes(_DERIVATIONS, 1, 2), -_DERIVATIONS)
+
+    def test_derivative_of_the_second_wedge_of_the_rotation(self):
+        # (Lambda^2 exp(t X_k) - Lambda^2 exp(-t X_k)) / 2t, truncation O(t^2);
+        # row (a, b) of Lambda^2 Q is Q[a] ^ Q[b].
+        t = 1e-5
+        rots = rotation_from_generator(t * np.concatenate([np.eye(6), -np.eye(6)]))
+        a, b = np.array(PAIRS).T
+        lam = wedge(rots[:, a], rots[:, b])
+        assert np.max(np.abs((lam[:6] - lam[6:]) / (2.0 * t) - _DERIVATIONS)) <= 1e-10
 
 
 class TestNewtonPolish:
-    def test_stencil_rotations_are_orthonormal(self):
-        assert _STENCIL.shape == (42, 4, 4)
-        gram = np.einsum("sij,skj->sik", _STENCIL, _STENCIL)
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-15
-        assert np.allclose(np.linalg.det(_STENCIL), 1.0, rtol=0.0, atol=1e-15)
-        # the 42 points are distinct and lie within 1e-4 * sqrt(2) of the identity
-        flat = _STENCIL.reshape(42, 16)
-        assert len(np.unique(flat, axis=0)) == 42
-        assert np.max(np.abs(_STENCIL - np.eye(4))) <= 1.5e-4
-
     @pytest.mark.parametrize("objective", ["sectional", "biorthogonal"])
     def test_frame_near_cp2_minimizing_plane_polishes_to_one(self, objective):
         # span(e0, e2) is a totally real plane of cp2(1), where both objectives are 1.
@@ -308,7 +337,7 @@ class TestNewtonPolish:
         evaluations, converged = _polish(objective, m, np.zeros(1, dtype=int), np.ones(1),
                                          frames, values, np.array([200]))
         assert abs(values[0] - 1.0) <= 1e-14
-        assert 43 <= evaluations[0] < 43 * 200 and converged[0]
+        assert _STEP_EVALUATIONS <= evaluations[0] < _STEP_EVALUATIONS * 200 and converged[0]
         assert evaluate(m, frames[:, None])[0, 0] == values[0]
 
     def test_far_restarts_reach_a_stationary_point(self):
@@ -329,8 +358,8 @@ class TestNewtonPolish:
     def test_flat_directions_stay_inside_the_rounding_band(self, objective):
         # Rotating within span(f0, f1) or span(f2, f3) leaves every objective
         # unchanged, so the Hessian vanishes on span{f0^f1, f2^f3}; at
-        # polished frames its finite-difference rounding there stays far
-        # inside the band that the stationarity test allows.
+        # polished frames the exact Hessian's rounding there stays near
+        # float64 precision (measured: 3.3e-15 max|M|).
         matrices = trial_matrices(5, range(40))
         searches = [Search(m, objective, mode, OracleConfig(samples=2048, seed=i))
                     for i, m in enumerate(matrices) for mode in MODES]
@@ -338,29 +367,26 @@ class TestNewtonPolish:
         out = _refine(searches, matrices, ids,
                       [_coarse_starts([s], matrices, [i])[0] for s, i in zip(searches, ids)])
         frames = np.stack([frame for _, frame, _, _ in out])
-        values = np.array([value for value, _, _, _ in out])
         m = np.stack([s.matrix for s in searches])
-        sign = np.array([s.sign for s in searches])
-        stencil = sign[:, None] * stencil_values(objective, matrices, frames, ids)
-        _, hess = _derivatives(stencil, values)
+        _, hess = derivatives(objective, matrices, frames, ids)
         flat_dirs = np.stack([wedge(frames[:, 0], frames[:, 1]),
                               wedge(frames[:, 2], frames[:, 3])], axis=-1)
         reduced = np.einsum("fia,fij,fjb->fab", flat_dirs, hess, flat_dirs)
         worst = np.max(np.abs(np.linalg.eigvalsh(reduced)), axis=1)
-        assert np.all(worst <= 0.1 * _ROUNDING_BAND * np.max(np.abs(m), axis=(1, 2)))
+        assert np.all(worst <= 1e-13 * np.max(np.abs(m), axis=(1, 2)))
 
     # tracemalloc peak of the polish of one verify block (100 trials, min and
-    # max, 600 frames): 2.9 MB, of which 1.2 MB are the 100 operators'
-    # conjugates.  Gathering each frame's 42 conjugates would alone add 7.3 MB.
-    POLISH_PEAK_BOUND = 4e6
+    # max, 600 frames): 2.3 MB, of which 0.8 MB are the 100 operators' jets.
+    # Gathering each frame's 27 jets would alone add 4.7 MB.
+    POLISH_PEAK_BOUND = 3e6
 
     def test_verify_block_polish_memory(self, monkeypatch):
-        conjugated, peaks = [], []
-        conjugate, refine = oracle._conjugated, oracle._refine
+        built, peaks = [], []
+        jets, refine = oracle._jets, oracle._refine
 
         def counting(matrices):
-            conjugated.append(len(matrices))
-            return conjugate(matrices)
+            built.append(len(matrices))
+            return jets(matrices)
 
         def measured(*args):
             tracemalloc.start()
@@ -370,10 +396,10 @@ class TestNewtonPolish:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
-        monkeypatch.setattr(oracle, "_conjugated", counting)
+        monkeypatch.setattr(oracle, "_jets", counting)
         monkeypatch.setattr(oracle, "_refine", measured)
         _run_trials(1, range(TRIAL_BLOCK), OracleConfig(samples=DEFAULT_SAMPLES))
-        assert conjugated == [TRIAL_BLOCK]   # a trial's min and max share one operator
+        assert built == [TRIAL_BLOCK]   # a trial's min and max share one operator
         assert len(peaks) == 1 and peaks[0] <= self.POLISH_PEAK_BOUND
 
     def test_step_cap_leaves_search_unconverged(self):
@@ -408,8 +434,9 @@ class TestNewtonPolish:
         assert res.converged
 
     def test_evaluations_count_every_frame_evaluated(self, monkeypatch):
-        # 43 per Newton step and one per fallback trial, which these restarts
-        # take.  The 42 stencil values of a frame come from its frame form.
+        # 2 per Newton step (the jet contraction, which reads the frame form,
+        # and the trial frame) and one per fallback trial, which these
+        # restarts take.
         search = self.stalled_search(*self.STALLS[0])
         (frames, values), = _coarse_starts([search], search.matrix[None], [0])
         evaluated = []
@@ -420,7 +447,7 @@ class TestNewtonPolish:
             return evaluate(m, f)
 
         def counting_form(f):
-            evaluated.append(len(_STENCIL) * int(np.prod(f.shape[:-2])))
+            evaluated.append(int(np.prod(f.shape[:-2])))
             return form(f)
 
         monkeypatch.setitem(_BATCH_OBJECTIVES, "biorthogonal", counting)
@@ -429,7 +456,7 @@ class TestNewtonPolish:
                                          np.zeros(len(values), dtype=int), np.ones(len(values)),
                                          frames, values, np.full(len(values), 200))
         assert evaluations.sum() == sum(evaluated)
-        assert np.any(evaluations % 43) and converged.all()
+        assert np.any(evaluations % _STEP_EVALUATIONS) and converged.all()
 
     def test_known_near_degenerate_miss_is_closed(self):
         # Trial 2 of this run has w2+ = 1.189 and w3+ = 1.220; a random-direction
@@ -475,15 +502,16 @@ class TestIsotropic:
 
 class TestBudgetAccounting:
     def test_samples_used_counts_all_evaluations(self):
-        # 43 evaluations per Newton step: 42 stencil points and the trial frame.
-        # These restarts take no fallback step, which would add one per trial.
+        # 2 evaluations per Newton step: the jet contraction and the trial
+        # frame.  These restarts take no fallback step, which would add one
+        # per trial.
         op = random_bianchi(RngStream(57))
         capped, free = extremize_batch([
             Search(op.matrix, "sectional", "max",
                    OracleConfig(samples=1000, refine_iters=cap, restarts=2, seed=0))
             for cap in (1, 200)])
-        assert capped.samples_used == 1000 + 43 * 2
-        steps, rest = divmod(free.samples_used - 1000, 43)
+        assert capped.samples_used == 1000 + _STEP_EVALUATIONS * 2
+        steps, rest = divmod(free.samples_used - 1000, _STEP_EVALUATIONS)
         assert rest == 0 and 2 * 2 <= steps <= 2 * 200
 
     def test_witness_value_is_between_bounds(self):

@@ -51,13 +51,13 @@ GATES = {
     "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
     # Rows whose float sum overflows, written through json.
     "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
-    "verify --trials 500 --seed 7 --json": "4bf3b37a016b64bd",
-    "verify --seed 1 --json": "a267244416622aff",
+    "verify --trials 500 --seed 7 --json": "4a73a8d63c4d6e43",
+    "verify --seed 1 --json": "ebd9d1bfe8979201",
     "verify --seed 1 --text": "1954a4ff8f25a66b",
     # verify at analyze's 20 000-sample budget.
-    "verify --seed 1 --samples 20000 --json": "eb1635d5282775a0",
-    "analyze --model cp2 --run-oracle --json": "89e4c2110157e0b8",
-    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "2761cfc5dd656455",
+    "verify --seed 1 --samples 20000 --json": "cb8be45d71a37e61",
+    "analyze --model cp2 --run-oracle --json": "d48300e46e19918d",
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "551604d5147cc1ee",
     "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
     # s < 0, so the chain is not applicable.
     "analyze --model space_form:-1 --json": "2049a549c3b6f26d",
@@ -65,14 +65,14 @@ GATES = {
     "analyze --model product --text": "25b45d344d56955e",
     # Budgets that end a coarse pass on a partial chunk.
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json":
-        "b7932bd81ad04b79",
-    "verify --trials 3 --seed 2 --samples 4097 --json": "e89879a109820582",
+        "9fb8def25518f09e",
+    "verify --trials 3 --seed 2 --samples 4097 --json": "9f70ffc1925e439c",
     # The coarse phase alone: each search reports its best sample.
     "verify --seed 1 --refine 0 --json": "52cb37d1e37e0f0b",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --refine 0 --json":
         "c49b060438d558bc",
     # Near the float64 limit: the oracle searches at a power-of-two scale.
-    "analyze --model random_bianchi:1e307 --run-oracle --json": "f68d425ce49531e3",
+    "analyze --model random_bianchi:1e307 --run-oracle --json": "2eebd318fee31a4d",
 }
 
 
