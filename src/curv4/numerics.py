@@ -109,40 +109,46 @@ class RngStream:
         return np.random.Generator(np.random.Philox(counter=int(self.chunk) << 128, key=key))
 
 
-def stream_generators(streams):
-    """Yield a generator positioned at the start of each stream in turn.
+def stream_rekeyer():
+    """A function ``rekey(stream)`` that re-keys one Philox generator to the
+    start of ``stream`` and returns it.
 
-    Drawing from the generator yielded for ``stream`` gives the draws of
-    ``stream.generator()``.  One Philox bit generator is re-keyed to each
-    stream's (key, counter) instead of building a generator per stream: the
-    draws are the same, and re-keying is cheaper than the constructor, which
-    also seeds a ``SeedSequence`` from OS entropy.  The same generator object
-    is yielded every time, so finish drawing for one stream before advancing.
-    A generator is not safe to share between threads: the generator this
-    yields must stay on the thread that drives the iteration, and work split
-    over threads calls this once per thread, for that thread's streams.
+    Drawing from the generator returned for ``stream`` gives the draws of
+    ``stream.generator()``.  Re-keying one bit generator to each stream's
+    (key, counter) is cheaper than building a generator per stream, whose
+    constructor also seeds a ``SeedSequence`` from OS entropy, and the draws
+    are the same.  Every call returns the same generator object, so finish
+    drawing for one stream before re-keying to the next.  A generator is not
+    safe to share between threads: each thread that draws makes its own
+    ``rekey``.  The oracle's coarse workers each make one per
+    :func:`~curv4.oracle.extremize_batch` call and draw every chunk they
+    take through it.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
     key, counter = state["state"]["key"], state["state"]["counter"]
     key[1] = counter[0] = counter[1] = 0
-    for stream in streams:
+
+    def rekey(stream: RngStream) -> np.random.Generator:
         # Chunk c is the 256-bit counter c << 128: words 2 and 3.
         key[0] = int(stream.seed) & _MASK64
         counter[2] = int(stream.chunk) & _MASK64
         counter[3] = int(stream.chunk) >> 64
         bitgen.state = state
-        yield gen
+        return gen
+
+    return rekey
 
 
 def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
     """``stream.generator().standard_normal(shape)`` for every stream, stacked
-    into one ``(len(streams), *shape)`` array, drawn through
-    :func:`stream_generators`."""
+    into one ``(len(streams), *shape)`` array, drawn through one
+    :func:`stream_rekeyer`."""
     out = np.empty((len(streams), *shape))
-    for row, gen in zip(out, stream_generators(streams)):
-        gen.standard_normal(out=row)
+    rekey = stream_rekeyer()
+    for row, stream in zip(out, streams):
+        rekey(stream).standard_normal(out=row)
     return out
 
 
@@ -324,7 +330,7 @@ def random_frames(rng: RngStream | np.random.Generator, n: int,
     Haar-distributed on SO(4).  Negating the last row of a random half of the
     frames makes them Haar on O(4).  The eight normals and the sign bit of
     every frame come from ``rng``, an :class:`RngStream` or a generator
-    positioned at one (see :func:`stream_generators`).
+    positioned at one (see :func:`stream_rekeyer`).
 
     Every entry is a sum of four signed products p_x q_y, so the frames are
     built from one signed outer product of p and q, gathered through
@@ -380,36 +386,36 @@ def random_frames(rng: RngStream | np.random.Generator, n: int,
     return out
 
 
+# Entry (r, c) of each quaternionic half of rotation_from_generator is
+# component r ^ c of (cos theta, a, b, c), times the half's sign at (r, c).
+_HALF_COMPONENT = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_HALF_SIGNS = np.array([
+    [[1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]],
+    [[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]],
+], dtype=float)
+# The half with sign s takes a, b, c from (w0 + s w5, w1 - s w4, w2 + s w3) / 2.
+_HALF_MIX = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+
+
 def rotation_from_generator(omega: np.ndarray) -> np.ndarray:
     """Matrix exponential of the antisymmetric matrix with coefficients ``omega``.
 
     Works on a single 6-vector or a batch (..., 6).  Uses the split of a 4x4
     antisymmetric matrix into two commuting quaternionic halves, each of which
     squares to a negative multiple of the identity, so the exponential is a
-    closed-form cosine/sine combination.
+    closed-form cosine/sine combination.  Both halves are built in one pass:
+    each entry is a signed copy of one of its four components.
     """
     omega = np.asarray(omega, dtype=float)
     shape = omega.shape[:-1]
     o = omega.reshape(-1, 6)
-    n = o.shape[0]
-    halves = []
-    for sgn in (+1.0, -1.0):
-        a = (o[:, 0] + sgn * o[:, 5]) / 2.0
-        b = (o[:, 1] - sgn * o[:, 4]) / 2.0
-        c = (o[:, 2] + sgn * o[:, 3]) / 2.0
-        theta = np.sqrt(a * a + b * b + c * c)
-        safe = np.where(theta == 0.0, 1.0, theta)
-        sinc = np.where(theta == 0.0, 1.0, np.sin(safe) / safe)
-        a, b, c = sinc * a, sinc * b, sinc * c
-        out = np.zeros((n, 4, 4))
-        cos = np.cos(theta)
-        for i in range(4):
-            out[:, i, i] = cos
-        out[:, 0, 1], out[:, 1, 0] = a, -a
-        out[:, 0, 2], out[:, 2, 0] = b, -b
-        out[:, 0, 3], out[:, 3, 0] = c, -c
-        out[:, 1, 2], out[:, 2, 1] = sgn * c, -sgn * c
-        out[:, 1, 3], out[:, 3, 1] = -sgn * b, sgn * b
-        out[:, 2, 3], out[:, 3, 2] = sgn * a, -sgn * a
-        halves.append(out)
+    abc = (o[:, :3] + _HALF_MIX[:, None] * o[:, 5:2:-1]) / 2.0   # (2, n, 3)
+    a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
+    theta = np.sqrt(a * a + b * b + c * c)
+    safe = np.where(theta == 0.0, 1.0, theta)
+    sinc = np.where(theta == 0.0, 1.0, np.sin(safe) / safe)
+    components = np.empty(abc.shape[:-1] + (4,))
+    components[..., 0] = np.cos(theta)
+    np.multiply(sinc[..., None], abc, out=components[..., 1:])
+    halves = components[..., _HALF_COMPONENT] * _HALF_SIGNS[:, None]
     return (halves[0] @ halves[1]).reshape(shape + (4, 4))

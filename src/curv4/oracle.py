@@ -7,6 +7,8 @@ orthonormal 4-frames.
 
 Two phases: uniform sampling (Haar frames, chunked deterministic streams),
 then a Newton polish from a handful of mutually distant coarse candidates.
+The searches that share a seed share one draw and one candidate selection
+pass (:func:`_select_group`).
 The polish takes the exact gradient and Hessian of the objective in so(4)
 (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
 Manifolds*, 2008, ch. 6), and steps each frame by -H^+ g over the Hessian's
@@ -42,16 +44,17 @@ worker 0 being the calling thread and the other a thread of a pool that
 pulls its next item from one shared iterator.  When a batch holds two or
 more seeds, an item is a whole seed group: its full coarse pass and
 candidate selection run on the worker that pulled it.  A lone group's items
-are instead the chunks of its one pass.  A chunk's draws come from its own
-Philox substream and it writes only its own slice of the pass's buffers, and
-a group's starts depend only on its seed, so every byte is the same for any
-CPU count and any schedule.  The Newton polish runs on the calling thread.
+are instead the chunks of its one pass.  Each worker holds one Philox
+generator for the whole call and re-keys it to every chunk it draws, of
+whichever group.  A chunk's draws come from its own Philox substream and it
+writes only its own slice of the pass's buffers, and a group's starts depend
+only on its seed, so every byte is the same for any CPU count and any
+schedule.  The Newton polish runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import operator
 import os
@@ -63,7 +66,7 @@ import numpy as np
 
 from .core import PAIRS, CurvatureOperator, Plane, wedge
 from .errors import ValidationError
-from .numerics import RngStream, random_frames, rotation_from_generator, stream_generators
+from .numerics import RngStream, random_frames, rotation_from_generator, stream_rekeyer
 
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
@@ -76,6 +79,10 @@ _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
 _DIVERSITY_MIN_DIST = 0.5
+#: Pool positions whose distances are measured together: a search's first
+#: block in one pass with the rest of its seed group, a later block against
+#: the candidates the search has already kept.
+_SELECT_BLOCK = 16
 
 # Newton polish: Hessian eigenvalues up to _FLAT_RTOL times the largest
 # |eigenvalue| count as flat; a frame is stationary when its gradient and the
@@ -272,8 +279,9 @@ def _worker_pool(helpers: int):
 
 
 def _share(items, work, pool=None, workers: int = 1) -> None:
-    """Call ``work(pulls)`` once on each of ``workers`` workers, where
-    ``pulls`` yields items taken from one shared iterator over ``items``.
+    """Call ``work(pulls, rekey)`` once on each of ``workers`` workers, where
+    ``pulls`` yields items taken from one shared iterator over ``items`` and
+    ``rekey`` is the worker's own :func:`stream_rekeyer`.
 
     Worker 0 is the calling thread, the others run on ``pool``, which must
     have ``workers - 1`` threads.  Each item goes to whichever worker asks
@@ -296,7 +304,7 @@ def _share(items, work, pool=None, workers: int = 1) -> None:
     def run() -> None:
         nonlocal pending
         try:
-            work(pulls())
+            work(pulls(), stream_rekeyer())
         except BaseException:
             with lock:
                 pending = iter(())
@@ -311,8 +319,14 @@ def _share(items, work, pool=None, workers: int = 1) -> None:
         helper.result()
 
 
-def _coarse_samples(seed: int, samples: int, targets, pool=None,
-                    workers: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
+def _on_worker(rekey):
+    """A spread (see :func:`_coarse_samples`) that runs every item on the
+    calling worker, drawing through its ``rekey``."""
+    return lambda items, work: work(iter(items), rekey)
+
+
+def _coarse_samples(seed: int, samples: int, targets,
+                    spread=_share) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
     (objective, matrix) target on them.
 
@@ -322,82 +336,127 @@ def _coarse_samples(seed: int, samples: int, targets, pool=None,
     its thread's own scratch arrays.  Every chunk draws all
     :data:`SAMPLE_CHUNK` frames, and a short final chunk keeps their prefix,
     so a larger budget extends the sample stream and never reshuffles it.
-    The chunks are shared out over ``workers`` workers as :func:`_share`
-    does; each worker re-keys its own generator and writes only its own
-    chunks' slices, so the result does not depend on the workers.  The frame
-    buffer keeps :func:`random_frames`' layout, a transposed view with the
-    frame axis innermost; callers gather the rows they keep into C order.
+    ``spread(chunks, work)`` runs the chunks: :func:`_share` (the default,
+    with no pool: all on the calling thread) shares them out over workers,
+    and :func:`_on_worker` keeps them on the worker that runs this pass.
+    Each worker re-keys its one generator to every chunk it takes and
+    writes only its own chunks' slices, so the result does not depend on
+    the workers.  The frame buffer keeps :func:`random_frames`' layout, a
+    transposed view with the frame axis innermost; callers gather the rows
+    they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
 
-    def draw(chunks) -> None:
-        # Each chunk is pulled once and fed to both the loop and the generator.
-        chunks, keys = itertools.tee(chunks)
-        for chunk, gen in zip(chunks, stream_generators(RngStream(seed, c) for c in keys)):
+    def draw(chunks, rekey) -> None:
+        for chunk in chunks:
             lo = chunk * SAMPLE_CHUNK
             hi = min(lo + SAMPLE_CHUNK, samples)
-            batch = random_frames(gen, SAMPLE_CHUNK, out=frames[lo:hi])
+            batch = random_frames(rekey(RngStream(seed, chunk)), SAMPLE_CHUNK,
+                                  out=frames[lo:hi])
             for out, (objective, m) in zip(values, targets):
                 out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
 
-    _share(range(-(-samples // SAMPLE_CHUNK)), draw, pool, workers)
+    spread(range(-(-samples // SAMPLE_CHUNK)), draw)
     return frames, values
 
 
-def _select_candidates(frames: np.ndarray, values: np.ndarray, count: int,
-                       isotropic: bool) -> list[int]:
-    """Best coarse candidates, greedily kept mutually distant so that restarts
-    probe distinct regions instead of re-polishing one basin.
+def _far(frames: np.ndarray, isotropic: np.ndarray, kept: int = 0) -> np.ndarray:
+    """Whether frame ``kept + r`` of each row of ``frames`` (G, C, 4, 4) is at
+    least the diversity radius from frame ``c`` of the same row: (G, C -
+    ``kept``, C) booleans.
 
-    Walking the pool from its best value, a candidate is kept when its
-    distance to every one kept before is at least the diversity radius; each
-    kept candidate's distances to the whole pool are taken in one pass.
+    The distance is that of the planes' projectors (Frobenius).  The
+    isotropic objective sees only the unordered split {P, P-perp} plus the
+    frame orientation, so on a row with ``isotropic`` set the distance is the
+    smaller one from P and from its complement, and frames of opposite
+    orientation are always far apart.
     """
-    pool_size = min(_CANDIDATE_POOL, len(values))
-    pool = np.argpartition(values, pool_size - 1)[:pool_size]
-    pool = pool[np.argsort(values[pool], kind="stable")]
-    pf = np.ascontiguousarray(frames[pool])
-    projs = np.einsum("ni,nj->nij", pf[:, 0], pf[:, 0]) + np.einsum(
-        "ni,nj->nij", pf[:, 1], pf[:, 1])
-    if isotropic:
-        # The isotropic objective sees only the unordered split {P, P-perp}
-        # plus the frame orientation, so measure distance accordingly.
-        det_sign = np.sign(np.linalg.det(pf))
-        complements = np.eye(4) - projs
-    nearest = np.full(pool_size, np.inf)  # distance to the closest kept candidate
-    chosen: list[int] = []
-    pos = 0
-    while len(chosen) < count:
-        far = np.flatnonzero(nearest[pos:] >= _DIVERSITY_MIN_DIST)
-        if not far.size:
-            break
-        pos += int(far[0])
-        chosen.append(pos)
-        dist = np.linalg.norm(projs - projs[pos], axis=(1, 2))
-        if isotropic:
-            flipped = np.linalg.norm(complements - projs[pos], axis=(1, 2))
-            dist = np.minimum(dist, flipped)
-            dist[det_sign != det_sign[pos]] = np.inf
-        np.minimum(nearest, dist, out=nearest)
-        pos += 1
-    for pos in range(pool_size):  # backfill if diversity left slots empty
+    outer = np.einsum("...ki,...kj->...kij", frames[:, :, :2], frames[:, :, :2])
+    projs = outer[:, :, 0] + outer[:, :, 1]
+    rows = projs[:, kept:, None]
+    diffs = rows - projs[:, None]
+    iso = np.flatnonzero(isotropic)
+    if iso.size:
+        diffs = np.concatenate([diffs, (np.eye(4) - rows[iso]) - projs[iso, None]])
+    far = np.linalg.norm(diffs, axis=(-2, -1)) >= _DIVERSITY_MIN_DIST
+    if iso.size:
+        flipped, far = far[len(frames):], far[:len(frames)]
+        signs = np.sign(np.linalg.det(frames[iso]))
+        far[iso] = (far[iso] & flipped) | (signs[:, kept:, None] != signs[:, None])
+    return far
+
+
+def _walk(far: list, kept: int, lo: int, count: int, chosen: list[int]) -> None:
+    """Append to ``chosen``, until it holds ``count``, each pool position lo +
+    r of a block whose row ``far[r]`` is far from every column kept so far:
+    the ``kept`` columns of the candidates kept before the block, then column
+    ``kept + r`` for each position of the block this keeps."""
+    cols = list(range(kept))
+    for r, row in enumerate(far):
         if len(chosen) == count:
-            break
-        if pos not in chosen:
-            chosen.append(pos)
-    return [int(pool[pos]) for pos in chosen]
+            return
+        if all(row[c] for c in cols):
+            chosen.append(lo + r)
+            cols.append(kept + r)
+
+
+def _pool(values: np.ndarray) -> np.ndarray:
+    """The rows of the :data:`_CANDIDATE_POOL` best (smallest) ``values``,
+    best first: ``argpartition``, then a stable sort of the values."""
+    size = min(_CANDIDATE_POOL, len(values))
+    pool = np.argpartition(values, size - 1)[:size]
+    return pool[np.argsort(values[pool], kind="stable")]
+
+
+def _select_group(frames: np.ndarray, pools: Sequence[np.ndarray], counts: Sequence[int],
+                  isotropic: Sequence[bool]) -> list[list[int]]:
+    """The refine candidates of searches that share one coarse pass: for
+    search i, ``counts[i]`` rows of ``frames`` from its :func:`_pool`
+    ``pools[i]``, greedily kept mutually distant so that restarts probe
+    distinct regions instead of re-polishing one basin.
+
+    Walking its pool, a search keeps a position when it is far
+    (:func:`_far`) from every one kept before it; if the pool runs out first,
+    its earliest positions not kept fill the remaining slots.  The first
+    :data:`_SELECT_BLOCK` positions of every search are measured in one
+    pass; a search that needs more walks the rest of its pool a block at a
+    time, each block measured only against itself and the candidates kept so
+    far.
+    """
+    # Each pool's first block, a short pool padded with its last position.
+    heads = np.array([pool[np.minimum(np.arange(_SELECT_BLOCK), len(pool) - 1)]
+                      for pool in pools])
+    isotropic = np.asarray(isotropic, dtype=bool)
+    tables = _far(np.ascontiguousarray(frames[heads]), isotropic).tolist()
+    out = []
+    for g, (pool, table, count) in enumerate(zip(pools, tables, counts)):
+        chosen: list[int] = []
+        _walk(table[:len(pool)], 0, 0, count, chosen)
+        for lo in range(_SELECT_BLOCK, len(pool), _SELECT_BLOCK):
+            if len(chosen) == count:
+                break
+            rows = np.concatenate([pool[chosen], pool[lo:lo + _SELECT_BLOCK]])
+            table = _far(np.ascontiguousarray(frames[rows])[None], isotropic[g:g + 1],
+                         len(chosen))[0].tolist()
+            _walk(table, len(chosen), lo, count, chosen)
+        if len(chosen) < count:  # the pool ran out: backfill
+            kept = set(chosen)
+            chosen += [pos for pos in range(len(pool)) if pos not in kept][:count - len(chosen)]
+        out.append(pool[chosen].tolist())
+    return out
 
 
 def _refined(cfg: OracleConfig) -> bool:
     return cfg.restarts > 0 and cfg.refine_iters > 0
 
 
-def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int], pool=None,
-                   workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
+                   spread=_share) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
-    distinct (objective, operator) is evaluated once, its chunks spread over
-    ``workers`` workers as :func:`_coarse_samples` does.  Search ``i`` runs
+    distinct (objective, operator) is evaluated once, its chunks run through
+    ``spread`` as in :func:`_coarse_samples`, then one candidate selection
+    (:func:`_select_group`) for all its refined searches.  Search ``i`` runs
     on the operator ``table[ids[i]]`` (its matrix, or that matrix scaled).
 
     Returns each search's starting rows (frames, signed values): its diverse
@@ -409,19 +468,25 @@ def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int], p
     for s, i, key in zip(group, ids, keys):
         targets.setdefault(key, (s.objective, table[i]))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
-                                     list(targets.values()), pool, workers)
+                                     list(targets.values()), spread)
     raw = dict(zip(targets, values))
-    starts = []
+    # One signed copy of a search's values at a time: only its pool outlives it.
+    rows, pools = [], []
     for s, key in zip(group, keys):
-        n = s.cfg.samples
-        signed = s.sign * raw[key][:n]
+        signed = s.sign * raw[key][:s.cfg.samples]
         if _refined(s.cfg):
-            rows = _select_candidates(frames[:n], signed, s.cfg.restarts,
-                                      s.objective == "isotropic")
+            pools.append(_pool(signed))
+            rows.append(None)
         else:
-            rows = [int(np.argmin(signed))]
-        starts.append((np.ascontiguousarray(frames[rows]), signed[rows]))
-    return starts
+            rows.append([int(np.argmin(signed))])
+    refined = [i for i, r in enumerate(rows) if r is None]
+    if refined:
+        chosen = _select_group(frames, pools, [group[i].cfg.restarts for i in refined],
+                               [group[i].objective == "isotropic" for i in refined])
+        for i, r in zip(refined, chosen):
+            rows[i] = r
+    return [(np.ascontiguousarray(frames[r]), s.sign * raw[key][r])
+            for s, key, r in zip(group, keys, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +554,20 @@ def _slots(owner: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _jet_values(objective: str, jets: np.ndarray, forms: np.ndarray, frames: np.ndarray,
-                owner: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _jet_values(objective: str, jets: np.ndarray, frames: np.ndarray,
+                owner: np.ndarray) -> np.ndarray:
     """<P(F), J_k> for each frame F (F, 4, 4) and jet J_k of its operator
-    ``owner[i]``: (F, 27).  ``jets`` is (S, 27, 6, 6), ``forms`` (S, R, 6, 6)
-    one place per frame of each operator, ``slots`` the frame's place.
+    ``owner[i]``: (F, 27), ``jets`` being (S, 27, 6, 6).
 
-    Each frame form is written to its place and read back off one contraction
-    of every place with its operator's jets, so no frame copies its
-    operator's jets; places no frame here holds are computed and dropped.
+    Each frame form is written to its place among its operator's frames
+    (:func:`_slots`) in one (S, R, 6, 6) array, R the most frames of one
+    operator, and read back off one contraction of every place with its
+    operator's jets, so no frame copies its operator's jets.  Only the
+    places of an operator with fewer than R frames are computed and dropped;
+    each place's sum over (a, b) is the same however many places there are.
     """
+    slots = _slots(owner)
+    forms = np.zeros((len(jets), int(slots.max(initial=0)) + 1, 6, 6))
     forms[owner, slots] = _FRAME_FORMS[objective](frames)
     return np.einsum("srab,skab->srk", forms, jets)[owner, slots]
 
@@ -525,11 +594,13 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
 
     ``matrices`` holds the distinct operators (S, 6, 6) and ``owner`` the
     index of each frame's operator.  Each operator's jets are built once, and
-    a step reads each frame's exact gradient and Hessian off them through one
-    padded (S, R, 6, 6) array of frame forms (:func:`_jet_values`), R being
-    the most frames of one operator, so the memory grows with the operators
-    and the frames, never with their product.  Trial frames are evaluated
-    directly, so every value kept is attained by its frame.
+    a step reads each live frame's exact gradient and Hessian off them
+    through one array of frame forms (:func:`_jet_values`), with a place for
+    each live frame of each operator that still has one: the jets of an
+    operator whose frames have all stopped are dropped, and the places
+    shrink as frames stop.  So the memory grows with the operators and the
+    frames, never with their product.  Trial frames are evaluated directly,
+    so every value kept is attained by its frame.
 
     Each step rotates the frame by -H^+ g over the Hessian's curved
     directions.  Where that does not improve the value at a frame that is not
@@ -544,8 +615,7 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     """
     evaluate = _BATCH_OBJECTIVES[objective]
     jets = _jets(matrices)
-    slots = _slots(owner)
-    forms = np.zeros((len(matrices), int(slots.max(initial=0)) + 1, 6, 6))
+    held = np.arange(len(matrices))  # the operator of each row of jets
     evaluations = np.zeros(len(values), dtype=int)
     taken = np.zeros(len(values), dtype=int)
     converged = np.zeros(len(values), dtype=bool)
@@ -554,8 +624,11 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     while live.size:
         f, sign, own = frames[live], signs[live], owner[live]
         m = matrices[own]
-        grad, hess = _derivatives(sign[:, None] * _jet_values(objective, jets, forms, f, own,
-                                                              slots[live]))
+        used = np.flatnonzero(np.bincount(own, minlength=len(matrices)))
+        if len(used) < len(held):  # drop the jets of operators with no live frame
+            jets, held = jets[np.searchsorted(held, used)], used
+        grad, hess = _derivatives(sign[:, None] * _jet_values(
+            objective, jets, f, np.searchsorted(held, own)))
         lam, vec = np.linalg.eigh(hess)
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > flat)
@@ -644,7 +717,8 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     call, joined before this returns.  With two or more groups an item is a
     whole group, whose pass and candidate selection run on the worker that
     pulled it, so there is one pass buffer per worker; a lone group's items
-    are the chunks of its pass.  One refine loop per objective on the
+    are the chunks of its pass.  Each worker draws every chunk it takes
+    through its one re-keyed generator.  One refine loop per objective on the
     calling thread then advances the candidates of all its searches
     together.  Each distinct matrix is scaled once into one table of
     operators: searches on equal matrices share their jets, and also their
@@ -675,19 +749,23 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     groups = list(by_seed.values())
     starts: list = [None] * len(searches)
 
-    def run_groups(pulled, pool=None, workers: int = 1) -> None:
+    def run_group(members, spread) -> None:
+        group = [searches[i] for i in members]
+        for i, start in zip(members, _coarse_starts(group, table, [ids[i] for i in members],
+                                                    spread)):
+            starts[i] = start
+
+    def run_groups(pulled, rekey) -> None:
+        spread = _on_worker(rekey)
         for members in pulled:
-            group = [searches[i] for i in members]
-            for i, start in zip(members, _coarse_starts(group, table, [ids[i] for i in members],
-                                                        pool, workers)):
-                starts[i] = start
+            run_group(members, spread)
 
     lone = len(groups) == 1
     items = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK) if lone else len(groups)
     workers = max(1, min(_cpu_count(), items, _MAX_WORKERS))
     with _worker_pool(workers - 1) as pool:
         if lone:  # its chunks are the items
-            run_groups(groups, pool, workers)
+            run_group(groups[0], lambda chunks, work: _share(chunks, work, pool, workers))
         else:
             _share(groups, run_groups, pool, workers)
 

@@ -15,8 +15,8 @@ from curv4.errors import ValidationError
 from curv4.models import random_bianchi, random_bianchi_matrices
 from curv4.models import cp2
 from curv4.numerics import (RngStream, derive_seed, random_frames, standard_normal_rows,
-                            stream_generators)
-from curv4.oracle import _BATCH_OBJECTIVES, SAMPLE_CHUNK, _coarse_samples
+                            stream_rekeyer)
+from curv4.oracle import _BATCH_OBJECTIVES, SAMPLE_CHUNK, _coarse_samples, _on_worker
 from curv4.verify import trial_matrices
 
 
@@ -104,7 +104,9 @@ class TestRekeyedPhilox:
 
     def test_generators_follow_their_streams(self):
         streams = [RngStream(9, 4), RngStream(2**63 + 5, 0), RngStream(9, 4)]
-        for stream, gen in zip(streams, stream_generators(streams)):
+        rekey = stream_rekeyer()
+        for stream in streams:
+            gen = rekey(stream)
             drawn = (gen.standard_normal((5, 8)), gen.random(5))
             fresh = stream.generator()
             assert np.array_equal(bits(drawn[0]), bits(fresh.standard_normal((5, 8))))
@@ -172,7 +174,7 @@ class TestRandomFrames:
     def test_frame_axis_is_innermost(self):
         frames = random_frames(RngStream(3, 1), 5)
         assert frames.T.flags.c_contiguous
-        gen = next(stream_generators([RngStream(3, 1)]))
+        gen = stream_rekeyer()(RngStream(3, 1))
         assert np.array_equal(bits(random_frames(gen, 5)), bits(frames))
 
     def test_moments_match_haar_on_o4(self):
@@ -195,7 +197,7 @@ class TestFrameScratch:
     no array, results never alias the scratch, and threads do not share it."""
 
     def test_warm_call_into_out_allocates_no_array(self):
-        gen = next(stream_generators([RngStream(4, 0)]))
+        gen = stream_rekeyer()(RngStream(4, 0))
         out = np.empty((4, 4, SAMPLE_CHUNK)).transpose(2, 1, 0)
         random_frames(gen, SAMPLE_CHUNK, out=out)  # warms this thread's scratch
         tracemalloc.start()
@@ -240,8 +242,8 @@ class TestFrameScratch:
 
         def draw(name):
             start.wait(timeout=30)
-            gens = stream_generators(streams[name])
-            got[name] = [random_frames(gen, SAMPLE_CHUNK).copy() for gen in gens]
+            rekey = stream_rekeyer()
+            got[name] = [random_frames(rekey(st), SAMPLE_CHUNK).copy() for st in streams[name]]
 
         threads = [threading.Thread(target=draw, args=(name,)) for name in streams]
         interval = sys.getswitchinterval()
@@ -286,6 +288,36 @@ class TestCoarseSamples:
         assert np.array_equal(bits(frames), bits(full[0][:samples]))
         for out, full_out in zip(values, full[1]):
             assert np.array_equal(bits(out), bits(full_out[:samples]))
+
+
+    def test_groups_through_one_worker_generator(self):
+        """One worker's generator, re-keyed to every chunk of group after
+        group, draws each chunk as a fresh generator of its stream does; a
+        short final chunk keeps the prefix of its draw."""
+        rekey, streams, gens = stream_rekeyer(), [], set()
+
+        def recorded(stream):
+            streams.append(stream)
+            gen = rekey(stream)
+            gens.add(id(gen))
+            return gen
+
+        spread = _on_worker(recorded)
+        groups = ((3, 4097), (2**63 + 9, 2048), (5, 5000), (3, 1))
+        for seed, samples in groups:
+            frames, values = _coarse_samples(seed, samples, self.TARGETS, spread)
+            for chunk in range(-(-samples // SAMPLE_CHUNK)):
+                lo = chunk * SAMPLE_CHUNK
+                rows = slice(lo, min(lo + SAMPLE_CHUNK, samples))
+                expected = random_frames(RngStream(seed, chunk).generator(),
+                                         SAMPLE_CHUNK)[:rows.stop - lo]
+                assert np.array_equal(bits(frames[rows]), bits(expected))
+                for out, (objective, m) in zip(values, self.TARGETS):
+                    assert np.array_equal(bits(out[rows]),
+                                          bits(_BATCH_OBJECTIVES[objective](m, expected)))
+        assert streams == [RngStream(seed, c) for seed, samples in groups
+                           for c in range(-(-samples // SAMPLE_CHUNK))]
+        assert len(gens) == 1
 
 
 class TestPinnedBytes:

@@ -10,12 +10,13 @@ from curv4 import oracle
 from curv4.core import PAIRS, CurvatureOperator, Plane, biorthogonal, sectional, wedge
 from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
-from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
+from curv4.numerics import (RngStream, derive_seeds, random_frames, rotation_from_generator,
+                            stream_rekeyer)
 from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST,
-                          _FRAME_FORMS, _STEP_EVALUATIONS, MODES, ExtremumResult, OracleConfig,
-                          Search, _coarse_starts, _derivatives, _jet_values, _jets, _polish,
-                          _refine, _rotated, _select_candidates, _slots, extremize_batch,
-                          isotropic_curvature)
+                          _FRAME_FORMS, _SELECT_BLOCK, _STEP_EVALUATIONS, MODES, ExtremumResult,
+                          OracleConfig, Search, _coarse_samples, _coarse_starts, _derivatives,
+                          _jet_values, _jets, _on_worker, _polish, _pool, _refine, _rotated,
+                          _select_group, extremize_batch, isotropic_curvature)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices, trial_operators)
 
@@ -198,6 +199,20 @@ def reference_select_candidates(frames, values, count, isotropic):
     return [int(pool[pos]) for pos in chosen]
 
 
+def select(frames, values, count, isotropic):
+    """The candidates of one search, selected as a group of one."""
+    return _select_group(frames, [_pool(values)], [count], [isotropic])[0]
+
+
+def clustered_frames(seed: int, n: int, clusters: int) -> np.ndarray:
+    """``n`` frames near ``clusters`` random frames: a pool of them holds
+    near repeats that selection must skip, past its first block too."""
+    gen = RngStream(seed, 2).generator()
+    centers = random_frames(RngStream(seed, 1), clusters)
+    return np.ascontiguousarray(centers[gen.integers(0, clusters, n)]
+                                + 0.05 * gen.standard_normal((n, 4, 4)))
+
+
 class TestCandidateSelection:
     @pytest.mark.parametrize("isotropic", [False, True])
     @pytest.mark.parametrize("seed", range(6))
@@ -212,8 +227,61 @@ class TestCandidateSelection:
         values = np.round(gen.standard_normal(700), 1)
         for n in (1, 5, 700):
             for count in range(6):
-                assert (_select_candidates(frames[:n], values[:n], count, isotropic)
+                assert (select(frames[:n], values[:n], count, isotropic)
                         == reference_select_candidates(frames[:n], values[:n], count, isotropic))
+
+    # Counts that need pool positions past the first block of 16, and budgets
+    # just below and at the pool size.
+    @pytest.mark.parametrize("isotropic", [False, True])
+    @pytest.mark.parametrize("clusters", [12, 40, None])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_past_the_first_block(self, seed, clusters, isotropic):
+        n = 700
+        frames = (random_frames(RngStream(seed), n) if clusters is None
+                  else clustered_frames(seed, n, clusters))
+        values = RngStream(seed, 3).generator().standard_normal(n)
+        for budget in (199, 200, n):
+            for count in (_SELECT_BLOCK, _SELECT_BLOCK + 1, 20, 200, 201):
+                assert (select(frames[:budget], values[:budget], count, isotropic)
+                        == reference_select_candidates(frames[:budget], values[:budget],
+                                                       count, isotropic)), (budget, count)
+
+    def test_past_the_block_keeps_distant_candidates(self):
+        # 40 clusters: the first block holds repeats, so 20 distant
+        # candidates need positions past it, not the backfill.
+        frames = clustered_frames(0, 700, 40)
+        values = RngStream(0, 3).generator().standard_normal(700)
+        chosen = select(frames, values, 20, False)
+        pool = np.argsort(values, kind="stable")[:_CANDIDATE_POOL].tolist()
+        assert max(pool.index(row) for row in chosen) >= _SELECT_BLOCK
+        projs = np.einsum("nki,nkj->nij", frames[chosen, :2], frames[chosen, :2])
+        dist = np.linalg.norm(projs[:, None] - projs[None], axis=(2, 3))
+        assert np.all(dist[np.triu_indices(20, 1)] >= _DIVERSITY_MIN_DIST)
+
+    def test_group_on_one_draw_matches_each_search(self):
+        """Every objective and both modes on one seed, with mixed budgets and
+        restarts: each search's starts are the reference's rows of the draw."""
+        matrix = random_bianchi(RngStream(64)).matrix
+        searches = [Search(matrix, objective, mode,
+                           OracleConfig(samples=samples, refine_iters=5, restarts=restarts,
+                                        seed=14))
+                    for objective, mode, samples, restarts in (
+                        ("sectional", "min", 2049, 3), ("sectional", "max", 150, 17),
+                        ("isotropic", "min", 4096, 20), ("biorthogonal", "min", 199, 1),
+                        ("biorthogonal", "max", 3000, 201), ("sectional", "min", 12, 5),
+                        ("biorthogonal", "min", 500, 0))]
+        starts = _coarse_starts(searches, matrix[None], [0] * len(searches))
+        frames, values = _coarse_samples(14, 4096, [(s.objective, matrix) for s in searches])
+        for s, raw, (got_frames, got_values) in zip(searches, values, starts):
+            signed = s.sign * raw[:s.cfg.samples]
+            if s.cfg.restarts:
+                rows = reference_select_candidates(np.ascontiguousarray(frames[:s.cfg.samples]),
+                                                   signed, s.cfg.restarts,
+                                                   s.objective == "isotropic")
+            else:
+                rows = [int(np.argmin(signed))]
+            assert got_frames.tobytes() == np.ascontiguousarray(frames[rows]).tobytes()
+            assert got_values.tobytes() == signed[rows].tobytes()
 
 
 def unit_directions(seed: int, shape) -> np.ndarray:
@@ -245,10 +313,8 @@ class TestPerturbations:
 
 def derivatives(objective, matrices, frames, owner):
     """The polish's gradient and Hessian of each frame on its operator
-    ``matrices[owner[i]]``, every frame given its own place."""
-    slots = _slots(owner)
-    forms = np.zeros((len(matrices), slots.max() + 1, 6, 6))
-    return _derivatives(_jet_values(objective, _jets(matrices), forms, frames, owner, slots))
+    ``matrices[owner[i]]``."""
+    return _derivatives(_jet_values(objective, _jets(matrices), frames, owner))
 
 
 class TestFrameForms:
@@ -300,6 +366,19 @@ class TestFrameForms:
         assert np.all(np.max(np.abs(hess - fd_hess), axis=(1, 2)) <= bound)
         flat = self.OWNER == len(self.MATRICES) - 1
         assert not grad[flat].any() and not hess[flat].any()
+
+    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    def test_jet_values_do_not_depend_on_the_places(self, objective):
+        # The polish contracts fewer places, and fewer operators, as frames
+        # stop: each frame's values must keep their bytes.
+        jets = _jets(self.MATRICES)
+        full = _jet_values(objective, jets, self.FRAMES, self.OWNER)
+        for i, (frame, owner) in enumerate(zip(self.FRAMES, self.OWNER)):
+            alone = _jet_values(objective, jets[owner:owner + 1], frame[None], np.zeros(1, int))
+            assert alone.tobytes() == full[i].tobytes()
+        live = np.flatnonzero(self.OWNER < 3)[::2]
+        part = _jet_values(objective, jets[:3], self.FRAMES[live], self.OWNER[live])
+        assert part.tobytes() == full[live].tobytes()
 
     def test_sectional_jets_vanish_on_the_unit_sphere(self):
         # Every plane has curvature 1, so every derivative is exactly 0.
@@ -376,7 +455,7 @@ class TestNewtonPolish:
         assert np.all(worst <= 1e-13 * np.max(np.abs(m), axis=(1, 2)))
 
     # tracemalloc peak of the polish of one verify block (100 trials, min and
-    # max, 600 frames): 2.3 MB, of which 0.8 MB are the 100 operators' jets.
+    # max, 600 frames): 2.4 MB, of which 0.8 MB are the 100 operators' jets.
     # Gathering each frame's 27 jets would alone add 4.7 MB.
     POLISH_PEAK_BOUND = 3e6
 
@@ -623,6 +702,60 @@ class TestScheduling:
         assert len(seen) == 3  # one matrix per seed group
         assert all(len(threads) == 1 for threads in seen.values())
         assert len(set().union(*seen.values())) <= 2
+
+    @staticmethod
+    def many_groups(count: int) -> list[list[Search]]:
+        """``count`` seed groups: the biorthogonal min and max of one tensor each."""
+        return [[Search(random_bianchi(RngStream(70 + g)).matrix, "biorthogonal", mode,
+                        OracleConfig(samples=2049, refine_iters=5, restarts=3, seed=100 + g))
+                 for mode in MODES] for g in range(count)]
+
+    def test_two_workers_pulling_twelve_groups_each(self):
+        """Each worker draws all its groups through its own generator; run at
+        once, they give the bytes of every group run alone."""
+        groups = self.many_groups(24)
+
+        def starts(group, spread=oracle._share):
+            out = _coarse_starts(group, np.stack([s.matrix for s in group]), [0, 1], spread)
+            return [(f.tobytes(), v.tobytes()) for f, v in out]
+
+        serial = [starts(group) for group in groups]
+        got: dict[int, list] = {}
+        begin = threading.Barrier(2)
+
+        def worker(w):
+            begin.wait(timeout=30)
+            spread = _on_worker(stream_rekeyer())
+            got[w] = [starts(group, spread) for group in groups[w::2]]
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0] == serial[0::2] and got[1] == serial[1::2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_generator_per_worker(self, monkeypatch, cpus):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        made = []
+        rekeyer = oracle.stream_rekeyer
+
+        def counting():
+            made.append(threading.get_ident())
+            return rekeyer()
+
+        monkeypatch.setattr(oracle, "stream_rekeyer", counting)
+        searches = [s for group in self.many_groups(12) for s in group]
+        results = extremize_batch(searches)
+        assert len(made) == cpus == len(set(made))
+        assert len(results) == 24
 
     def test_workers_are_capped(self, monkeypatch):
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of eighteen fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -73,6 +73,10 @@ GATES = {
         "c49b060438d558bc",
     # Near the float64 limit: the oracle searches at a power-of-two scale.
     "analyze --model random_bianchi:1e307 --run-oracle --json": "2eebd318fee31a4d",
+    # More restarts than one selection block: pools walked past their first block.
+    "verify --trials 20 --seed 3 --restarts 20 --json": "1c0868a2d710fb95",
+    # The flat tensor: every coarse value ties.
+    "analyze --model flat --run-oracle --json": "4df33ba9194d20f3",
 }
 
 
