@@ -10,26 +10,23 @@ __version__ = "0.1.0"
 
 from .analyzer import (AnalyzeConfig, PinchingReport, analyze, classification_hints,
                        implication_audit)
-from .core import (CurvatureOperator, Invariants, Plane, bianchi_residual, biorthogonal,
-                   complement, from_components, from_matrix, invariants, ricci,
-                   rotate_operator, sectional)
-from .errors import ConsistencyError, Curv4Error, DegenerateInputError, ValidationError
+from .core import (CurvatureOperator, Invariants, Plane, from_components, from_matrix,
+                   invariants, ricci)
+from .errors import ConsistencyError, Curv4Error, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
                      space_form, sphere)
-from .numerics import RngStream, derive_seed, derive_seeds, eig_sym, gram_schmidt
-from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch, isotropic_curvature
+from .numerics import RngStream, derive_seed, derive_seeds
+from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 from .verify import run_scan, run_verification
 
 __all__ = [
     "AnalyzeConfig", "ConsistencyError", "Curv4Error", "CurvatureOperator",
-    "DegenerateInputError", "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig",
+    "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig",
     "PinchingReport", "Plane", "RngStream", "Search", "ValidationError", "__version__",
-    "analyze", "bianchi_residual", "biorthogonal", "classification_hints", "complement",
-    "cp2", "derive_seed", "derive_seeds", "eig_sym", "extremize_batch", "flat",
-    "from_components", "from_matrix", "gram_schmidt", "implication_audit", "invariants",
-    "isotropic_curvature", "make_operator", "parse_model_spec",
-    "product_surfaces", "r_times_s3", "random_bianchi", "random_bianchi_matrices",
-    "ricci", "rotate_operator", "run_scan", "run_verification",
-    "sectional", "space_form", "sphere",
+    "analyze", "classification_hints", "cp2", "derive_seed", "derive_seeds",
+    "extremize_batch", "flat", "from_components", "from_matrix", "implication_audit",
+    "invariants", "make_operator", "parse_model_spec", "product_surfaces", "r_times_s3",
+    "random_bianchi", "random_bianchi_matrices", "ricci", "run_scan", "run_verification",
+    "space_form", "sphere",
 ]

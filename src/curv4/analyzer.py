@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CurvatureOperator, Invariants, norm_max, ricci
-from .numerics import eig_sym
+from .core import DEFAULT_TOLERANCE, CurvatureOperator, Invariants, norm_max, ricci
+from .errors import ValidationError
 from .oracle import ExtremumResult, OracleConfig, Search, extremize_batch
 
 FOOTER = ("Pointwise analysis of a single algebraic curvature tensor; "
@@ -79,7 +79,7 @@ class AnalyzeConfig:
     run_oracle: bool = False
     oracle: OracleConfig = field(default_factory=OracleConfig)
     source: str = ""
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     project_bianchi: bool = False
 
 
@@ -155,18 +155,21 @@ def classification_hints(r: CurvatureOperator) -> tuple[str, ...]:
 
     s, the Weyl halves and k1, k2 are read from the operator's invariants
     row; "Einstein" and the rank test use the traceless Ricci tensor
-    Ric - s/4 I.  Thresholds are coarse by design and scale with the
-    operator's max-norm; the hints are never load-bearing.
+    Ric - s/4 I.  Thresholds are coarse by design and proportional to the
+    operator's max-norm (0 for the flat tensor), so they follow the tensor's
+    scale; the hints are never load-bearing.
     """
     inv = r.invariants
     s = float(inv.s[0])
     k1, k2, _ = inv.k[0].tolist()
-    eps = _HINT_EPS_FACTOR * (1.0 + norm_max(r))
+    eps = _HINT_EPS_FACTOR * norm_max(r)
     weyl_plus_zero = norm_max(inv.wplus[0]) <= eps
     weyl_minus_zero = norm_max(inv.wminus[0]) <= eps
     weyl_zero = weyl_plus_zero and weyl_minus_zero
-    ric = ricci(r)
-    einstein = norm_max(ric - (s / 4.0) * np.eye(4)) <= eps
+    # A Ricci tensor that overflows is not Einstein, and the rank test rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric = ricci(r)
+        einstein = norm_max(ric - (s / 4.0) * np.eye(4)) <= eps
 
     hints: list[str] = []
     if weyl_zero and einstein and s > eps:
@@ -178,7 +181,9 @@ def classification_hints(r: CurvatureOperator) -> tuple[str, ...]:
             and abs(inv.margin_a[0]) <= eps:
         hints.append(HINT_CP2)
     if weyl_zero and not einstein:
-        small = int(np.sum(np.abs(eig_sym(ric)) <= eps))
+        if not np.all(np.isfinite(ric)):
+            raise ValidationError("matrix is too large: its Ricci tensor overflows float64")
+        small = int(np.sum(np.abs(np.linalg.eigvalsh(ric)) <= eps))
         if small == 1:
             hints.append(HINT_LINE_SPHERE)
     if weyl_zero and einstein and abs(s) <= eps:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__, io
 from .analyzer import AnalyzeConfig, analyze
+from .core import DEFAULT_TOLERANCE
 from .errors import Curv4Error, ValidationError
 from .models import MODELS, make_operator, parse_model_spec
 from .numerics import derive_seed
@@ -51,8 +52,10 @@ def _tolerance(text: str) -> float:
 def _add_oracle_flags(p: argparse.ArgumentParser, samples: int) -> None:
     p.add_argument("--samples", type=int, default=samples,
                    help=f"coarse oracle samples per search (default {samples})")
-    p.add_argument("--refine", type=int, default=200, help="cap on Newton polish steps per restart")
-    p.add_argument("--restarts", type=int, default=3, help="refinement restarts")
+    p.add_argument("--refine", type=int, default=OracleConfig.refine_iters,
+                   help="cap on Newton polish steps per restart")
+    p.add_argument("--restarts", type=int, default=OracleConfig.restarts,
+                   help="refinement restarts")
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="add brute-force sectional and isotropic extrema")
     p_an.add_argument("--project-bianchi", action="store_true",
                       help="project the Bianchi residual away instead of rejecting")
-    p_an.add_argument("--tol", type=_tolerance, default=1e-9,
+    p_an.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                       help="validation tolerance for the tensor")
     _add_common_flags(p_an)
     _add_oracle_flags(p_an, OracleConfig.samples)

@@ -19,6 +19,10 @@ bases
 in which the curvature operator splits into diagonal blocks A+/A- (whose
 traceless parts are the two Weyl halves) and an off-diagonal block carrying
 exactly the traceless Ricci content.
+
+Operators are validated here, their closed-form invariants computed in one
+stacked pass (:func:`invariants`), and :class:`Plane`, the oracle's witness
+type, defined; only :mod:`curv4.oracle` evaluates single planes and frames.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateInputError, ValidationError
-from .numerics import check_symmetric, gram_schmidt
+from .errors import ConsistencyError, ValidationError
+from .numerics import check_symmetric
 
 #: Index pairs (i, j), i < j, in basis order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -147,7 +151,7 @@ class CurvatureOperator:
 
     @property
     def bianchi(self) -> float:
-        """First-Bianchi residual of the matrix (see :func:`bianchi_residual`)."""
+        """First-Bianchi residual b = M[e12,e34] - M[e13,e24] + M[e14,e23]."""
         return float(_raw_bianchi(self.matrix))
 
     @functools.cached_property
@@ -162,13 +166,6 @@ def _raw_bianchi(m: np.ndarray):
     # The single scalar obstruction separating curvature-like operators from
     # merely symmetric ones in dimension 4 (one per matrix of a stack).
     return m[..., 0, 5] - m[..., 1, 4] + m[..., 2, 3]
-
-
-def bianchi_residual(r) -> float:
-    """First-Bianchi residual b = M[e12,e34] - M[e13,e24] + M[e14,e23]."""
-    if isinstance(r, CurvatureOperator):
-        return r.bianchi
-    return float(_raw_bianchi(np.asarray(r, dtype=float)))
 
 
 def project_to_bianchi(m: np.ndarray) -> np.ndarray:
@@ -429,12 +426,12 @@ def invariants(matrices) -> Invariants:
 
 
 # ---------------------------------------------------------------------------
-# planes and curvature functions
+# planes
 
 
 @dataclass(frozen=True)
 class Plane:
-    """Oriented 2-plane given by an ordered orthonormal pair of 4-vectors."""
+    """Oriented 2-plane given by an ordered pair of 4-vectors, orthonormal within 1e-12."""
 
     u: np.ndarray
     v: np.ndarray
@@ -452,57 +449,3 @@ class Plane:
         v.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @classmethod
-    def from_span(cls, u, v) -> "Plane":
-        """Orthonormalize two independent vectors into a plane."""
-        ou, ov = gram_schmidt([u, v])
-        return cls(ou, ov)
-
-    def form(self) -> np.ndarray:
-        """Unit decomposable 2-form of the plane."""
-        return wedge(self.u, self.v)
-
-
-def complement(p: Plane) -> Plane:
-    """The orthogonal-complement plane, from Gram-Schmidt over the standard basis."""
-    found: list[np.ndarray] = []
-    basis = [p.u, p.v]
-    for k in range(4):
-        w = np.eye(4)[k]
-        for _ in range(2):  # a second pass restores orthogonality ("twice is enough")
-            for u in basis + found:
-                w = w - (w @ u) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm >= 1e-8:
-            found.append(w / nrm)
-        if len(found) == 2:
-            return Plane(found[0], found[1])
-    raise DegenerateInputError("could not extend plane to a full frame")  # pragma: no cover
-
-
-def sectional(r: CurvatureOperator, p: Plane) -> float:
-    """Sectional curvature of the plane: the quadratic form on its unit 2-form."""
-    alpha = p.form()
-    return float(alpha @ r.matrix @ alpha)
-
-
-def biorthogonal(r: CurvatureOperator, p: Plane) -> float:
-    """Average of the sectional curvatures of a plane and its complement."""
-    return (sectional(r, p) + sectional(r, complement(p))) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# frame changes
-
-
-def rotate_operator(r: CurvatureOperator, q: np.ndarray,
-                    tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
-    """Express the operator in the rotated tangent frame with columns Q e_i."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 rotation, got shape {q.shape}")
-    if norm_max(q @ q.T - np.eye(4)) > 1e-9:
-        raise ValidationError("frame change is not orthogonal")
-    lift = np.stack([wedge(q[:, i], q[:, j]) for (i, j) in PAIRS], axis=1)
-    return from_matrix(lift.T @ r.matrix @ lift, tolerance=tolerance)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The command line reports a
+:class:`Curv4Error` as ``error: ...`` with exit status 1."""
 
 
 class Curv4Error(Exception):
@@ -7,10 +8,6 @@ class Curv4Error(Exception):
 
 class ValidationError(Curv4Error, ValueError):
     """Input violates a structural contract (symmetry, orthonormality, schema)."""
-
-
-class DegenerateInputError(Curv4Error, ValueError):
-    """Input is rank-deficient where linear independence is required."""
 
 
 class ConsistencyError(Curv4Error, RuntimeError):

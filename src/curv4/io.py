@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from .analyzer import PinchingReport
-from .core import BASIS_LABELS, CurvatureOperator, Plane, from_components, from_matrix
+from .core import (BASIS_LABELS, DEFAULT_TOLERANCE, CurvatureOperator, Plane,
+                   from_components, from_matrix)
 from .errors import ValidationError
 from .oracle import ExtremumResult, OracleConfig
 from .verify import ScanReport, VerificationReport
@@ -80,7 +81,7 @@ def _matrix_from_rows(rows) -> np.ndarray:
 
 
 def tensor_from_dict(doc: dict, project_bianchi: bool = False,
-                     tolerance: float = 1e-9) -> CurvatureOperator:
+                     tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
     _require(isinstance(doc, dict), "tensor file must contain a JSON object")
     _require(doc.get("format") == TENSOR_FORMAT,
              f"unsupported tensor format {doc.get('format')!r}; expected {TENSOR_FORMAT!r}")
@@ -103,7 +104,8 @@ def tensor_from_dict(doc: dict, project_bianchi: bool = False,
     return from_components(entries, project_bianchi=project_bianchi, tolerance=tolerance)
 
 
-def load(path, project_bianchi: bool = False, tolerance: float = 1e-9) -> CurvatureOperator:
+def load(path, project_bianchi: bool = False,
+         tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
     """Load and validate a tensor file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -1,9 +1,9 @@
-"""Fixed-dimension linear-algebra kernel and deterministic random sampling.
+"""Symmetric-input checks, deterministic random sampling and rotations of R^4.
 
-Everything here is sized for the 3x3/6x6 symmetric matrices and 4-vectors the
-rest of the package works with.  All randomness flows through :class:`RngStream`,
-a counter-chunked Philox stream, so that serial and parallel runs of the same
-configuration produce bit-identical results.
+All randomness flows through :class:`RngStream`, a counter-chunked Philox
+stream, so that serial and parallel runs of the same configuration produce
+bit-identical results; the oracle draws its Haar-random frames from it
+(:func:`random_frames`) and steps them by :func:`rotation_from_generator`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 
 _SYMMETRY_TOL = 1e-12
-_PIVOT_TOL = 1e-10
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -47,48 +46,6 @@ def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise ValidationError("matrix entries are too large: symmetrizing overflows float64")
     return sym
-
-
-def eig_sym(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a small symmetric matrix.
-
-    Parameters
-    ----------
-    m : array_like, shape (n, n) with 2 <= n <= 6
-        Symmetric within 1e-12 relative tolerance.
-
-    Returns
-    -------
-    w : ndarray, shape (n,)           eigenvalues sorted ascending
-    """
-    a = check_symmetric(m)
-    n = a.shape[0]
-    if not 2 <= n <= 6:
-        raise ValidationError(f"eig_sym supports sizes 2..6, got {n}")
-    return np.linalg.eigvalsh(a)
-
-
-def gram_schmidt(vs) -> list[np.ndarray]:
-    """Orthonormalize a list of linearly independent vectors (modified GS).
-
-    The first output is the first input normalized; the span is preserved.
-    Each vector is orthogonalized twice ("twice is enough"), which keeps the
-    output orthonormal to rounding even for nearly dependent input.
-    Raises :class:`DegenerateInputError` when a pivot norm drops below 1e-10.
-    """
-    out: list[np.ndarray] = []
-    for k, v in enumerate(vs):
-        w = np.asarray(v, dtype=float).copy()
-        for _ in range(2):
-            for u in out:
-                w -= (w @ u) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm < _PIVOT_TOL:
-            raise DegenerateInputError(
-                f"vector {k} is linearly dependent on its predecessors (pivot {nrm:.3e})"
-            )
-        out.append(w / nrm)
-    return out
 
 
 @dataclass(frozen=True)

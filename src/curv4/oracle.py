@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PAIRS, CurvatureOperator, Plane, wedge
+from .core import PAIRS, Plane, wedge
 from .errors import ValidationError
 from .numerics import RngStream, random_frames, rotation_from_generator, stream_rekeyer
 
@@ -194,6 +194,8 @@ def _biortho_batch(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
 
 def _iso_batch(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Frame-wise isotropic curvature
+    K(f1,f3) + K(f1,f4) + K(f2,f3) + K(f2,f4) - 2 <M(f1^f2), f3^f4>."""
     f = [frames[..., i, :] for i in range(4)]
     total = np.zeros(frames.shape[:-2])
     for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
@@ -242,13 +244,6 @@ _FRAME_FORMS = {
     "biorthogonal": _biortho_form,
     "isotropic": _iso_form,
 }
-
-
-def isotropic_curvature(r: CurvatureOperator, frame: np.ndarray) -> float:
-    """Frame-wise isotropic curvature
-    K(f1,f3) + K(f1,f4) + K(f2,f3) + K(f2,f4) - 2 <M(f1^f2), f3^f4>."""
-    frame = np.asarray(frame, dtype=float).reshape(1, 4, 4)
-    return float(_iso_batch(r.matrix, frame)[0])
 
 
 # ---------------------------------------------------------------------------

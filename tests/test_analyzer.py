@@ -138,15 +138,31 @@ class TestClassificationHints:
         hints = classification_hints(op)
         assert HINT_FLAT in hints
 
+    def test_flat_keeps_both_hints(self):
+        # The threshold is exactly 0 for the flat tensor, and every test holds.
+        assert classification_hints(flat()) == (HINT_PRODUCT, HINT_FLAT)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-10, 1.0, 1e10, 1e150, 1e300])
+    def test_hints_follow_the_scale(self, scale):
+        # The threshold is proportional to max|M|, so a scaled model keeps the
+        # hints of the unit model, however small or large the scale.
+        for op, hints in ((space_form(1.0), (HINT_CONSTANT,)), (cp2(1.0), (HINT_CP2,)),
+                          (product_surfaces(1.0, 1.0), (HINT_PRODUCT,)),
+                          (r_times_s3(1.0), (HINT_LINE_SPHERE,))):
+            assert classification_hints(from_matrix(scale * op.matrix)) == hints
+        assert classification_hints(from_matrix(scale * random_bianchi(RngStream(2)).matrix)) \
+            == ()
+
     def test_generic_tensor_has_no_hints(self):
         op = random_bianchi(RngStream(2))
         assert classification_hints(op) == ()
 
     def test_einstein_reads_the_traceless_ricci_not_the_off_block(self):
         # The sphere plus an off-diagonal block C = delta I: max|C| = delta but
-        # max|Ric - s/4 I| = 3 delta, and the threshold lies between them.
-        op = operator_from_blocks(np.eye(3), np.eye(3), 1e-8 * np.eye(3))
-        eps = 1e-8 * (1.0 + norm_max(op))
+        # max|Ric - s/4 I| = 3 delta, and the threshold (1e-8 max|M|, about
+        # 2 delta) lies between them.
+        op = operator_from_blocks(np.eye(3), np.eye(3), 5e-9 * np.eye(3))
+        eps = 1e-8 * norm_max(op)
         traceless_ricci = ricci(op) - op.invariants.s[0] / 4.0 * np.eye(4)
         assert np.max(np.abs(lambda_blocks(op.matrix)[2])) < eps < norm_max(traceless_ricci)
         hints = classification_hints(op)

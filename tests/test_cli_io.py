@@ -105,6 +105,17 @@ class TestCliEmitAnalyze:
         assert not doc["hypothesis_A"]["holds"]
         assert not doc["hypothesis_B"]["holds"]
 
+    @pytest.mark.parametrize("model, hint", [
+        ("space_form:1e-10", "constant positive curvature"),
+        ("sphere:1e150", "constant positive curvature"),
+        ("cp2:1e-200", "CP2-like borderline"),
+        ("flat", "product-of-surfaces"), ("flat", "flat")])
+    def test_tiny_models_get_the_hints_of_their_shape(self, capsys, model, hint):
+        assert main(["analyze", "--model", model, "--json"]) == 0
+        hints = json.loads(capsys.readouterr().out)["classification_hints"]
+        assert any(h.startswith(hint) for h in hints)
+        assert len(hints) == (2 if model == "flat" else 1)
+
     def test_emit_to_stdout(self, capsys):
         assert main(["emit", "--model", "sphere:2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -266,6 +277,24 @@ class TestCliHugeTensors:
         assert main(command.split()) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    # diag(a, -a, a, -a, a, -a) has zero s and Weyl, so its invariants are
+    # finite, but Ric_33 = -3a.  At 8e307 that sum overflows, and at 3.5e307
+    # the symmetrizing of Ric does; at 2.5e307 Ric fits in float64.
+    @pytest.mark.parametrize("a, code", [(8e307, 1), (3.5e307, 1), (2.5e307, 0)])
+    def test_ricci_overflow_takes_the_error_path(self, tmp_path, capsys, a, code):
+        path = tmp_path / "t.json"
+        rows = np.diag([a, -a, a, -a, a, -a]).tolist()
+        path.write_text(json.dumps({"format": "curv4-v1", "matrix": rows}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path), "--json"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err == ("error: matrix is too large: "
+                                         "its Ricci tensor overflows float64\n")
+        else:
+            assert err == "" and json.loads(out)["s"] == 0.0
 
     @pytest.mark.parametrize("scale", ["1e307", "2e307", "3e307"])
     def test_oracle_runs_near_the_float64_limit(self, capsys, scale):

@@ -5,12 +5,12 @@ import pytest
 
 from curv4 import core
 from curv4.analyzer import AnalyzeConfig, analyze
-from curv4.core import (CurvatureOperator, Plane, complement, from_matrix, invariants,
-                        norm_max, operator_from_blocks)
+from curv4.core import (CurvatureOperator, from_matrix, invariants, norm_max,
+                        operator_from_blocks)
 from curv4.errors import ValidationError
 from curv4.io import report_to_dict
 from curv4.models import ModelSpec, make_operator
-from curv4.numerics import RngStream, derive_seed, gram_schmidt
+from curv4.numerics import RngStream, derive_seed
 from curv4.oracle import OracleConfig, Search, extremize_batch
 from curv4.verify import TRIAL_BLOCK, run_scan, run_verification, trial_operators
 
@@ -184,20 +184,6 @@ class TestScaleCovariance:
         assert rep.chain.applicable and rep.chain.all_satisfied, \
             [step for step in rep.chain.steps if not step.satisfied]
         assert rep.invariants.nnic[0]
-
-
-class TestNearlyDependentSpans:
-    ROWS = [np.array([0.0, 1.0, 0.0, 2.14e-7]), np.array([0.0, 1.0, 0.0, 0.0])]
-
-    def test_gram_schmidt_stays_orthonormal(self):
-        q = np.stack(gram_schmidt(self.ROWS))
-        assert np.max(np.abs(q @ q.T - np.eye(2))) <= 1e-12
-
-    def test_plane_from_span_and_complement(self):
-        p = Plane.from_span(*self.ROWS)
-        q = complement(p)
-        frame = np.stack([p.u, p.v, q.u, q.v])
-        assert np.max(np.abs(frame @ frame.T - np.eye(4))) <= 1e-12
 
 
 def test_analyze_oracle_matches_two_single_searches():

@@ -2,108 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from curv4.errors import DegenerateInputError, ValidationError
-from curv4.numerics import (RngStream, derive_seed, eig_sym, gram_schmidt,
-                            random_frames, rotation_from_generator)
-
-
-def symmetric_from_upper(values, n):
-    m = np.zeros((n, n))
-    it = iter(values)
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = next(it)
-    return m
-
-
-bounded = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
-
-
-def sym3():
-    return st.lists(bounded, min_size=6, max_size=6).map(lambda v: symmetric_from_upper(v, 3))
-
-
-def sym6():
-    return st.lists(bounded, min_size=21, max_size=21).map(lambda v: symmetric_from_upper(v, 6))
-
-
-class TestEigSym:
-    def test_diagonal(self):
-        assert np.allclose(eig_sym(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
-
-    def test_identity(self):
-        assert np.allclose(eig_sym(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_swap_block(self):
-        m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        assert np.allclose(eig_sym(m), [-1.0, 1.0, 2.0], atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        with pytest.raises(ValidationError):
-            eig_sym(m)
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValidationError):
-            eig_sym(np.eye(7))
-
-    @pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (6, 2), (6, 3), (4, 4)])
-    def test_against_lapack(self, n, seed):
-        g = RngStream(seed).generator().standard_normal((n, n))
-        m = (g + g.T) / 2.0
-        assert np.allclose(eig_sym(m), np.linalg.eigvalsh(m), atol=1e-10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sym3())
-    def test_trace_equals_eigensum(self, m):
-        w = eig_sym(m)
-        tr = np.trace(m)
-        assert abs(w.sum() - tr) <= 1e-10 * (1.0 + abs(tr))
-
-    @settings(max_examples=40, deadline=None)
-    @given(sym6(), st.permutations(list(range(6))))
-    def test_permutation_invariance(self, m, perm):
-        p = np.eye(6)[perm]
-        assert np.allclose(eig_sym(p @ m @ p.T), eig_sym(m), atol=1e-10 * (1 + np.max(np.abs(m))))
-
-
-class TestGramSchmidt:
-    def test_standard_basis_fixed(self):
-        basis = [np.eye(4)[i] for i in range(4)]
-        out = gram_schmidt(basis)
-        assert np.allclose(np.stack(out), np.eye(4))
-
-    def test_two_vectors(self):
-        out = gram_schmidt([np.array([2.0, 0, 0, 0]), np.array([1.0, 1.0, 0, 0])])
-        assert np.allclose(out[0], [1, 0, 0, 0])
-        assert np.allclose(out[1], [0, 1, 0, 0])
-
-    def test_dependent_vectors_rejected(self):
-        v = np.array([1.0, 0, 0, 0])
-        with pytest.raises(DegenerateInputError):
-            gram_schmidt([v, v])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4),
-                    min_size=2, max_size=4))
-    def test_orthonormal_and_span(self, rows):
-        vs = [np.array(r) for r in rows]
-        try:
-            out = gram_schmidt(vs)
-        except DegenerateInputError:
-            return
-        q = np.stack(out)
-        assert np.max(np.abs(q @ q.T - np.eye(len(out)))) <= 1e-12
-        assert np.allclose(out[0], vs[0] / np.linalg.norm(vs[0]))
-        # span accuracy degrades with input conditioning; only check it for
-        # inputs that are not borderline dependent
-        sigma = np.linalg.svd(np.stack(vs), compute_uv=False)
-        if sigma[-1] > 1e-4 * (1.0 + sigma[0]):
-            coeffs = q @ np.stack(vs).T
-            assert np.allclose(q.T @ coeffs, np.stack(vs).T, atol=1e-9)
+from curv4.numerics import RngStream, derive_seed, random_frames, rotation_from_generator
 
 
 class TestRng:

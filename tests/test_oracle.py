@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curv4 import oracle
-from curv4.core import PAIRS, CurvatureOperator, Plane, biorthogonal, sectional, wedge
+from curv4.core import PAIRS, CurvatureOperator, Plane, wedge
 from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import (RngStream, derive_seeds, random_frames, rotation_from_generator,
@@ -16,9 +16,11 @@ from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DERIVATIONS, _DIV
                           _FRAME_FORMS, _SELECT_BLOCK, _STEP_EVALUATIONS, MODES, ExtremumResult,
                           OracleConfig, Search, _coarse_samples, _coarse_starts, _derivatives,
                           _jet_values, _jets, _on_worker, _polish, _pool, _refine, _rotated,
-                          _select_group, extremize_batch, isotropic_curvature)
+                          _select_group, extremize_batch)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices, trial_operators)
+
+from . import reference as ref
 
 SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
@@ -112,14 +114,14 @@ class TestSoundness:
         op = random_bianchi(RngStream(321))
         for mode in ("min", "max"):
             res, = extremize_batch([Search(op.matrix, objective, mode, SMALL)])
-            curvature = sectional if objective == "sectional" else biorthogonal
-            again = curvature(op, res.witness)
+            curvature = ref.sectional if objective == "sectional" else ref.biorthogonal
+            again = curvature(op.matrix, res.witness.u, res.witness.v)
             assert abs(again - res.value) <= 1e-12
 
     def test_isotropic_witness_reproduces_value(self):
         op = random_bianchi(RngStream(321))
         res, = extremize_batch([Search(op.matrix, "isotropic", "min", SMALL)])
-        assert abs(isotropic_curvature(op, res.witness) - res.value) <= 1e-12
+        assert abs(ref.isotropic(op.matrix, res.witness) - res.value) <= 1e-12
         assert np.max(np.abs(res.witness @ res.witness.T - np.eye(4))) <= 1e-12
 
 
@@ -564,7 +566,9 @@ class TestIsotropic:
 
     def test_standard_frame_value_on_product(self):
         # the frame aligned with the two factors realizes zero
-        assert isotropic_curvature(product_surfaces(1.0, 1.0), np.eye(4)) == 0.0
+        m = product_surfaces(1.0, 1.0).matrix
+        assert ref.isotropic(m, np.eye(4)) == 0.0
+        assert _BATCH_OBJECTIVES["isotropic"](m, np.eye(4)[None])[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sign_matches_eigenvalue_criterion(self, seed):
@@ -598,7 +602,8 @@ class TestBudgetAccounting:
         k1, _, k3 = op.invariants.k[0].tolist()
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert k1 - 1e-9 <= res.value <= k3 + 1e-9
-        assert biorthogonal(op, res.witness) == pytest.approx(res.value, abs=1e-12)
+        assert ref.biorthogonal(op.matrix, res.witness.u, res.witness.v) == pytest.approx(
+            res.value, abs=1e-12)
 
 
 def summary(res: ExtremumResult) -> tuple:
