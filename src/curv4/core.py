@@ -28,6 +28,7 @@ type, defined; only :mod:`curv4.oracle` evaluates single planes and frames.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -45,6 +46,12 @@ BASIS_LABELS = ("e12", "e13", "e14", "e23", "e24", "e34")
 DEFAULT_TOLERANCE = 1e-9
 
 _ORTHO_TOL = 1e-12
+
+# Projecting the residual of a matrix of max-norm S away leaves a residual of
+# its own roundings: at most 11 ulp(S) counting every rounding of the
+# projection and of the residual (measured: at most 4 ulp(S), 2.5 eps S), so a
+# projected matrix's bound never falls below this many ulp(S).
+_PROJECTION_ULPS = 16
 
 # Hodge star as a matrix on coefficient vectors: signed antidiagonal.
 STAR = np.zeros((6, 6))
@@ -182,30 +189,41 @@ def project_to_bianchi(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _residual_bound(tolerance, scale, peak=None):
+    """The largest Bianchi residual accepted on a matrix of max-norm
+    ``scale``: ``tolerance * scale``, but never below the smallest subnormal,
+    and for a matrix projected from one of max-norm ``peak``, never below
+    the projection's rounding.  Scalars or arrays."""
+    floor = math.ulp(0.0) if peak is None else _PROJECTION_ULPS * np.spacing(peak)
+    return np.maximum(tolerance * scale, floor)
+
+
 def from_matrix(m, project_bianchi: bool = False,
                 tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
     """Validate a 6x6 symmetric matrix as a curvature operator.
 
     The Bianchi residual must vanish within ``tolerance`` times the max-norm
-    (exactly, for the zero tensor) unless ``project_bianchi`` is set, in
-    which case the orthogonal projection onto the residual-free hyperplane is
-    applied first.
+    (:func:`_residual_bound`) unless ``project_bianchi`` is set, in which
+    case the orthogonal projection onto the residual-free hyperplane is
+    applied first, and its rounding is accepted.
     """
     mat = check_symmetric(m, tol=tolerance)
     if mat.shape != (6, 6):
         raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
+    peak = None
     if project_bianchi:
+        peak = float(np.max(np.abs(mat)))
         with np.errstate(over="ignore", invalid="ignore"):
             mat = project_to_bianchi(mat)
         if not np.all(np.isfinite(mat)):
             raise ValidationError("matrix entries are too large: projecting the Bianchi "
                                   "residual away overflows float64")
     b = float(_raw_bianchi(mat))
-    scale = float(np.max(np.abs(mat)))
-    if abs(b) > tolerance * scale:
+    bound = float(_residual_bound(tolerance, float(np.max(np.abs(mat))), peak))
+    if abs(b) > bound:
         raise ValidationError(
-            f"Bianchi residual {b:.6e} exceeds tolerance {tolerance * scale:.3e}; "
-            "pass project_bianchi=True to project it away"
+            f"Bianchi residual {b:.6e} exceeds tolerance {bound:.3e}"
+            + ("" if project_bianchi else "; pass project_bianchi=True to project it away")
         )
     mat.flags.writeable = False
     return CurvatureOperator(matrix=mat)
@@ -228,10 +246,12 @@ def projected_stack(stack) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         bad |= (np.max(np.abs(a - swap), axis=(-2, -1))
                 > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(a), axis=(-2, -1))))
-        mats = project_to_bianchi((a + swap) / 2.0)
+        sym = (a + swap) / 2.0
+        mats = project_to_bianchi(sym)
         scale = np.max(np.abs(mats), axis=(-2, -1))   # not finite iff the row is not
         bad |= ~np.isfinite(scale)
-        bad |= np.abs(_raw_bianchi(mats)) > DEFAULT_TOLERANCE * scale
+        bad |= np.abs(_raw_bianchi(mats)) > _residual_bound(
+            DEFAULT_TOLERANCE, scale, np.max(np.abs(sym), axis=(-2, -1)))
     if np.any(bad):
         row = int(np.argmax(bad))
         from_matrix(a[row], project_bianchi=True)

@@ -18,8 +18,12 @@ negative directions, halved until it improves; a frame stops at a
 stationary point, when no trial improves, or at its step cap.  The polish
 draws no random numbers.
 
-The gradient and Hessian pair the frame form P(F) of the objective
-<P(F), M> with 6 + 21 fixed matrices of M, its jets (:func:`_jet_gather`),
+Each objective is one table of terms (:data:`_OBJECTIVES`), each term
+c <M(f_p ^ f_q), f_r ^ f_t> over the rows f of a frame.  The coarse pass and
+every trial frame sum the terms directly (:func:`_evaluate`); the polish
+reads the frame form P(F), with <P(F), M> the objective, off the same terms
+(:func:`_frame_form`).  The gradient and Hessian pair P(F) with 6 + 21 fixed
+matrices of M, its jets (:func:`_jet_gather`),
 since a rotation exp(X) acts on 2-forms by exp(D_X), D_X(u ^ v) = Xu ^ v +
 u ^ Xv; a step takes them in one contraction.  Trial frames are evaluated
 directly, so every reported value is attained by its witness.
@@ -55,6 +59,7 @@ schedule.  The Newton polish runs on the calling thread.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import os
@@ -72,9 +77,11 @@ from .numerics import RngStream, random_frames, rotation_from_generator, stream_
 SAMPLE_CHUNK = 2048
 
 #: Most workers the coarse phase uses, over seed groups or over one group's
-#: chunks.  Two is the only count that has been measured (on a 2-vCPU host,
-#: one caller): the workers hand the GIL back and forth between numpy
-#: kernels, so more waits for a benchmark that measures it.
+#: chunks.  The workers hand the GIL back and forth between numpy kernels,
+#: yet the second one pays: with one worker, ``bench/run.py`` on a 2-vCPU
+#: host fell from 745 to 608 trials/s on verify-oracle and from 229 to 188
+#: requests/s on analyze-mix (seed 1, medians of 6 alternating pairs).  More
+#: than two waits for a host and a benchmark that measure it.
 _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
@@ -161,8 +168,8 @@ class Search:
         if matrix.shape != (6, 6):
             raise ValidationError(f"expected a 6x6 operator matrix, got shape {matrix.shape}")
         object.__setattr__(self, "matrix", matrix)
-        if self.objective not in _BATCH_OBJECTIVES:
-            raise ValidationError(f"objective must be one of {tuple(_BATCH_OBJECTIVES)}, "
+        if self.objective not in _OBJECTIVES:
+            raise ValidationError(f"objective must be one of {tuple(_OBJECTIVES)}, "
                                   f"got {self.objective!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -174,76 +181,50 @@ class Search:
 
 
 # ---------------------------------------------------------------------------
-# batched objective evaluation
+# objectives
 
 
-def _quad(m: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """<M a, a> for stacked forms (..., n, 6); ``m`` is one matrix or one per
-    leading index (..., 6, 6)."""
-    return np.einsum("...na,...ab,...nb->...n", forms, m, forms)
-
-
-def _sectional_batch(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    return _quad(m, wedge(frames[..., 0, :], frames[..., 1, :]))
-
-
-def _biortho_batch(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    w01 = wedge(frames[..., 0, :], frames[..., 1, :])
-    w23 = wedge(frames[..., 2, :], frames[..., 3, :])
-    return (_quad(m, w01) + _quad(m, w23)) / 2.0
-
-
-def _iso_batch(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Frame-wise isotropic curvature
-    K(f1,f3) + K(f1,f4) + K(f2,f3) + K(f2,f4) - 2 <M(f1^f2), f3^f4>."""
-    f = [frames[..., i, :] for i in range(4)]
-    total = np.zeros(frames.shape[:-2])
-    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        total += _quad(m, wedge(f[i], f[j]))
-    coupling = np.einsum("...na,...ab,...nb->...n", wedge(f[0], f[1]), m, wedge(f[2], f[3]))
-    return total - 2.0 * coupling
-
-
-_BATCH_OBJECTIVES = {
-    "sectional": _sectional_batch,
-    "biorthogonal": _biortho_batch,
-    "isotropic": _iso_batch,
+#: Each objective as a sum of terms ((p, q), (r, t), c), a term being
+#: c <M(f_p ^ f_q), f_r ^ f_t> over the rows f of a frame.
+_OBJECTIVES = {
+    # K(f1, f2)
+    "sectional": (((0, 1), (0, 1), 1.0),),
+    # (K(f1, f2) + K(f3, f4)) / 2
+    "biorthogonal": (((0, 1), (0, 1), 0.5), ((2, 3), (2, 3), 0.5)),
+    # K(f1, f3) + K(f1, f4) + K(f2, f3) + K(f2, f4) - 2 <M(f1 ^ f2), f3 ^ f4>
+    "isotropic": (((0, 2), (0, 2), 1.0), ((0, 3), (0, 3), 1.0), ((1, 2), (1, 2), 1.0),
+                  ((1, 3), (1, 3), 1.0), ((0, 1), (2, 3), -2.0)),
 }
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :]
+def _terms(objective: str, frames: np.ndarray):
+    """Each term (a, b, c) of ``objective`` at the frames (..., 4, 4), a and
+    b its two wedges (..., 6), b being a for a term on one wedge.  No wedge
+    appears in two terms of :data:`_OBJECTIVES`, so each is computed once."""
+    for (p, q), (r, t), c in _OBJECTIVES[objective]:
+        a = wedge(frames[..., p, :], frames[..., q, :])
+        yield a, a if (p, q) == (r, t) else wedge(frames[..., r, :], frames[..., t, :]), c
 
 
-def _sectional_form(frames: np.ndarray) -> np.ndarray:
-    w01 = wedge(frames[..., 0, :], frames[..., 1, :])
-    return _outer(w01, w01)
+def _evaluate(objective: str, m: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """The objective at stacked frames (..., n, 4, 4): (..., n); ``m`` is one
+    matrix or one per leading index (..., 6, 6).  The terms are summed in
+    table order."""
+    return functools.reduce(operator.add, (c * np.einsum("...na,...ab,...nb->...n", a, m, b)
+                                           for a, b, c in _terms(objective, frames)))
 
 
-def _biortho_form(frames: np.ndarray) -> np.ndarray:
-    w01 = wedge(frames[..., 0, :], frames[..., 1, :])
-    w23 = wedge(frames[..., 2, :], frames[..., 3, :])
-    return (_outer(w01, w01) + _outer(w23, w23)) / 2.0
+def _frame_form(objective: str, frames: np.ndarray) -> np.ndarray:
+    """The frame form P(F) of the objective at each frame (..., 4, 4): the
+    symmetric (..., 6, 6) matrix with <P(F), M> equal to the objective of M
+    at F, since <M a, b> = <a (x) b, M>.  A term on two different wedges
+    a, b contributes (c / 2)(a (x) b + b (x) a)."""
+    def outer(a, b):
+        return a[..., :, None] * b[..., None, :]
 
-
-def _iso_form(frames: np.ndarray) -> np.ndarray:
-    f = [frames[..., i, :] for i in range(4)]
-    total = np.zeros(frames.shape[:-2] + (6, 6))
-    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        w = wedge(f[i], f[j])
-        total += _outer(w, w)
-    coupling = _outer(wedge(f[0], f[1]), wedge(f[2], f[3]))
-    return total - (coupling + np.swapaxes(coupling, -1, -2))
-
-
-#: The frame form P(F) of each objective: the symmetric (..., 6, 6) matrix
-#: with <P(F), M> equal to the objective of M at the frame F, since
-#: <M a, b> = <a (x) b, M>.
-_FRAME_FORMS = {
-    "sectional": _sectional_form,
-    "biorthogonal": _biortho_form,
-    "isotropic": _iso_form,
-}
+    return functools.reduce(operator.add, (
+        c * outer(a, b) if a is b else (c / 2.0) * (outer(a, b) + outer(b, a))
+        for a, b, c in _terms(objective, frames)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +331,7 @@ def _coarse_samples(seed: int, samples: int, targets,
             batch = random_frames(rekey(RngStream(seed, chunk)), SAMPLE_CHUNK,
                                   out=frames[lo:hi])
             for out, (objective, m) in zip(values, targets):
-                out[lo:hi] = _BATCH_OBJECTIVES[objective](m, batch)
+                out[lo:hi] = _evaluate(objective, m, batch)
 
     spread(range(-(-samples // SAMPLE_CHUNK)), draw)
     return frames, values
@@ -493,7 +474,7 @@ def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
 # D_k(u ^ v) = X_k u ^ v + u ^ X_k v: row (a, b) of D_k is X_k[a] ^ e_b + e_a ^ X_k[b].
 _P, _Q = np.array(PAIRS).T
 _E4 = np.eye(4)
-_GENERATORS = _outer(_E4[_P], _E4[_Q]) - _outer(_E4[_Q], _E4[_P])
+_GENERATORS = _E4[_P, :, None] * _E4[_Q, None] - _E4[_Q, :, None] * _E4[_P, None]
 _DERIVATIONS = wedge(_GENERATORS[:, _P], _E4[_Q]) + wedge(_E4[_P], _GENERATORS[:, _Q])
 # The Hessian's upper triangle, i <= j, in the order the jets hold it.
 _HESS_I, _HESS_J = np.triu_indices(6)
@@ -563,7 +544,7 @@ def _jet_values(objective: str, jets: np.ndarray, frames: np.ndarray,
     """
     slots = _slots(owner)
     forms = np.zeros((len(jets), int(slots.max(initial=0)) + 1, 6, 6))
-    forms[owner, slots] = _FRAME_FORMS[objective](frames)
+    forms[owner, slots] = _frame_form(objective, frames)
     return np.einsum("srab,skab->srk", forms, jets)[owner, slots]
 
 
@@ -608,7 +589,6 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
     one per fallback trial), and whether the frame stopped before its cap at
     a stationary point.
     """
-    evaluate = _BATCH_OBJECTIVES[objective]
     jets = _jets(matrices)
     held = np.arange(len(matrices))  # the operator of each row of jets
     evaluations = np.zeros(len(values), dtype=int)
@@ -628,7 +608,7 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
         flat = _FLAT_RTOL * np.max(np.abs(lam), axis=1, keepdims=True)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > flat)
         trial = _rotated(f, rotation_from_generator(_step(vec, inv, grad)))
-        trial_values = sign * evaluate(m, trial[:, None])[:, 0]
+        trial_values = sign * _evaluate(objective, m, trial[:, None])[:, 0]
         better = trial_values < values[live]
         stationary = ((np.max(np.abs(grad), axis=1) <= band[live])
                       & (lam[:, 0] >= -band[live]))
@@ -643,7 +623,8 @@ def _polish(objective, matrices, owner, signs, frames, values, caps):
             omega = _step(vec[stalled], inv, grad[stalled])
             for _ in range(_FALLBACK_HALVINGS + 1):
                 tried = _rotated(f[stalled], rotation_from_generator(omega))
-                tried_values = sign[stalled] * evaluate(m[stalled], tried[:, None])[:, 0]
+                tried_values = sign[stalled] * _evaluate(objective, m[stalled],
+                                                          tried[:, None])[:, 0]
                 evaluations[live[stalled]] += 1
                 ok = tried_values < values[live[stalled]]
                 trial[stalled[ok]] = tried[ok]

@@ -184,6 +184,19 @@ class TestCliEmitAnalyze:
         assert main(["analyze", str(tensor)]) == 1
         assert main(["analyze", str(tensor), "--project-bianchi"]) == 0
 
+    def test_projection_passes_its_own_check(self, tmp_path, capsys):
+        # tolerance * max|M| underflows to 0 at 1e-316 and falls below the
+        # projection's rounding at --tol 1e-20.
+        assert main(["scan", "--model", "random_bianchi:1e-316", "--trials", "200",
+                     "--seed", "1"]) == 0
+        g = RngStream(0).generator().standard_normal((6, 6))
+        tensor = tmp_path / "t.json"
+        tensor.write_text(json.dumps({"format": "curv4-v1", "matrix": ((g + g.T) / 2).tolist()}))
+        assert main(["analyze", str(tensor), "--project-bianchi", "--tol", "1e-20"]) == 0
+        assert main(["emit", "--model", "random_bianchi:1e-316", "--out", str(tensor)]) == 0
+        assert main(["analyze", str(tensor)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 SPHERE_ROWS = np.eye(6).tolist()
 

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curv4 import core
 from curv4.core import (STAR, Plane, from_components, from_matrix, invariants, lambda_basis,
                         lambda_blocks, operator_from_blocks, project_to_bianchi,
                         projected_stack, ricci, wedge)
 from curv4.errors import ValidationError
-from curv4.models import cp2, product_surfaces, r_times_s3, random_bianchi, sphere
+from curv4.models import (cp2, product_surfaces, r_times_s3, random_bianchi,
+                          random_bianchi_matrices, sphere)
 from curv4.numerics import RngStream
 
 from . import reference as ref
@@ -106,6 +108,31 @@ class TestOperatorConstruction:
         stack = project_to_bianchi(np.stack([m, 1e-3 * m, np.zeros((6, 6))]))
         for row, a in zip(projected_stack(stack), stack):
             assert np.array_equal(row, from_matrix(a, project_bianchi=True).matrix)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-20])
+    def test_projection_is_not_rejected_for_its_own_rounding(self, tolerance):
+        # Projection leaves a residual of its roundings, a few ulp of max|M|.
+        ops = [from_matrix(random_symmetric6(seed), project_bianchi=True, tolerance=tolerance)
+               for seed in range(40)]
+        assert sum(op.bianchi != 0.0 for op in ops) >= 10
+
+    @pytest.mark.parametrize("scale", [1e-314, 1e-316, 1e-320, 5e-324])
+    def test_tiny_scales_project_and_reload(self, scale):
+        # Below about 5e-315, tolerance * max|M| underflows to 0; a projected
+        # residual of one subnormal is still accepted, with or without projection.
+        stack = random_bianchi_matrices([RngStream(i) for i in range(200)], scale)
+        for row in stack:
+            assert np.array_equal(from_matrix(row).matrix, row)
+        for seed in range(20):
+            from_matrix(random_symmetric6(seed, scale), project_bianchi=True)
+
+    def test_projected_error_does_not_ask_for_the_projection(self, monkeypatch):
+        monkeypatch.setattr(core, "_PROJECTION_ULPS", 0)
+        with pytest.raises(ValidationError, match="Bianchi") as info:
+            from_matrix(random_symmetric6(0), project_bianchi=True, tolerance=0.0)
+        assert "project_bianchi" not in str(info.value)
+        with pytest.raises(ValidationError, match="pass project_bianchi=True"):
+            from_matrix(random_symmetric6(0))
 
     def test_projection_of_single_coupling(self):
         m = np.zeros((6, 6))

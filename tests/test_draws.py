@@ -16,7 +16,7 @@ from curv4.models import random_bianchi, random_bianchi_matrices
 from curv4.models import cp2
 from curv4.numerics import (RngStream, derive_seed, random_frames, standard_normal_rows,
                             stream_rekeyer)
-from curv4.oracle import _BATCH_OBJECTIVES, SAMPLE_CHUNK, _coarse_samples, _on_worker
+from curv4.oracle import _OBJECTIVES, SAMPLE_CHUNK, _coarse_samples, _evaluate, _on_worker
 from curv4.verify import trial_matrices
 
 
@@ -266,7 +266,7 @@ class TestCoarseSamples:
     """A coarse pass's frames and values are the old per-chunk construction's,
     and a smaller budget is a byte-equal prefix of a larger one."""
 
-    TARGETS = [(objective, cp2(1.0).matrix) for objective in _BATCH_OBJECTIVES]
+    TARGETS = [(objective, cp2(1.0).matrix) for objective in _OBJECTIVES]
 
     @pytest.fixture(scope="class")
     def full(self):
@@ -279,7 +279,7 @@ class TestCoarseSamples:
             expected = reference_random_frames(RngStream(3, chunk), SAMPLE_CHUNK)
             assert np.array_equal(bits(frames[rows]), bits(expected))
             for out, (objective, m) in zip(values, self.TARGETS):
-                assert np.array_equal(bits(out[rows]), bits(_BATCH_OBJECTIVES[objective](m, expected)))
+                assert np.array_equal(bits(out[rows]), bits(_evaluate(objective, m, expected)))
 
     @pytest.mark.parametrize("samples", [1, 2047, 2049, 20000])
     def test_smaller_budgets_are_prefixes(self, full, samples):
@@ -314,7 +314,7 @@ class TestCoarseSamples:
                 assert np.array_equal(bits(frames[rows]), bits(expected))
                 for out, (objective, m) in zip(values, self.TARGETS):
                     assert np.array_equal(bits(out[rows]),
-                                          bits(_BATCH_OBJECTIVES[objective](m, expected)))
+                                          bits(_evaluate(objective, m, expected)))
         assert streams == [RngStream(seed, c) for seed, samples in groups
                            for c in range(-(-samples // SAMPLE_CHUNK))]
         assert len(gens) == 1

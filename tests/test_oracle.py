@@ -12,11 +12,11 @@ from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import (RngStream, derive_seeds, random_frames, rotation_from_generator,
                             stream_rekeyer)
-from curv4.oracle import (_BATCH_OBJECTIVES, _CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST,
-                          _FRAME_FORMS, _SELECT_BLOCK, _STEP_EVALUATIONS, MODES, ExtremumResult,
-                          OracleConfig, Search, _coarse_samples, _coarse_starts, _derivatives,
-                          _jet_values, _jets, _on_worker, _polish, _pool, _refine, _rotated,
-                          _select_group, extremize_batch)
+from curv4.oracle import (_CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST, _OBJECTIVES,
+                          _SELECT_BLOCK, _STEP_EVALUATIONS, MODES, ExtremumResult, OracleConfig,
+                          Search, _coarse_samples, _coarse_starts, _derivatives, _evaluate,
+                          _frame_form, _jet_values, _jets, _on_worker, _polish, _pool, _refine,
+                          _rotated, _select_group, extremize_batch)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices, trial_operators)
 
@@ -329,18 +329,24 @@ class TestFrameForms:
     SCALE = np.max(np.abs(MATRICES), axis=(1, 2))
     FRAMES = random_frames(RngStream(9), 45)
     OWNER = np.arange(45) % len(MATRICES)
+    REFERENCE = {"sectional": lambda m, f: ref.sectional(m, f[0], f[1]),
+                 "biorthogonal": lambda m, f: ref.biorthogonal(m, f[0], f[1]),
+                 "isotropic": ref.isotropic}
 
-    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
     def test_form_pairs_to_the_objective(self, objective):
         m = self.MATRICES[self.OWNER]
-        got = np.einsum("fab,fab->f", _FRAME_FORMS[objective](self.FRAMES), m)
-        want = _BATCH_OBJECTIVES[objective](m, self.FRAMES[:, None])[:, 0]
+        got = np.einsum("fab,fab->f", _frame_form(objective, self.FRAMES), m)
+        want = _evaluate(objective, m, self.FRAMES[:, None])[:, 0]
         assert np.all(np.abs(got - want) <= 1e-14 * self.SCALE[self.OWNER])
+        # Both read one table of terms: check its coefficients independently.
+        expected = [self.REFERENCE[objective](mi, f) for mi, f in zip(m, self.FRAMES)]
+        assert np.all(np.abs(want - expected) <= 1e-14 * self.SCALE[self.OWNER])
         assert not got[self.OWNER == len(self.MATRICES) - 1].any()   # flat: exactly 0
 
-    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
     def test_form_is_symmetric(self, objective):
-        form = _FRAME_FORMS[objective](self.FRAMES)
+        form = _frame_form(objective, self.FRAMES)
         assert np.array_equal(form, np.swapaxes(form, -1, -2))
 
     # Central differences of the objective at the frames rotated by
@@ -349,7 +355,7 @@ class TestFrameForms:
     # (isotropic Hessian), and the same multiple of h^2 at h = 1e-2 and 5e-4.
     FD_STEP = 1e-3
 
-    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
     def test_jets_match_central_differences(self, objective):
         h, eye = self.FD_STEP, np.eye(6)
         i, j = np.triu_indices(6)
@@ -357,7 +363,7 @@ class TestFrameForms:
         steps = h * np.concatenate([eye, -eye, eye[i] + eye[j], -eye[i] - eye[j],
                                     eye[i] - eye[j], eye[j] - eye[i]])
         rotated = _rotated(self.FRAMES[:, None], rotation_from_generator(steps))
-        values = _BATCH_OBJECTIVES[objective](self.MATRICES[self.OWNER], rotated)
+        values = _evaluate(objective, self.MATRICES[self.OWNER], rotated)
         plus, minus = values[:, :6], values[:, 6:12]
         sums = values[:, 12:33] + values[:, 33:54] - values[:, 54:75] - values[:, 75:]
         fd_hess = np.zeros((45, 6, 6))
@@ -369,7 +375,7 @@ class TestFrameForms:
         flat = self.OWNER == len(self.MATRICES) - 1
         assert not grad[flat].any() and not hess[flat].any()
 
-    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
     def test_jet_values_do_not_depend_on_the_places(self, objective):
         # The polish contracts fewer places, and fewer operators, as frames
         # stop: each frame's values must keep their bytes.
@@ -411,15 +417,14 @@ class TestNewtonPolish:
         # span(e0, e2) is a totally real plane of cp2(1), where both objectives are 1.
         plane = np.eye(4)[[0, 2, 1, 3]]
         frames = _rotated(plane, rotation_from_generator(1e-3 * unit_directions(8, (1,))))
-        evaluate = _BATCH_OBJECTIVES[objective]
         m = cp2(1.0).matrix[None]
-        values = evaluate(m, frames[:, None])[:, 0]
+        values = _evaluate(objective, m, frames[:, None])[:, 0]
         assert values[0] - 1.0 > 1e-8
         evaluations, converged = _polish(objective, m, np.zeros(1, dtype=int), np.ones(1),
                                          frames, values, np.array([200]))
         assert abs(values[0] - 1.0) <= 1e-14
         assert _STEP_EVALUATIONS <= evaluations[0] < _STEP_EVALUATIONS * 200 and converged[0]
-        assert evaluate(m, frames[:, None])[0, 0] == values[0]
+        assert _evaluate(objective, m, frames[:, None])[0, 0] == values[0]
 
     def test_far_restarts_reach_a_stationary_point(self):
         # From these 300 coarse candidates, uncapped Newton steps overshoot and
@@ -435,7 +440,7 @@ class TestNewtonPolish:
             np.array([s.sign for s in searches])[owner], frames, values, np.full(len(values), 200))
         assert len(values) == 300 and converged.all()
 
-    @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+    @pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
     def test_flat_directions_stay_inside_the_rounding_band(self, objective):
         # Rotating within span(f0, f1) or span(f2, f3) leaves every objective
         # unchanged, so the Hessian vanishes on span{f0^f1, f2^f3}; at
@@ -521,18 +526,16 @@ class TestNewtonPolish:
         search = self.stalled_search(*self.STALLS[0])
         (frames, values), = _coarse_starts([search], search.matrix[None], [0])
         evaluated = []
-        evaluate, form = _BATCH_OBJECTIVES["biorthogonal"], _FRAME_FORMS["biorthogonal"]
-
-        def counting(m, f):
+        def counting(objective, m, f):
             evaluated.append(int(np.prod(f.shape[:-2])))
-            return evaluate(m, f)
+            return _evaluate(objective, m, f)
 
-        def counting_form(f):
+        def counting_form(objective, f):
             evaluated.append(int(np.prod(f.shape[:-2])))
-            return form(f)
+            return _frame_form(objective, f)
 
-        monkeypatch.setitem(_BATCH_OBJECTIVES, "biorthogonal", counting)
-        monkeypatch.setitem(_FRAME_FORMS, "biorthogonal", counting_form)
+        monkeypatch.setattr(oracle, "_evaluate", counting)
+        monkeypatch.setattr(oracle, "_frame_form", counting_form)
         evaluations, converged = _polish("biorthogonal", search.matrix[None],
                                          np.zeros(len(values), dtype=int), np.ones(len(values)),
                                          frames, values, np.full(len(values), 200))
@@ -568,7 +571,7 @@ class TestIsotropic:
         # the frame aligned with the two factors realizes zero
         m = product_surfaces(1.0, 1.0).matrix
         assert ref.isotropic(m, np.eye(4)) == 0.0
-        assert _BATCH_OBJECTIVES["isotropic"](m, np.eye(4)[None])[0] == 0.0
+        assert _evaluate("isotropic", m, np.eye(4)[None])[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sign_matches_eigenvalue_criterion(self, seed):
@@ -646,12 +649,13 @@ class TestScheduling:
         """Make every coarse objective call (one (6, 6) matrix) add its thread
         to the returned set for that matrix."""
         seen: dict[bytes, set[int]] = {}
-        for objective, evaluate in list(_BATCH_OBJECTIVES.items()):
-            def recorded(m, frames, evaluate=evaluate):
-                if m.ndim == 2:
-                    seen.setdefault(m.tobytes(), set()).add(threading.get_ident())
-                return evaluate(m, frames)
-            monkeypatch.setitem(_BATCH_OBJECTIVES, objective, recorded)
+
+        def recorded(objective, m, frames):
+            if m.ndim == 2:
+                seen.setdefault(m.tobytes(), set()).add(threading.get_ident())
+            return _evaluate(objective, m, frames)
+
+        monkeypatch.setattr(oracle, "_evaluate", recorded)
         return seen
 
     @staticmethod
@@ -787,17 +791,18 @@ class TestScheduling:
         one, so both workers hold an item whichever pulled first."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         caller = threading.get_ident()
-        for objective, evaluate in list(_BATCH_OBJECTIVES.items()):
-            def failing(m, frames, evaluate=evaluate):
-                on_caller = threading.get_ident() == caller
-                if on_caller:
-                    assert helper_started.wait(60), "the helper took no item"
-                else:
-                    helper_started.set()
-                if on_caller == (failing_worker == "caller"):
-                    raise RuntimeError(f"{failing_worker} item failed")
-                return evaluate(m, frames)
-            monkeypatch.setitem(_BATCH_OBJECTIVES, objective, failing)
+
+        def failing(objective, m, frames):
+            on_caller = threading.get_ident() == caller
+            if on_caller:
+                assert helper_started.wait(60), "the helper took no item"
+            else:
+                helper_started.set()
+            if on_caller == (failing_worker == "caller"):
+                raise RuntimeError(f"{failing_worker} item failed")
+            return _evaluate(objective, m, frames)
+
+        monkeypatch.setattr(oracle, "_evaluate", failing)
         threads = threading.active_count()
         for batch in (verify_style, analyze_style):
             helper_started = threading.Event()
