@@ -28,14 +28,13 @@ type, defined; only :mod:`curv4.oracle` evaluates single planes and frames.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .numerics import check_symmetric
+from .numerics import check_symmetric, scaled_bound
 
 #: Index pairs (i, j), i < j, in basis order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -191,11 +190,11 @@ def project_to_bianchi(m: np.ndarray) -> np.ndarray:
 
 def _residual_bound(tolerance, scale, peak=None):
     """The largest Bianchi residual accepted on a matrix of max-norm
-    ``scale``: ``tolerance * scale``, but never below the smallest subnormal,
-    and for a matrix projected from one of max-norm ``peak``, never below
-    the projection's rounding.  Scalars or arrays."""
-    floor = math.ulp(0.0) if peak is None else _PROJECTION_ULPS * np.spacing(peak)
-    return np.maximum(tolerance * scale, floor)
+    ``scale``: :func:`~curv4.numerics.scaled_bound`, and for a matrix
+    projected from one of max-norm ``peak``, never below the projection's
+    rounding.  Scalars or arrays."""
+    bound = scaled_bound(tolerance, scale)
+    return bound if peak is None else np.maximum(bound, _PROJECTION_ULPS * np.spacing(peak))
 
 
 def from_matrix(m, project_bianchi: bool = False,
@@ -223,7 +222,8 @@ def from_matrix(m, project_bianchi: bool = False,
     if abs(b) > bound:
         raise ValidationError(
             f"Bianchi residual {b:.6e} exceeds tolerance {bound:.3e}"
-            + ("" if project_bianchi else "; pass project_bianchi=True to project it away")
+            + ("" if project_bianchi else "; pass project_bianchi=True (--project-bianchi "
+                                          "on the command line) to project it away")
         )
     mat.flags.writeable = False
     return CurvatureOperator(matrix=mat)
@@ -241,11 +241,11 @@ def projected_stack(stack) -> np.ndarray:
         raise ValidationError(f"expected a stack of 6x6 matrices, got shape {a.shape}")
     swap = np.swapaxes(a, -1, -2)
     # check_symmetric's tests, then the residual's.  Non-finite rows are
-    # flagged first; the NaNs they spread into the other tests are ignored.
+    # flagged first; the NaNs they carry into the other tests are ignored.
     bad = ~np.all(np.isfinite(a), axis=(-2, -1))
     with np.errstate(invalid="ignore", over="ignore"):
         bad |= (np.max(np.abs(a - swap), axis=(-2, -1))
-                > DEFAULT_TOLERANCE * (1.0 + np.max(np.abs(a), axis=(-2, -1))))
+                > scaled_bound(DEFAULT_TOLERANCE, np.max(np.abs(a), axis=(-2, -1))))
         sym = (a + swap) / 2.0
         mats = project_to_bianchi(sym)
         scale = np.max(np.abs(mats), axis=(-2, -1))   # not finite iff the row is not
@@ -273,7 +273,8 @@ def from_components(entries, project_bianchi: bool = False,
     """Assemble an operator from sparse components (i, j, k, l, value), 1-based.
 
     Components must be mutually consistent under the index symmetries
-    R_ijkl = -R_jikl = -R_ijlk = R_klij; conflicting duplicates are rejected.
+    R_ijkl = -R_jikl = -R_ijlk = R_klij; duplicates that differ by more than
+    ``scaled_bound(1e-12, larger magnitude)`` are rejected as conflicting.
     """
     pair_index = {p: a for a, p in enumerate(PAIRS)}
     seen: dict[tuple[int, int], tuple[float, tuple]] = {}
@@ -295,7 +296,7 @@ def from_components(entries, project_bianchi: bool = False,
         key = (min(a, b), max(a, b))
         if key in seen:
             prev, prev_entry = seen[key]
-            if abs(prev - signed) > 1e-12 * (1.0 + abs(prev)):
+            if abs(prev - signed) > scaled_bound(1e-12, max(abs(prev), abs(signed))):
                 raise ValidationError(
                     f"component {tuple(entry)} conflicts with {prev_entry} "
                     f"under the curvature index symmetries"

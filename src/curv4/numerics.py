@@ -9,6 +9,7 @@ bit-identical results; the oracle draws its Haar-random frames from it
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -21,9 +22,17 @@ _SYMMETRY_TOL = 1e-12
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def scaled_bound(tol, scale):
+    """The largest deviation accepted on a matrix of max-norm ``scale``:
+    ``tol * scale``, but never below the smallest subnormal.  Scalars or
+    arrays."""
+    return np.maximum(tol * scale, math.ulp(0.0))
+
+
 @np.errstate(over="ignore")
 def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
-    """Validate that ``m`` is square and symmetric within ``tol`` (relative).
+    """Validate that ``m`` is square and symmetric within
+    ``scaled_bound(tol, max|m|)``.
 
     Returns the exactly symmetrized matrix as float64; entries so large that
     symmetrizing overflows are rejected.
@@ -33,10 +42,9 @@ def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
-    scale = 1.0 + float(np.max(np.abs(a), initial=0.0))
     asym = a - a.T
     worst = np.unravel_index(np.argmax(np.abs(asym)), a.shape)
-    if abs(asym[worst]) > tol * scale:
+    if abs(asym[worst]) > scaled_bound(tol, float(np.max(np.abs(a), initial=0.0))):
         i, j = worst
         raise ValidationError(
             f"matrix is not symmetric: entries ({i},{j})={float(a[i, j])!r} and "
@@ -55,7 +63,10 @@ class RngStream:
     The chunk index is mapped onto disjoint ranges of the Philox counter, so
     any partition of work into chunks yields the same draws regardless of
     execution order or thread count.  Only the oracle's sampling phase uses
-    chunks other than 0, numbering them from 0 up.
+    chunks other than 0, numbering them from 0 up.  :meth:`generator` defines
+    the stream's draws; :func:`random_frames` and
+    :func:`standard_normal_rows` draw the same numbers through their
+    thread's one re-keyed generator (:func:`_rekeyed`).
     """
 
     seed: int
@@ -66,46 +77,52 @@ class RngStream:
         return np.random.Generator(np.random.Philox(counter=int(self.chunk) << 128, key=key))
 
 
-def stream_rekeyer():
-    """A function ``rekey(stream)`` that re-keys one Philox generator to the
-    start of ``stream`` and returns it.
+class _ThreadDraws(threading.local):
+    """One thread's Philox generator and :func:`random_frames` scratch
+    (:func:`_scratch_for`), each built on the thread's first draw: the first
+    generator of a process takes numpy about 10 ms to build, which importing
+    curv4 should not pay."""
 
-    Drawing from the generator returned for ``stream`` gives the draws of
-    ``stream.generator()``.  Re-keying one bit generator to each stream's
-    (key, counter) is cheaper than building a generator per stream, whose
-    constructor also seeds a ``SeedSequence`` from OS entropy, and the draws
-    are the same.  Every call returns the same generator object, so finish
-    drawing for one stream before re-keying to the next.  A generator is not
-    safe to share between threads: each thread that draws makes its own
-    ``rekey``.  The oracle's coarse workers each make one per
-    :func:`~curv4.oracle.extremize_batch` call and draw every chunk they
-    take through it.
+    gen = None
+    scratch = None
+
+    def build(self) -> None:
+        self.bitgen = np.random.Philox()
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = self.bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
+        self.key, self.counter = self.state["state"]["key"], self.state["state"]["counter"]
+        self.key[1] = self.counter[0] = self.counter[1] = 0
+
+
+_draws = _ThreadDraws()
+
+
+def _rekeyed(stream: RngStream) -> np.random.Generator:
+    """This thread's generator, re-keyed to the start of ``stream``: it draws
+    what ``stream.generator()`` draws, until the thread re-keys it again.
+
+    Re-keying one bit generator to each stream's (key, counter) is cheaper
+    than building a generator per stream, whose constructor also seeds a
+    ``SeedSequence`` from OS entropy, and the draws are the same.
     """
-    bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    key[1] = counter[0] = counter[1] = 0
-
-    def rekey(stream: RngStream) -> np.random.Generator:
-        # Chunk c is the 256-bit counter c << 128: words 2 and 3.
-        key[0] = int(stream.seed) & _MASK64
-        counter[2] = int(stream.chunk) & _MASK64
-        counter[3] = int(stream.chunk) >> 64
-        bitgen.state = state
-        return gen
-
-    return rekey
+    draws = _draws
+    if draws.gen is None:
+        draws.build()
+    # Chunk c is the 256-bit counter c << 128: words 2 and 3.
+    draws.key[0] = int(stream.seed) & _MASK64
+    draws.counter[2] = int(stream.chunk) & _MASK64
+    draws.counter[3] = int(stream.chunk) >> 64
+    draws.bitgen.state = draws.state
+    return draws.gen
 
 
 def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
     """``stream.generator().standard_normal(shape)`` for every stream, stacked
-    into one ``(len(streams), *shape)`` array, drawn through one
-    :func:`stream_rekeyer`."""
+    into one ``(len(streams), *shape)`` array, drawn through this thread's
+    re-keyed generator."""
     out = np.empty((len(streams), *shape))
-    rekey = stream_rekeyer()
     for row, stream in zip(out, streams):
-        rekey(stream).standard_normal(out=row)
+        _rekeyed(stream).standard_normal(out=row)
     return out
 
 
@@ -267,27 +284,23 @@ class _FrameScratch:
         self.terms = np.empty((2, 16 * n))
 
 
-#: Each thread's :class:`_FrameScratch`, for the chunk size it drew last.
-_frame_scratch = threading.local()
-
-
 def _scratch_for(n: int) -> _FrameScratch:
-    scratch = getattr(_frame_scratch, "arrays", None)
+    """This thread's :class:`_FrameScratch`, kept for the chunk size it drew last."""
+    scratch = _draws.scratch
     if scratch is None or scratch.n != n:
-        scratch = _frame_scratch.arrays = _FrameScratch(n)
+        scratch = _draws.scratch = _FrameScratch(n)
     return scratch
 
 
-def random_frames(rng: RngStream | np.random.Generator, n: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def random_frames(stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """``n`` Haar-random orthonormal 4-frames (rows are the frame vectors).
 
     Row k of a frame is p e_k q-bar, for unit quaternions p and q uniform on
     S^3 and the quaternion basis e_k = 1, i, j, k: the map x -> p x q-bar is
     Haar-distributed on SO(4).  Negating the last row of a random half of the
     frames makes them Haar on O(4).  The eight normals and the sign bit of
-    every frame come from ``rng``, an :class:`RngStream` or a generator
-    positioned at one (see :func:`stream_rekeyer`).
+    every frame come from ``stream``, drawn through this thread's generator
+    re-keyed to it (:func:`_rekeyed`).
 
     Every entry is a sum of four signed products p_x q_y, so the frames are
     built from one signed outer product of p and q, gathered through
@@ -302,12 +315,12 @@ def random_frames(rng: RngStream | np.random.Generator, n: int,
     thread and chunk size and reused by every call on that thread, so a
     warm call allocates no array.  With ``out``, a writable (m, 4, 4) array
     with m <= n, the first m frames are written into it and ``out`` is
-    returned; all n frames are still drawn, so the generator ends where it
-    would without ``out``.  Without ``out`` the frames are a fresh array, a
-    transposed view of a component-major (4, 4, n) array: the frame axis is
-    innermost in memory, so the rows' wedges are too.
+    returned; all n frames are still drawn, so they are a prefix of the
+    frames drawn without ``out``.  Without ``out`` the frames are a fresh
+    array, a transposed view of a component-major (4, 4, n) array: the frame
+    axis is innermost in memory, so the rows' wedges are too.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _rekeyed(stream)
     buf = _scratch_for(n)
     if out is None:
         out = np.empty((4, 4, n)).transpose(2, 1, 0)

@@ -42,18 +42,18 @@ its search alone.  The polish's memory grows with the batch, its frames
 and distinct operators; verify bounds it by running
 :data:`~curv4.verify.TRIAL_BLOCK` trials per batch.
 
-The coarse phase runs on up to two of the CPUs available to the process,
-worker 0 being the calling thread and the other a thread of a pool that
-:func:`extremize_batch` starts and joins before it returns.  Every worker
-pulls its next item from one shared iterator.  When a batch holds two or
-more seeds, an item is a whole seed group: its full coarse pass and
-candidate selection run on the worker that pulled it.  A lone group's items
-are instead the chunks of its one pass.  Each worker holds one Philox
-generator for the whole call and re-keys it to every chunk it draws, of
-whichever group.  A chunk's draws come from its own Philox substream and it
-writes only its own slice of the pass's buffers, and a group's starts depend
-only on its seed, so every byte is the same for any CPU count and any
-schedule.  The Newton polish runs on the calling thread.
+The coarse phase runs on the W threads of one pool that
+:func:`extremize_batch` opens for the call, W being at most two and at most
+the CPUs available to the process; the calling thread waits for them, and
+for W = 1 it runs the coarse work itself.  When a batch holds two or more
+seeds, an item is a whole seed group: its full coarse pass and candidate
+selection run on one thread.  A lone group's items are instead the chunks of
+its one pass.  Each thread draws through its own Philox generator and
+scratch arrays (:func:`random_frames`).  A chunk's draws come from its own
+Philox substream and it writes only its own slice of the pass's buffers,
+and a group's starts depend only on its seed, so every byte is the same for
+any CPU count and any schedule.  The Newton polish runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,17 +70,17 @@ import numpy as np
 
 from .core import PAIRS, Plane, wedge
 from .errors import ValidationError
-from .numerics import RngStream, random_frames, rotation_from_generator, stream_rekeyer
+from .numerics import RngStream, random_frames, rotation_from_generator
 
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
 
-#: Most workers the coarse phase uses, over seed groups or over one group's
-#: chunks.  The workers hand the GIL back and forth between numpy kernels,
-#: yet the second one pays: with one worker, ``bench/run.py`` on a 2-vCPU
-#: host fell from 745 to 608 trials/s on verify-oracle and from 229 to 188
-#: requests/s on analyze-mix (seed 1, medians of 6 alternating pairs).  More
-#: than two waits for a host and a benchmark that measure it.
+#: Most threads the coarse phase uses, over seed groups or over one group's
+#: chunks.  The threads hand the GIL back and forth between numpy kernels,
+#: yet the second one pays: with one, ``bench/run.py`` on a 2-vCPU host fell
+#: from 745 to 608 trials/s on verify-oracle and from 229 to 188 requests/s
+#: on analyze-mix (seed 1, medians of 6 alternating pairs).  More than two
+#: waits for a host and a benchmark that measure it.
 _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
@@ -239,101 +238,40 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _worker_pool(helpers: int):
-    """A pool of ``helpers`` threads for coarse work, or None for none.
-
-    The pool is shut down, and its threads joined, when the block exits.
-    """
-    if helpers < 1:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(helpers, thread_name_prefix="curv4-coarse") as pool:
-        yield pool
-
-
-def _share(items, work, pool=None, workers: int = 1) -> None:
-    """Call ``work(pulls, rekey)`` once on each of ``workers`` workers, where
-    ``pulls`` yields items taken from one shared iterator over ``items`` and
-    ``rekey`` is the worker's own :func:`stream_rekeyer`.
-
-    Worker 0 is the calling thread, the others run on ``pool``, which must
-    have ``workers - 1`` threads.  Each item goes to whichever worker asks
-    first, so a worker slowed down by the host just takes fewer.  Once a
-    worker raises, no worker pulls another item, and the exception is raised
-    here.
-    """
-    pending = iter(items)
-    lock = threading.Lock()
-    done = object()
-
-    def pulls():
-        while True:
-            with lock:
-                item = next(pending, done)
-            if item is done:
-                return
-            yield item
-
-    def run() -> None:
-        nonlocal pending
-        try:
-            work(pulls(), stream_rekeyer())
-        except BaseException:
-            with lock:
-                pending = iter(())
-            raise
-
-    helpers = [pool.submit(run) for _ in range(workers - 1)]
-    run()
-    # result() raises a helper's exception.  If run() raises instead, the
-    # pool's shutdown in extremize_batch waits for the helpers before the
-    # exception leaves it.
-    for helper in helpers:
-        helper.result()
-
-
-def _on_worker(rekey):
-    """A spread (see :func:`_coarse_samples`) that runs every item on the
-    calling worker, drawing through its ``rekey``."""
-    return lambda items, work: work(iter(items), rekey)
+def _map(pool):
+    """``pool.map``, or the builtin ``map`` on the calling thread for no pool."""
+    return map if pool is None else pool.map
 
 
 def _coarse_samples(seed: int, samples: int, targets,
-                    spread=_share) -> tuple[np.ndarray, list[np.ndarray]]:
+                    pool=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
     (objective, matrix) target on them.
 
     Chunk c of the frames is drawn from ``RngStream(seed, c)`` and written,
     with its values, into buffers allocated once: :func:`random_frames`
     writes straight into the chunk's slice of the frame buffer, working in
-    its thread's own scratch arrays.  Every chunk draws all
+    its thread's own generator and scratch arrays.  Every chunk draws all
     :data:`SAMPLE_CHUNK` frames, and a short final chunk keeps their prefix,
     so a larger budget extends the sample stream and never reshuffles it.
-    ``spread(chunks, work)`` runs the chunks: :func:`_share` (the default,
-    with no pool: all on the calling thread) shares them out over workers,
-    and :func:`_on_worker` keeps them on the worker that runs this pass.
-    Each worker re-keys its one generator to every chunk it takes and
-    writes only its own chunks' slices, so the result does not depend on
-    the workers.  The frame buffer keeps :func:`random_frames`' layout, a
+    The chunks run on the threads of ``pool``, or on the calling thread for
+    no pool; each writes only its own slices, so the result does not depend
+    on the threads.  The frame buffer keeps :func:`random_frames`' layout, a
     transposed view with the frame axis innermost; callers gather the rows
     they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
 
-    def draw(chunks, rekey) -> None:
-        for chunk in chunks:
-            lo = chunk * SAMPLE_CHUNK
-            hi = min(lo + SAMPLE_CHUNK, samples)
-            batch = random_frames(rekey(RngStream(seed, chunk)), SAMPLE_CHUNK,
-                                  out=frames[lo:hi])
-            for out, (objective, m) in zip(values, targets):
-                out[lo:hi] = _evaluate(objective, m, batch)
+    def draw(chunk: int) -> None:
+        lo = chunk * SAMPLE_CHUNK
+        hi = min(lo + SAMPLE_CHUNK, samples)
+        batch = random_frames(RngStream(seed, chunk), SAMPLE_CHUNK, out=frames[lo:hi])
+        for out, (objective, m) in zip(values, targets):
+            out[lo:hi] = _evaluate(objective, m, batch)
 
-    spread(range(-(-samples // SAMPLE_CHUNK)), draw)
+    for _ in _map(pool)(draw, range(-(-samples // SAMPLE_CHUNK))):
+        pass
     return frames, values
 
 
@@ -428,10 +366,10 @@ def _refined(cfg: OracleConfig) -> bool:
 
 
 def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
-                   spread=_share) -> list[tuple[np.ndarray, np.ndarray]]:
+                   pool=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
-    distinct (objective, operator) is evaluated once, its chunks run through
-    ``spread`` as in :func:`_coarse_samples`, then one candidate selection
+    distinct (objective, operator) is evaluated once, its chunks run on
+    ``pool`` as in :func:`_coarse_samples`, then one candidate selection
     (:func:`_select_group`) for all its refined searches.  Search ``i`` runs
     on the operator ``table[ids[i]]`` (its matrix, or that matrix scaled).
 
@@ -444,7 +382,7 @@ def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
     for s, i, key in zip(group, ids, keys):
         targets.setdefault(key, (s.objective, table[i]))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
-                                     list(targets.values()), spread)
+                                     list(targets.values()), pool)
     raw = dict(zip(targets, values))
     # One signed copy of a search's values at a time: only its pool outlives it.
     rows, pools = [], []
@@ -688,18 +626,19 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
 
     Searches that share a seed form a group, which shares one draw of Haar
     frames; only the group's refine candidates outlive its coarse pass.  The
-    coarse phase runs on W = min(CPUs, items, ``_MAX_WORKERS``) workers that
-    pull items from one shared queue, through at most one thread pool per
-    call, joined before this returns.  With two or more groups an item is a
-    whole group, whose pass and candidate selection run on the worker that
-    pulled it, so there is one pass buffer per worker; a lone group's items
-    are the chunks of its pass.  Each worker draws every chunk it takes
-    through its one re-keyed generator.  One refine loop per objective on the
-    calling thread then advances the candidates of all its searches
-    together.  Each distinct matrix is scaled once into one table of
-    operators: searches on equal matrices share their jets, and also their
-    coarse values when their seed and objective are the same.  The polish's
-    memory grows with the batch; verify bounds it through
+    coarse phase runs its items on W = min(CPUs, items, ``_MAX_WORKERS``)
+    threads: for W > 1 on one thread pool opened for this call, which
+    ``pool.map`` feeds and which is shut down, its threads joined, before
+    this returns; for W = 1 on the calling thread.  With two or more groups
+    an item is a whole group, whose pass and candidate selection run on one
+    thread, so there is one pass buffer per thread; a lone group's items are
+    the chunks of its pass.  The first failing item's exception, in item
+    order, is raised here after the pool's threads have ended.  One refine
+    loop per objective on the calling thread then advances the candidates
+    of all its searches together.  Each distinct matrix is scaled once into
+    one table of operators: searches on equal matrices share their jets, and
+    also their coarse values when their seed and objective are the same.
+    The polish's memory grows with the batch; verify bounds it through
     :data:`~curv4.verify.TRIAL_BLOCK`.
 
     Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
@@ -723,27 +662,32 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     for i, s in enumerate(searches):
         by_seed.setdefault(s.cfg.seed, []).append(i)
     groups = list(by_seed.values())
-    starts: list = [None] * len(searches)
 
-    def run_group(members, spread) -> None:
-        group = [searches[i] for i in members]
-        for i, start in zip(members, _coarse_starts(group, table, [ids[i] for i in members],
-                                                    spread)):
-            starts[i] = start
-
-    def run_groups(pulled, rekey) -> None:
-        spread = _on_worker(rekey)
-        for members in pulled:
-            run_group(members, spread)
+    def coarse(members, pool=None):
+        return _coarse_starts([searches[i] for i in members], table,
+                              [ids[i] for i in members], pool)
 
     lone = len(groups) == 1
     items = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK) if lone else len(groups)
-    workers = max(1, min(_cpu_count(), items, _MAX_WORKERS))
-    with _worker_pool(workers - 1) as pool:
+    workers = min(_cpu_count(), items, _MAX_WORKERS)
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only for a pool
+
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="curv4-coarse")
+    with pool or contextlib.nullcontext():
         if lone:  # its chunks are the items
-            run_group(groups[0], lambda chunks, work: _share(chunks, work, pool, workers))
+            per_group = [coarse(groups[0], pool)]
         else:
-            _share(groups, run_groups, pool, workers)
+            per_group = _map(pool)(coarse, groups)
+    # The groups' results are read once the pool has run them all: waiting
+    # on each in turn wakes this thread once per group, and each wake-up
+    # takes the GIL from the pool (about 4% of a default verify on 2 vCPUs).
+    per_group = list(per_group)
+    starts: list = [None] * len(searches)
+    for members, group_starts in zip(groups, per_group):
+        for i, start in zip(members, group_starts):
+            starts[i] = start
 
     outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
     refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]

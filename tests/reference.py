@@ -81,3 +81,44 @@ def isotropic(m, frame) -> float:
     m = np.asarray(m, dtype=float)
     total = sum(sectional(m, f[i], f[j]) for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)))
     return total - 2.0 * float(wedge(f[0], f[1]) @ m @ wedge(f[2], f[3]))
+
+
+# <omega, STAR omega> = 2 (w12 w34 - w13 w24 + w14 w23): a 2-form is
+# decomposable, the wedge of a plane, exactly when this Pluecker form vanishes.
+STAR = np.zeros((6, 6))
+STAR[0, 5] = STAR[5, 0] = STAR[2, 3] = STAR[3, 2] = 1.0
+STAR[1, 4] = STAR[4, 1] = -1.0
+
+
+def _golden_max(f, lo: float, hi: float, steps: int = 200) -> float:
+    """The largest value a concave ``f`` takes on [lo, hi], by golden-section
+    search."""
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return max(fc, fd)
+
+
+def sectional_range(m) -> tuple[float, float]:
+    """The least and largest sectional curvature of the tensor, by the
+    Finsler-Thorpe trick: K_min = max_t lambda_min(M + t STAR) and K_max =
+    min_t lambda_max(M + t STAR).  lambda_min(M + t STAR) is concave in t,
+    and since STAR has eigenvalues +-1, it is at most |M| - |t| < lambda_min(M)
+    for |t| > 2 |M|; the largest row-sum bounds |M|, so the optimum lies in
+    |t| <= r = 2 max row-sum + 1."""
+    m = np.asarray(m, dtype=float)
+    r = 2.0 * np.max(np.sum(np.abs(m), axis=1)) + 1.0
+
+    def least(a):
+        return _golden_max(lambda t: np.linalg.eigvalsh(a + t * STAR)[0], -r, r)
+
+    return least(m), -least(-m)

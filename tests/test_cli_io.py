@@ -176,12 +176,15 @@ class TestCliEmitAnalyze:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: unrecognized arguments: ")
 
-    def test_project_bianchi_flag(self, tmp_path):
+    def test_project_bianchi_flag(self, tmp_path, capsys):
         m = np.eye(6)
         m[0, 5] = m[5, 0] = 0.5
         tensor = tmp_path / "t.json"
         tensor.write_text(json.dumps({"format": "curv4-v1", "matrix": m.tolist()}))
         assert main(["analyze", str(tensor)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Bianchi residual ")
+        assert "--project-bianchi" in err  # the error names the flag that fixes it
         assert main(["analyze", str(tensor), "--project-bianchi"]) == 0
 
     def test_projection_passes_its_own_check(self, tmp_path, capsys):
@@ -266,6 +269,20 @@ class TestCliMalformedTensorFiles:
             assert main(["verify", "--trials", "1", "--tol", tol, "--json"]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: unrecognized arguments: --tol")
+
+    # Far from symmetric, or conflicting, at their own scale, though within
+    # 1e-12 in absolute terms.
+    @pytest.mark.parametrize("document, message", [
+        ({"matrix": [[1e-12, 5e-10] + [0.0] * 4] + (1e-12 * np.eye(6))[1:].tolist()},
+         "matrix is not symmetric: entries (0,1)=5e-10 and (1,0)=0.0 differ by 5.000e-10"),
+        ({"components": [[1, 2, 1, 2, 1e-12], [2, 1, 2, 1, 1.1e-12]]},
+         "component (2, 1, 2, 1, 1.1e-12) conflicts with (1, 2, 1, 2, 1e-12) under the "
+         "curvature index symmetries")], ids=["asymmetric matrix", "conflicting component"])
+    def test_tiny_tensors_are_checked_at_their_scale(self, tmp_path, capsys, document, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"format": "curv4-v1", **document}))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_asymmetry_message_has_plain_floats(self, tmp_path, capsys):
         path = tmp_path / "t.json"

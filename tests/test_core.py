@@ -131,7 +131,8 @@ class TestOperatorConstruction:
         with pytest.raises(ValidationError, match="Bianchi") as info:
             from_matrix(random_symmetric6(0), project_bianchi=True, tolerance=0.0)
         assert "project_bianchi" not in str(info.value)
-        with pytest.raises(ValidationError, match="pass project_bianchi=True"):
+        with pytest.raises(ValidationError, match=r"pass project_bianchi=True "
+                                                  r"\(--project-bianchi on the command line\)"):
             from_matrix(random_symmetric6(0))
 
     def test_projection_of_single_coupling(self):

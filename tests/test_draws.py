@@ -14,9 +14,9 @@ from curv4.core import from_matrix, projected_stack
 from curv4.errors import ValidationError
 from curv4.models import random_bianchi, random_bianchi_matrices
 from curv4.models import cp2
-from curv4.numerics import (RngStream, derive_seed, random_frames, standard_normal_rows,
-                            stream_rekeyer)
-from curv4.oracle import _OBJECTIVES, SAMPLE_CHUNK, _coarse_samples, _evaluate, _on_worker
+from curv4 import numerics
+from curv4.numerics import RngStream, derive_seed, random_frames, standard_normal_rows
+from curv4.oracle import _OBJECTIVES, SAMPLE_CHUNK, _coarse_samples, _evaluate
 from curv4.verify import trial_matrices
 
 
@@ -104,9 +104,8 @@ class TestRekeyedPhilox:
 
     def test_generators_follow_their_streams(self):
         streams = [RngStream(9, 4), RngStream(2**63 + 5, 0), RngStream(9, 4)]
-        rekey = stream_rekeyer()
         for stream in streams:
-            gen = rekey(stream)
+            gen = numerics._rekeyed(stream)
             drawn = (gen.standard_normal((5, 8)), gen.random(5))
             fresh = stream.generator()
             assert np.array_equal(bits(drawn[0]), bits(fresh.standard_normal((5, 8))))
@@ -174,8 +173,7 @@ class TestRandomFrames:
     def test_frame_axis_is_innermost(self):
         frames = random_frames(RngStream(3, 1), 5)
         assert frames.T.flags.c_contiguous
-        gen = stream_rekeyer()(RngStream(3, 1))
-        assert np.array_equal(bits(random_frames(gen, 5)), bits(frames))
+        assert np.array_equal(bits(random_frames(RngStream(3, 1), 5)), bits(frames))
 
     def test_moments_match_haar_on_o4(self):
         f = np.concatenate([random_frames(RngStream(5, c), SAMPLE_CHUNK) for c in range(8)])
@@ -197,12 +195,12 @@ class TestFrameScratch:
     no array, results never alias the scratch, and threads do not share it."""
 
     def test_warm_call_into_out_allocates_no_array(self):
-        gen = stream_rekeyer()(RngStream(4, 0))
+        stream = RngStream(4, 0)
         out = np.empty((4, 4, SAMPLE_CHUNK)).transpose(2, 1, 0)
-        random_frames(gen, SAMPLE_CHUNK, out=out)  # warms this thread's scratch
+        random_frames(stream, SAMPLE_CHUNK, out=out)  # warms this thread's scratch
         tracemalloc.start()
         try:
-            random_frames(gen, SAMPLE_CHUNK, out=out)
+            random_frames(stream, SAMPLE_CHUNK, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,16 +210,17 @@ class TestFrameScratch:
     @pytest.mark.parametrize("m", [1, 1000, SAMPLE_CHUNK])
     def test_out_takes_a_prefix_of_the_full_draw(self, m):
         stream = RngStream(6, 3)
-        gen = stream.generator()
         buffer = np.full((4, 4, m + 5), np.nan).transpose(2, 1, 0)
-        got = random_frames(gen, SAMPLE_CHUNK, out=buffer[2:m + 2])
+        got = random_frames(stream, SAMPLE_CHUNK, out=buffer[2:m + 2])
         assert got.base is buffer.base
         assert np.isnan(buffer[:2]).all() and np.isnan(buffer[m + 2:]).all()
         assert np.array_equal(bits(got), bits(reference_random_frames(stream, SAMPLE_CHUNK)[:m]))
-        # The whole chunk was drawn: the generator goes on where a full draw leaves it.
+        # The whole chunk was drawn: this thread's generator goes on where a
+        # full draw of the stream leaves it.
         full = stream.generator()
-        random_frames(full, SAMPLE_CHUNK)
-        assert np.array_equal(bits(gen.random(5)), bits(full.random(5)))
+        full.standard_normal((SAMPLE_CHUNK, 8))
+        full.random(SAMPLE_CHUNK)
+        assert np.array_equal(bits(numerics._draws.gen.random(5)), bits(full.random(5)))
 
     def test_calls_without_out_return_independent_arrays(self):
         a = random_frames(RngStream(8, 0), SAMPLE_CHUNK)
@@ -242,8 +241,7 @@ class TestFrameScratch:
 
         def draw(name):
             start.wait(timeout=30)
-            rekey = stream_rekeyer()
-            got[name] = [random_frames(rekey(st), SAMPLE_CHUNK).copy() for st in streams[name]]
+            got[name] = [random_frames(st, SAMPLE_CHUNK).copy() for st in streams[name]]
 
         threads = [threading.Thread(target=draw, args=(name,)) for name in streams]
         interval = sys.getswitchinterval()
@@ -291,26 +289,28 @@ class TestCoarseSamples:
 
 
     def test_groups_through_one_worker_generator(self):
-        """One worker's generator, re-keyed to every chunk of group after
+        """One thread's generator, re-keyed to every chunk of group after
         group, draws each chunk as a fresh generator of its stream does; a
         short final chunk keeps the prefix of its draw."""
-        rekey, streams, gens = stream_rekeyer(), [], set()
+        streams, gens = [], set()
+        rekeyed = numerics._rekeyed
 
         def recorded(stream):
             streams.append(stream)
-            gen = rekey(stream)
+            gen = rekeyed(stream)
             gens.add(id(gen))
             return gen
 
-        spread = _on_worker(recorded)
         groups = ((3, 4097), (2**63 + 9, 2048), (5, 5000), (3, 1))
-        for seed, samples in groups:
-            frames, values = _coarse_samples(seed, samples, self.TARGETS, spread)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_rekeyed", recorded)
+            passes = [_coarse_samples(seed, samples, self.TARGETS) for seed, samples in groups]
+        for (seed, samples), (frames, values) in zip(groups, passes):
             for chunk in range(-(-samples // SAMPLE_CHUNK)):
                 lo = chunk * SAMPLE_CHUNK
                 rows = slice(lo, min(lo + SAMPLE_CHUNK, samples))
-                expected = random_frames(RngStream(seed, chunk).generator(),
-                                         SAMPLE_CHUNK)[:rows.stop - lo]
+                expected = reference_random_frames(RngStream(seed, chunk),
+                                                   SAMPLE_CHUNK)[:rows.stop - lo]
                 assert np.array_equal(bits(frames[rows]), bits(expected))
                 for out, (objective, m) in zip(values, self.TARGETS):
                     assert np.array_equal(bits(out[rows]),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import sys
 import threading
@@ -10,12 +11,11 @@ from curv4 import oracle
 from curv4.core import PAIRS, CurvatureOperator, Plane, wedge
 from curv4.errors import ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
-from curv4.numerics import (RngStream, derive_seeds, random_frames, rotation_from_generator,
-                            stream_rekeyer)
+from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
 from curv4.oracle import (_CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST, _OBJECTIVES,
                           _SELECT_BLOCK, _STEP_EVALUATIONS, MODES, ExtremumResult, OracleConfig,
                           Search, _coarse_samples, _coarse_starts, _derivatives, _evaluate,
-                          _frame_form, _jet_values, _jets, _on_worker, _polish, _pool, _refine,
+                          _frame_form, _jet_values, _jets, _polish, _pool, _refine,
                           _rotated, _select_group, extremize_batch)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices, trial_operators)
@@ -106,6 +106,22 @@ class TestModelExtrema:
         assert hi.value == pytest.approx(k3, abs=1e-6, rel=1e-6)
         assert lo.value >= k1 - 1e-9
         assert hi.value <= k3 + 1e-9
+
+    def test_sectional_range_matches_finsler_thorpe(self):
+        """The sectional objective is multimodal; at the default budget its
+        searches reach the closed-form range on 40 random tensors, and never
+        cross it."""
+        assert ref.sectional_range(cp2(1.0).matrix) == pytest.approx((1.0, 4.0), abs=1e-12)
+        matrices = [random_bianchi(RngStream(seed)).matrix for seed in range(40)]
+        results = extremize_batch([Search(m, "sectional", mode)
+                                   for m in matrices for mode in MODES])
+        for m, lo, hi in zip(matrices, results[0::2], results[1::2]):
+            k_min, k_max = ref.sectional_range(m)
+            scale = max(1.0, float(np.max(np.abs(m))))
+            assert abs(lo.value - k_min) <= 1e-9 * scale
+            assert abs(hi.value - k_max) <= 1e-9 * scale
+            assert lo.value >= k_min - 1e-12 * scale
+            assert hi.value <= k_max + 1e-12 * scale
 
 
 class TestSoundness:
@@ -638,11 +654,11 @@ def _send_summaries(searches, sender):
 
 
 class TestScheduling:
-    """Coarse work shared out over the CPUs, whole seed groups when a batch
-    has several and one group's chunks when it has one: the same bytes for
-    any CPU count, no thread outliving the call, and a worker's exception
-    passed on.  Workers pull items as they come free, so no test asserts
-    which worker took which item."""
+    """Coarse work run on one thread pool per call, whole seed groups when a
+    batch has several and one group's chunks when it has one: the same bytes
+    for any CPU count, no thread outliving the call, and a worker's
+    exception passed on.  The pool hands out items as its threads come free,
+    so no test asserts which thread took which item."""
 
     @staticmethod
     def record_threads(monkeypatch) -> dict[bytes, set[int]]:
@@ -659,17 +675,17 @@ class TestScheduling:
         return seen
 
     @staticmethod
-    def record_helpers(monkeypatch) -> list[int]:
-        """Make every worker pool append its helper thread count to the
+    def record_pools(monkeypatch) -> list[int]:
+        """Make every coarse thread pool append its thread count to the
         returned list."""
         sizes: list[int] = []
-        pool = oracle._worker_pool
+        pool = concurrent.futures.ThreadPoolExecutor
 
-        def recorded(helpers):
-            sizes.append(helpers)
-            return pool(helpers)
+        def recorded(workers, **kwargs):
+            sizes.append(workers)
+            return pool(workers, **kwargs)
 
-        monkeypatch.setattr(oracle, "_worker_pool", recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
         return sizes
 
     @pytest.mark.parametrize("samples", [1, 2048, 2049, 4097, 20000])
@@ -677,25 +693,27 @@ class TestScheduling:
     def test_results_do_not_depend_on_cpu_count(self, monkeypatch, batch, samples):
         searches = batch(samples)
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+        pools = self.record_pools(monkeypatch)
         serial = [summary(res) for res in extremize_batch(searches)]
+        assert pools == []
         groups = len({s.cfg.seed for s in searches})  # verify_style 3, analyze_style 1
         items = groups if groups > 1 else -(-samples // oracle.SAMPLE_CHUNK)
-        # Lift the worker cap so the shared queue runs with W up to 11.
+        # Lift the thread cap so the pool runs with W up to 11.
         monkeypatch.setattr(oracle, "_MAX_WORKERS", 11)
         seen = self.record_threads(monkeypatch)
-        helpers = self.record_helpers(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             for cpus in (2, 3, 11):
                 monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
                 seen.clear()
-                helpers.clear()
+                pools.clear()
                 threads = threading.active_count()
                 assert [summary(res) for res in extremize_batch(searches)] == serial, cpus
                 assert threading.active_count() == threads
-                assert helpers == [min(cpus, items) - 1]
-                assert len(set().union(*seen.values())) <= min(cpus, items)
+                workers = min(cpus, items)
+                assert pools == ([workers] if workers > 1 else [])
+                assert len(set().union(*seen.values())) <= workers
         finally:
             sys.setswitchinterval(interval)
 
@@ -720,12 +738,12 @@ class TestScheduling:
                  for mode in MODES] for g in range(count)]
 
     def test_two_workers_pulling_twelve_groups_each(self):
-        """Each worker draws all its groups through its own generator; run at
-        once, they give the bytes of every group run alone."""
+        """Two plain threads, each drawing its groups through its own
+        generator at once, give the bytes of every group run alone."""
         groups = self.many_groups(24)
 
-        def starts(group, spread=oracle._share):
-            out = _coarse_starts(group, np.stack([s.matrix for s in group]), [0, 1], spread)
+        def starts(group):
+            out = _coarse_starts(group, np.stack([s.matrix for s in group]), [0, 1], None)
             return [(f.tobytes(), v.tobytes()) for f, v in out]
 
         serial = [starts(group) for group in groups]
@@ -734,8 +752,7 @@ class TestScheduling:
 
         def worker(w):
             begin.wait(timeout=30)
-            spread = _on_worker(stream_rekeyer())
-            got[w] = [starts(group, spread) for group in groups[w::2]]
+            got[w] = [starts(group) for group in groups[w::2]]
 
         threads = [threading.Thread(target=worker, args=(w,)) for w in range(2)]
         interval = sys.getswitchinterval()
@@ -752,27 +769,32 @@ class TestScheduling:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_one_generator_per_worker(self, monkeypatch, cpus):
+        """Each drawing thread builds at most one generator: a pool thread
+        one for the call, the calling thread none once it has drawn."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        random_frames(RngStream(0), 1)  # the calling thread has drawn
         made = []
-        rekeyer = oracle.stream_rekeyer
+        philox = np.random.Philox
 
-        def counting():
+        def counting(*args, **kwargs):
             made.append(threading.get_ident())
-            return rekeyer()
+            return philox(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "stream_rekeyer", counting)
+        monkeypatch.setattr(np.random, "Philox", counting)
         searches = [s for group in self.many_groups(12) for s in group]
         results = extremize_batch(searches)
-        assert len(made) == cpus == len(set(made))
+        assert len(made) == len(set(made)) <= cpus
+        assert threading.get_ident() not in made
+        assert made if cpus > 1 else not made
         assert len(results) == 24
 
     def test_workers_are_capped(self, monkeypatch):
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)
-        helpers = self.record_helpers(monkeypatch)
+        pools = self.record_pools(monkeypatch)
         threads = threading.active_count()
         for batch in (verify_style, analyze_style):
             extremize_batch(batch(20000))
-        assert helpers == [oracle._MAX_WORKERS - 1] * 2 == [1, 1]
+        assert pools == [oracle._MAX_WORKERS] * 2 == [2, 2]
         assert threading.active_count() == threads
 
     def test_cpu_count_follows_affinity_then_cpu_count(self, monkeypatch):
@@ -786,26 +808,27 @@ class TestScheduling:
 
     @pytest.mark.parametrize("failing_worker", ["helper", "caller"])
     def test_worker_exception_propagates(self, monkeypatch, failing_worker):
-        """Raised in a seed group (verify_style) or in a chunk (analyze_style).
-        The caller's first coarse item waits until the helper has started
-        one, so both workers hold an item whichever pulled first."""
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        """Raised in a seed group (verify_style) or in a chunk (analyze_style),
+        on a pool thread (two CPUs) or on the calling thread (one).  On the
+        pool, both threads hold an item before one of them raises."""
+        cpus = 2 if failing_worker == "helper" else 1
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
         caller = threading.get_ident()
 
         def failing(objective, m, frames):
-            on_caller = threading.get_ident() == caller
-            if on_caller:
-                assert helper_started.wait(60), "the helper took no item"
-            else:
-                helper_started.set()
-            if on_caller == (failing_worker == "caller"):
-                raise RuntimeError(f"{failing_worker} item failed")
+            me = threading.get_ident()
+            assert (me == caller) == (cpus == 1)
+            if me not in started:
+                started.add(me)
+                if cpus == 1 or both_started.wait(60) == 0:
+                    raise RuntimeError(f"{failing_worker} item failed")
             return _evaluate(objective, m, frames)
 
         monkeypatch.setattr(oracle, "_evaluate", failing)
         threads = threading.active_count()
         for batch in (verify_style, analyze_style):
-            helper_started = threading.Event()
+            started: set[int] = set()
+            both_started = threading.Barrier(2)
             with pytest.raises(RuntimeError, match=f"{failing_worker} item failed"):
                 extremize_batch(batch(4097))
             assert threading.active_count() == threads

@@ -20,11 +20,12 @@ command also pays for building the CLI parser and for the first touch of
 the memory the process goes on to reuse, and the peak is that of the
 largest command, with every earlier command's leftovers.
 
-The oracle's coarse phase runs on up to two of the CPUs available to the
-process, so the oracle gates (``verify`` and ``analyze --run-oracle``) then
-run once more with the process pinned to one CPU, which runs all coarse work
-on the calling thread.  Those lines end in ``pinned to CPU n``, and are checked
-against the same expected hashes.
+The oracle's coarse phase runs on a pool of up to two threads, no more than
+the CPUs available to the process, so the oracle gates (``verify`` and
+``analyze --run-oracle``) then run once more with the process pinned to one
+CPU, where no pool is opened and the calling thread runs all coarse work.
+Those lines end in ``pinned to CPU n``, and are checked against the same
+expected hashes.
 """
 
 from __future__ import annotations
