@@ -20,8 +20,10 @@ in which the curvature operator splits into diagonal blocks A+/A- (whose
 traceless parts are the two Weyl halves) and an off-diagonal block carrying
 exactly the traceless Ricci content.
 
-Operators are validated here, their closed-form invariants computed in one
-stacked pass (:func:`invariants`), and :class:`Plane`, the oracle's witness
+Operators are validated here by one stacked validator
+(:func:`validated_stack`, of which :func:`from_matrix` is the stack of one),
+their closed-form invariants computed in one stacked pass
+(:func:`invariants`), and :class:`Plane`, the oracle's witness
 type, defined; only :mod:`curv4.oracle` evaluates single planes and frames.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .numerics import check_symmetric, scaled_bound
+from .numerics import scaled_bound
 
 #: Index pairs (i, j), i < j, in basis order.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -123,14 +125,13 @@ def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def operator_from_blocks(aplus: np.ndarray, aminus: np.ndarray,
                          off: np.ndarray | None = None) -> "CurvatureOperator":
     """Assemble a curvature operator from its star-eigenbasis blocks."""
-    full = np.zeros((6, 6))
-    full[:3, :3] = check_symmetric(aplus)
-    full[3:, 3:] = check_symmetric(aminus)
-    if off is not None:
-        full[:3, 3:] = np.asarray(off, dtype=float)
-        full[3:, :3] = full[:3, 3:].T
+    off = np.zeros((3, 3)) if off is None else np.asarray(off, dtype=float)
+    full = np.block([[aplus, off], [off.T, aminus]])
     b = lambda_basis()
-    return from_matrix(b @ full @ b.T, project_bianchi=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # from_matrix rejects overflow
+        m = b @ full @ b.T
+    # Assembled blocks are held to a tighter relative bound than input matrices.
+    return from_matrix(m, project_bianchi=True, tolerance=1e-12)
 
 
 def norm_max(m) -> float:
@@ -148,9 +149,8 @@ def norm_max(m) -> float:
 class CurvatureOperator:
     """Symmetric bilinear form on 2-forms.
 
-    ``matrix`` is read-only (as :func:`from_matrix` and
-    :func:`projected_stack` return it), so the operator's invariants pass can
-    be cached on first use.
+    ``matrix`` is read-only (as :func:`validated_stack` returns it), so the
+    operator's invariants pass can be cached on first use.
     """
 
     matrix: np.ndarray
@@ -197,67 +197,69 @@ def _residual_bound(tolerance, scale, peak=None):
     return bound if peak is None else np.maximum(bound, _PROJECTION_ULPS * np.spacing(peak))
 
 
-def from_matrix(m, project_bianchi: bool = False,
-                tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
-    """Validate a 6x6 symmetric matrix as a curvature operator.
+def validated_stack(stack, project_bianchi: bool = False,
+                    tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Validate a stack (N, 6, 6) of matrices as curvature operators: the one
+    validator every operator passes through.
 
-    The Bianchi residual must vanish within ``tolerance`` times the max-norm
-    (:func:`_residual_bound`) unless ``project_bianchi`` is set, in which
-    case the orthogonal projection onto the residual-free hyperplane is
-    applied first, and its rounding is accepted.
-    """
-    mat = check_symmetric(m, tol=tolerance)
-    if mat.shape != (6, 6):
-        raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
-    peak = None
-    if project_bianchi:
-        peak = float(np.max(np.abs(mat)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = project_to_bianchi(mat)
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("matrix entries are too large: projecting the Bianchi "
-                                  "residual away overflows float64")
-    b = float(_raw_bianchi(mat))
-    bound = float(_residual_bound(tolerance, float(np.max(np.abs(mat))), peak))
-    if abs(b) > bound:
-        raise ValidationError(
-            f"Bianchi residual {b:.6e} exceeds tolerance {bound:.3e}"
-            + ("" if project_bianchi else "; pass project_bianchi=True (--project-bianchi "
-                                          "on the command line) to project it away")
-        )
-    mat.flags.writeable = False
-    return CurvatureOperator(matrix=mat)
-
-
-def projected_stack(stack) -> np.ndarray:
-    """:func:`from_matrix` with ``project_bianchi`` over a stack (N, 6, 6): row
-    i of the read-only result is ``from_matrix(stack[i], True).matrix``.
-
-    Every check and every arithmetic step runs once over the whole stack;
-    the first failing matrix raises its error through :func:`from_matrix`.
+    Each matrix must be finite, symmetric within ``scaled_bound(tolerance,
+    max|M|)`` and small enough to symmetrize, and its Bianchi residual must
+    vanish within ``tolerance`` times its max-norm (:func:`_residual_bound`)
+    unless ``project_bianchi`` is set, in which case the orthogonal
+    projection onto the residual-free hyperplane is applied first, and its
+    rounding is accepted.  Returns the read-only symmetrized (and projected)
+    stack.  Every check runs once over the whole stack; the first failing
+    matrix raises the error of its first failing check.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (6, 6):
         raise ValidationError(f"expected a stack of 6x6 matrices, got shape {a.shape}")
     swap = np.swapaxes(a, -1, -2)
-    # check_symmetric's tests, then the residual's.  Non-finite rows are
-    # flagged first; the NaNs they carry into the other tests are ignored.
-    bad = ~np.all(np.isfinite(a), axis=(-2, -1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad |= (np.max(np.abs(a - swap), axis=(-2, -1))
-                > scaled_bound(DEFAULT_TOLERANCE, np.max(np.abs(a), axis=(-2, -1))))
+    axes = (-2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(a - swap)
         sym = (a + swap) / 2.0
-        mats = project_to_bianchi(sym)
-        scale = np.max(np.abs(mats), axis=(-2, -1))   # not finite iff the row is not
-        bad |= ~np.isfinite(scale)
-        bad |= np.abs(_raw_bianchi(mats)) > _residual_bound(
-            DEFAULT_TOLERANCE, scale, np.max(np.abs(sym), axis=(-2, -1)))
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        from_matrix(a[row], project_bianchi=True)
-        raise ConsistencyError(f"matrix {row} failed the stacked check but not from_matrix")
+        mats = project_to_bianchi(sym) if project_bianchi else sym
+        peak = np.abs(sym).max(axis=axes) if project_bianchi else None
+        residual = _raw_bianchi(mats)
+        bound = _residual_bound(tolerance, np.abs(mats).max(axis=axes), peak)
+        # One row per check, in the order they are reported.  A matrix that
+        # fails one check may pass or fail the later ones on NaNs; only its
+        # first failure is reported.
+        failed = np.array([
+            ~np.isfinite(a).all(axis=axes),
+            asym.max(axis=axes) > scaled_bound(tolerance, np.abs(a).max(axis=axes)),
+            ~np.isfinite(sym).all(axis=axes),
+            ~np.isfinite(mats).all(axis=axes),
+            np.abs(residual) > bound,
+        ])
+    if failed.any():
+        row, check = divmod(int(failed.T.argmax()), len(failed))
+        i, j = np.unravel_index(asym[row].argmax(), (6, 6))
+        raise ValidationError((
+            "matrix has non-finite entries",
+            f"matrix is not symmetric: entries ({i},{j})={float(a[row, i, j])!r} and "
+            f"({j},{i})={float(a[row, j, i])!r} differ by {asym[row, i, j]:.3e}",
+            "matrix entries are too large: symmetrizing overflows float64",
+            "matrix entries are too large: projecting the Bianchi residual away "
+            "overflows float64",
+            f"Bianchi residual {float(residual[row]):.6e} exceeds tolerance "
+            f"{float(bound[row]):.3e}"
+            + ("" if project_bianchi else "; pass project_bianchi=True (--project-bianchi "
+                                          "on the command line) to project it away"),
+        )[check])
     mats.flags.writeable = False
     return mats
+
+
+def from_matrix(m, project_bianchi: bool = False,
+                tolerance: float = DEFAULT_TOLERANCE) -> CurvatureOperator:
+    """Validate one 6x6 matrix as a curvature operator: :func:`validated_stack`
+    of a stack of one."""
+    mat = np.asarray(m, dtype=float)
+    if mat.shape != (6, 6):
+        raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
+    return CurvatureOperator(matrix=validated_stack(mat[None], project_bianchi, tolerance)[0])
 
 
 def _component_index(x) -> int:

@@ -206,7 +206,7 @@ def verification_to_dict(report: VerificationReport) -> dict:
         "config": {
             "trials": report.trials,
             "seed": report.seed,
-            "scale": report.scale,
+            "scale": 1.0,  # verify draws its trials from random_bianchi:1
             "oracle": _oracle_to_dict(report.oracle, include_seed=False),
         },
         "records": [

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CurvatureOperator, from_matrix, projected_stack
+from .core import CurvatureOperator, from_matrix, validated_stack
 from .errors import ValidationError
 from .numerics import RngStream, standard_normal_rows
 
@@ -163,10 +163,10 @@ def random_bianchi_matrices(streams: Sequence[RngStream], scale: float = 1.0) ->
     validated in one pass: row i of the read-only (N, 6, 6) stack is
     ``random_bianchi(streams[i], scale).matrix``."""
     _require_positive(scale, "scale")
-    with np.errstate(over="ignore"):  # projected_stack rejects overflowed draws
+    with np.errstate(over="ignore"):  # validated_stack rejects overflowed draws
         g = standard_normal_rows(streams, (6, 6)) * scale
     sym = np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
-    return projected_stack(sym)
+    return validated_stack(sym, project_bianchi=True)
 
 
 def random_bianchi(rng: RngStream, scale: float = 1.0) -> CurvatureOperator:

@@ -1,4 +1,5 @@
-"""Symmetric-input checks, deterministic random sampling and rotations of R^4.
+"""Deterministic random sampling and rotations of R^4, and the scaled bound
+of every validation tolerance.
 
 All randomness flows through :class:`RngStream`, a counter-chunked Philox
 stream, so that serial and parallel runs of the same configuration produce
@@ -16,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-
-_SYMMETRY_TOL = 1e-12
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -27,33 +25,6 @@ def scaled_bound(tol, scale):
     ``tol * scale``, but never below the smallest subnormal.  Scalars or
     arrays."""
     return np.maximum(tol * scale, math.ulp(0.0))
-
-
-@np.errstate(over="ignore")
-def check_symmetric(m: np.ndarray, tol: float = _SYMMETRY_TOL) -> np.ndarray:
-    """Validate that ``m`` is square and symmetric within
-    ``scaled_bound(tol, max|m|)``.
-
-    Returns the exactly symmetrized matrix as float64; entries so large that
-    symmetrizing overflows are rejected.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    asym = a - a.T
-    worst = np.unravel_index(np.argmax(np.abs(asym)), a.shape)
-    if abs(asym[worst]) > scaled_bound(tol, float(np.max(np.abs(a), initial=0.0))):
-        i, j = worst
-        raise ValidationError(
-            f"matrix is not symmetric: entries ({i},{j})={float(a[i, j])!r} and "
-            f"({j},{i})={float(a[j, i])!r} differ by {abs(asym[worst]):.3e}"
-        )
-    sym = (a + a.T) / 2.0
-    if not np.all(np.isfinite(sym)):
-        raise ValidationError("matrix entries are too large: symmetrizing overflows float64")
-    return sym
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,6 @@ class TrialResult:
 class VerificationReport:
     trials: int
     seed: int
-    scale: float
     oracle: OracleConfig
     records: tuple[TrialResult, ...]
     passed: bool
@@ -80,10 +79,10 @@ def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
     return random_bianchi_matrices(streams, scale)
 
 
-def trial_operators(seed: int, indices, scale: float = 1.0) -> list[CurvatureOperator]:
+def trial_operators(seed: int, indices) -> list[CurvatureOperator]:
     """The random curvature tensors examined by trials ``indices`` of a run,
     their invariants rows taken from one stacked pass."""
-    return operators(trial_matrices(seed, indices, scale))
+    return operators(trial_matrices(seed, indices))
 
 
 def _close(value: float, target: float) -> bool:
@@ -132,11 +131,10 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     )
 
 
-def _run_trials(seed: int, indices, oracle: OracleConfig,
-                scale: float = 1.0) -> list[TrialResult]:
+def _run_trials(seed: int, indices, oracle: OracleConfig) -> list[TrialResult]:
     """Trials ``indices`` of a run: one invariants pass and one batch of
     oracle searches for all of them."""
-    ops = trial_operators(seed, indices, scale)
+    ops = trial_operators(seed, indices)
     configs = [replace(oracle, seed=s) for s in derive_seeds(seed, indices, 1).tolist()]
     searches = [Search(op.matrix, "biorthogonal", mode, cfg)
                 for op, cfg in zip(ops, configs) for mode in MODES]
@@ -146,8 +144,7 @@ def _run_trials(seed: int, indices, oracle: OracleConfig,
 
 
 def run_verification(trials: int, seed: int,
-                     oracle: OracleConfig | None = None,
-                     scale: float = 1.0) -> VerificationReport:
+                     oracle: OracleConfig | None = None) -> VerificationReport:
     """Run ``trials`` independent verification trials.
 
     ``oracle`` defaults to :data:`DEFAULT_SAMPLES` samples per search and
@@ -163,10 +160,10 @@ def run_verification(trials: int, seed: int,
         oracle = OracleConfig(samples=DEFAULT_SAMPLES)
     records: list[TrialResult] = []
     for start in range(0, trials, TRIAL_BLOCK):
-        records += _run_trials(seed, range(start, min(start + TRIAL_BLOCK, trials)), oracle, scale)
+        records += _run_trials(seed, range(start, min(start + TRIAL_BLOCK, trials)), oracle)
     passed = all(not rec.failures for rec in records)
-    return VerificationReport(trials=trials, seed=seed, scale=scale,
-                              oracle=oracle, records=tuple(records), passed=passed)
+    return VerificationReport(trials=trials, seed=seed, oracle=oracle,
+                              records=tuple(records), passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from curv4 import core
 from curv4.core import (STAR, Plane, from_components, from_matrix, invariants, lambda_basis,
-                        lambda_blocks, operator_from_blocks, project_to_bianchi,
-                        projected_stack, ricci, wedge)
+                        lambda_blocks, operator_from_blocks, project_to_bianchi, ricci,
+                        validated_stack, wedge)
 from curv4.errors import ValidationError
 from curv4.models import (cp2, product_surfaces, r_times_s3, random_bianchi,
                           random_bianchi_matrices, sphere)
@@ -106,7 +106,7 @@ class TestOperatorConstruction:
         tiny = from_matrix(m, project_bianchi=True)
         assert abs(tiny.bianchi) <= 1e-9 * np.max(np.abs(tiny.matrix))
         stack = project_to_bianchi(np.stack([m, 1e-3 * m, np.zeros((6, 6))]))
-        for row, a in zip(projected_stack(stack), stack):
+        for row, a in zip(validated_stack(stack, project_bianchi=True), stack):
             assert np.array_equal(row, from_matrix(a, project_bianchi=True).matrix)
 
     @pytest.mark.parametrize("tolerance", [0.0, 1e-20])
@@ -406,3 +406,14 @@ class TestOperatorFromBlocks:
         aplus, aminus, off = lambda_blocks(op.matrix)
         rebuilt = operator_from_blocks(aplus, aminus, off)
         assert np.max(np.abs(rebuilt.matrix - op.matrix)) < 1e-13
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_unmirrored_block_entry_is_rejected(self, block):
+        # Symmetric blocks are required to 1e-12 relative, far inside the
+        # 1e-9 of a matrix given directly.
+        blocks = [np.eye(3), np.eye(3)]
+        blocks[block][0, 1] = 1e-13
+        operator_from_blocks(*blocks)
+        blocks[block][0, 1] = 1e-11
+        with pytest.raises(ValidationError, match="not symmetric"):
+            operator_from_blocks(*blocks)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curv4.core import from_matrix, projected_stack
+from curv4.core import from_matrix, project_to_bianchi, validated_stack
 from curv4.errors import ValidationError
 from curv4.models import random_bianchi, random_bianchi_matrices
 from curv4.models import cp2
@@ -116,23 +116,56 @@ class TestRekeyedPhilox:
         assert np.array_equal(bits(rows[0]), bits(RngStream(4, 2).generator().standard_normal((4, 4))))
 
 
-class TestProjectedStack:
-    def test_rows_equal_from_matrix(self):
+class TestValidatedStack:
+    @pytest.mark.parametrize("project", [False, True])
+    def test_rows_equal_from_matrix(self, project):
         g = RngStream(12).generator().standard_normal((40, 6, 6))
         stack = g + np.swapaxes(g, -1, -2) + 1e-12 * g   # asymmetric within tolerance
-        out = projected_stack(stack)
+        if not project:
+            stack = project_to_bianchi(stack)
+        out = validated_stack(stack, project_bianchi=project)
         assert not out.flags.writeable
         for row, m in zip(out, stack):
-            assert np.array_equal(bits(row), bits(from_matrix(m, project_bianchi=True).matrix))
+            sym = (m + m.T) / 2.0
+            assert np.array_equal(bits(row), bits(project_to_bianchi(sym) if project else sym))
+            assert np.array_equal(bits(row), bits(from_matrix(m, project_bianchi=project).matrix))
 
     def test_first_failing_row_raises_its_error(self):
         stack = np.stack([np.eye(6)] * 3)
         stack[1, 1, 1] = np.inf
         stack[2, 0, 1] = 2.0
         with pytest.raises(ValidationError, match="non-finite"):
-            projected_stack(stack)
+            validated_stack(stack, project_bianchi=True)
         with pytest.raises(ValidationError, match=r"not symmetric: entries \(0,1\)"):
-            projected_stack(stack[[0, 2, 1]])
+            validated_stack(stack[[0, 2, 1]], project_bianchi=True)
+
+    def test_rows_failing_different_checks_raise_the_first_rows_message(self):
+        # Row 0 has a Bianchi residual, which only the unprojected check
+        # rejects; row 1 has a non-finite entry.
+        stack = np.stack([np.eye(6)] * 2)
+        stack[0, 0, 5] = stack[0, 5, 0] = 1.0
+        stack[1, 3, 3] = np.nan
+        residual = ("Bianchi residual 1.000000e+00 exceeds tolerance 1.000e-09; pass "
+                    "project_bianchi=True (--project-bianchi on the command line) to "
+                    "project it away")
+        with pytest.raises(ValidationError) as info:
+            validated_stack(stack)
+        assert str(info.value) == residual
+        with pytest.raises(ValidationError) as info:
+            validated_stack(stack[::-1])
+        assert str(info.value) == "matrix has non-finite entries"
+        with pytest.raises(ValidationError) as info:
+            validated_stack(stack, project_bianchi=True)
+        assert str(info.value) == "matrix has non-finite entries"
+
+    def test_symmetry_message_names_the_largest_difference(self):
+        stack = np.stack([np.eye(6)] * 2)
+        stack[1, 4, 2] = 0.25
+        stack[1, 1, 3] = -0.5
+        with pytest.raises(ValidationError) as info:
+            validated_stack(stack)
+        assert str(info.value) == ("matrix is not symmetric: entries (1,3)=-0.5 and "
+                                   "(3,1)=0.0 differ by 5.000e-01")
 
     def test_overflowing_rows_raise_their_errors(self):
         # Row 1 overflows when symmetrized, row 2 when its residual is projected away.
@@ -141,13 +174,20 @@ class TestProjectedStack:
         stack[2, 0, 5] = stack[2, 5, 0] = stack[2, 2, 3] = stack[2, 3, 2] = 8e307
         stack[2, 1, 4] = stack[2, 4, 1] = -8e307
         with pytest.raises(ValidationError, match="symmetrizing overflows"):
-            projected_stack(stack)
+            validated_stack(stack, project_bianchi=True)
         with pytest.raises(ValidationError, match="projecting the Bianchi residual away"):
-            projected_stack(stack[[0, 2]])
+            validated_stack(stack[[0, 2]], project_bianchi=True)
+        with pytest.raises(ValidationError, match="Bianchi residual inf exceeds"):
+            validated_stack(stack[[0, 2]])
 
     def test_shape_is_checked(self):
         with pytest.raises(ValidationError, match="stack of 6x6"):
-            projected_stack(np.eye(6))
+            validated_stack(np.eye(6))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (1, 6, 6)])
+    def test_from_matrix_takes_one_6x6_matrix(self, shape):
+        with pytest.raises(ValidationError, match=r"expected a 6x6 matrix, got shape \("):
+            from_matrix(np.zeros(shape))
 
 
 class TestRandomFrames:

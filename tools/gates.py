@@ -1,15 +1,15 @@
-"""Byte gates: the sha256 of the output of twenty fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-two fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
     python3 tools/gates.py
 
-Each command runs in-process through ``curv4.cli.main`` with stdout
-captured.  One line is printed per command: the first 16 hex digits of the
-sha256 of its stdout, its exit code, the command, its in-process wall time,
-and the minor page faults the process took while it ran (the change in
-``resource.getrusage``'s ``ru_minflt``, which counts faults of every thread
-of the process).  Every output is a pure function of its seeds, and the
+Each command runs in-process through ``curv4.cli.main`` with stdout and
+stderr captured.  One line is printed per command: the first 16 hex digits
+of the sha256 of its stdout followed by its stderr, its exit code, the
+command, its in-process wall time, and the minor page faults the process
+took while it ran (the change in ``resource.getrusage``'s ``ru_minflt``,
+which counts faults of every thread of the process).  Every output is a pure function of its seeds, and the
 script holds the hash each output is expected to have: a line whose hash
 differs ends in ``MISMATCH (expected ...)`` and the script exits with status
 1.  A change that moves an output on purpose updates its hash in
@@ -78,6 +78,10 @@ GATES = {
     "verify --trials 20 --seed 3 --restarts 20 --json": "1c0868a2d710fb95",
     # The flat tensor: every coarse value ties.
     "analyze --model flat --run-oracle --json": "4df33ba9194d20f3",
+    # Draws the validator rejects, on stderr with exit 1: non-finite entries,
+    # and finite entries whose symmetrization overflows.
+    "scan --model random_bianchi:1e308 --trials 5 --seed 1": "cbfa41e98be302b1",
+    "scan --model random_bianchi:6e307 --trials 50 --seed 1": "a84d519561aa6245",
 }
 
 
@@ -86,16 +90,18 @@ def _minor_faults() -> int:
 
 
 def gate(command: str) -> tuple[str, int, float, int]:
-    """The sha256 prefix of ``curv4 COMMAND``'s stdout, its exit code, its
-    wall time in seconds, and the minor page faults taken while it ran."""
-    out = io.StringIO()
+    """The sha256 prefix of ``curv4 COMMAND``'s stdout followed by its
+    stderr, its exit code, its wall time in seconds, and the minor page faults
+    taken while it ran."""
+    out, err = io.StringIO(), io.StringIO()
     faults = _minor_faults()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(command.split())
     wall = time.perf_counter() - start
     faults = _minor_faults() - faults
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], code, wall, faults
+    digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()[:16]
+    return digest, code, wall, faults
 
 
 def is_oracle_gate(command: str) -> bool:
