@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .analyzer import (AnalyzeConfig, PinchingReport, analyze, classification_hints,
                        implication_audit)
-from .core import (CurvatureOperator, Invariants, Plane, from_components, from_matrix,
-                   invariants, ricci)
+from .core import (CurvatureOperator, Invariants, from_components, from_matrix, invariants,
+                   ricci)
 from .errors import ConsistencyError, Curv4Error, ValidationError
 from .models import (ModelSpec, cp2, flat, make_operator, parse_model_spec,
                      product_surfaces, r_times_s3, random_bianchi, random_bianchi_matrices,
@@ -23,7 +23,7 @@ from .verify import run_scan, run_verification
 __all__ = [
     "AnalyzeConfig", "ConsistencyError", "Curv4Error", "CurvatureOperator",
     "ExtremumResult", "Invariants", "ModelSpec", "OracleConfig",
-    "PinchingReport", "Plane", "RngStream", "Search", "ValidationError", "__version__",
+    "PinchingReport", "RngStream", "Search", "ValidationError", "__version__",
     "analyze", "classification_hints", "cp2", "derive_seed", "derive_seeds",
     "extremize_batch", "flat", "from_components", "from_matrix", "implication_audit",
     "invariants", "make_operator", "parse_model_spec", "product_surfaces", "r_times_s3",

@@ -22,9 +22,9 @@ exactly the traceless Ricci content.
 
 Operators are validated here by one stacked validator
 (:func:`validated_stack`, of which :func:`from_matrix` is the stack of one),
-their closed-form invariants computed in one stacked pass
-(:func:`invariants`), and :class:`Plane`, the oracle's witness
-type, defined; only :mod:`curv4.oracle` evaluates single planes and frames.
+and their closed-form invariants computed in one stacked pass
+(:func:`invariants`); only :mod:`curv4.oracle` evaluates single planes and
+frames.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ BASIS_LABELS = ("e12", "e13", "e14", "e23", "e24", "e34")
 
 #: Default relative validation tolerance for symmetry and Bianchi checks.
 DEFAULT_TOLERANCE = 1e-9
-
-_ORTHO_TOL = 1e-12
 
 # Projecting the residual of a matrix of max-norm S away leaves a residual of
 # its own roundings: at most 11 ulp(S) counting every rounding of the
@@ -446,29 +444,3 @@ def invariants(matrices) -> Invariants:
     for arr in vars(out).values():
         arr.flags.writeable = False
     return out
-
-
-# ---------------------------------------------------------------------------
-# planes
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Oriented 2-plane given by an ordered pair of 4-vectors, orthonormal within 1e-12."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(4).copy()
-        v = np.asarray(self.v, dtype=float).reshape(4).copy()
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        dot = abs(float(u @ v))
-        if abs(nu - 1.0) > _ORTHO_TOL or abs(nv - 1.0) > _ORTHO_TOL or dot > _ORTHO_TOL:
-            raise ValidationError(
-                f"plane vectors are not orthonormal: |u|={nu!r}, |v|={nv!r}, |<u,v>|={dot!r}"
-            )
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)

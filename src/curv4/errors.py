@@ -7,7 +7,7 @@ class Curv4Error(Exception):
 
 
 class ValidationError(Curv4Error, ValueError):
-    """Input violates a structural contract (symmetry, orthonormality, schema)."""
+    """Input violates a structural contract (finiteness, symmetry, Bianchi, schema)."""
 
 
 class ConsistencyError(Curv4Error, RuntimeError):

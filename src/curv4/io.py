@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .analyzer import PinchingReport
-from .core import (BASIS_LABELS, DEFAULT_TOLERANCE, CurvatureOperator, Plane,
-                   from_components, from_matrix)
+from .core import (BASIS_LABELS, DEFAULT_TOLERANCE, CurvatureOperator, from_components,
+                   from_matrix)
 from .errors import ValidationError
 from .oracle import ExtremumResult, OracleConfig
 from .verify import ScanReport, VerificationReport
@@ -120,15 +120,12 @@ def load(path, project_bianchi: bool = False,
 # report serialization
 
 
-def _extremum_to_dict(res: ExtremumResult) -> dict:
-    witness = res.witness
-    if isinstance(witness, Plane):
-        wit = {"type": "plane",
-               "u": [float(x) for x in witness.u],
-               "v": [float(x) for x in witness.v]}
-    else:
-        wit = {"type": "frame",
-               "rows": [[float(x) for x in row] for row in np.asarray(witness)]}
+def _extremum_to_dict(res: ExtremumResult, plane: bool) -> dict:
+    """A search result; its witness frame is written as the plane of its
+    rows 0-1 for a ``plane`` objective, else as the whole frame."""
+    rows = res.witness.tolist()
+    wit = ({"type": "plane", "u": rows[0], "v": rows[1]} if plane
+           else {"type": "frame", "rows": rows})
     return {"value": res.value, "witness": wit,
             "samples_used": res.samples_used, "converged": res.converged}
 
@@ -184,14 +181,14 @@ def report_to_dict(report: PinchingReport) -> dict:
     }
     if report.sectional_extrema is not None:
         lo, hi = report.sectional_extrema
-        doc["sectional_extrema"] = {"min": _extremum_to_dict(lo),
-                                    "max": _extremum_to_dict(hi)}
+        doc["sectional_extrema"] = {"min": _extremum_to_dict(lo, plane=True),
+                                    "max": _extremum_to_dict(hi, plane=True)}
     if report.conjecture is not None:
         doc["conjecture_check"] = {"margin": report.conjecture.margin,
                              "holds": report.conjecture.holds,
                              "boundary": report.conjecture.boundary}
     if report.iso_min is not None:
-        doc["iso_min"] = _extremum_to_dict(report.iso_min)
+        doc["iso_min"] = _extremum_to_dict(report.iso_min, plane=False)
     return doc
 
 

@@ -23,10 +23,11 @@ c <M(f_p ^ f_q), f_r ^ f_t> over the rows f of a frame.  The coarse pass and
 every trial frame sum the terms directly (:func:`_evaluate`); the polish
 reads the frame form P(F), with <P(F), M> the objective, off the same terms
 (:func:`_frame_form`).  The gradient and Hessian pair P(F) with 6 + 21 fixed
-matrices of M, its jets (:func:`_jet_gather`),
+matrices of M, its jets (:func:`_jets`),
 since a rotation exp(X) acts on 2-forms by exp(D_X), D_X(u ^ v) = Xu ^ v +
 u ^ Xv; a step takes them in one contraction.  Trial frames are evaluated
-directly, so every reported value is attained by its witness.
+directly, so every reported value is attained by its witness, the winning
+frame: a plane objective's plane is its rows 0-1, the complement rows 2-3.
 
 Each search runs on its operator divided by 2^e, the power of two that
 brings max|M| into [1, 2).  The division is exact, so the values, scaled
@@ -68,8 +69,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PAIRS, Plane, wedge
-from .errors import ValidationError
+from .core import PAIRS, wedge
+from .errors import ConsistencyError, ValidationError
 from .numerics import RngStream, random_frames, rotation_from_generator
 
 #: Frames drawn per RNG chunk during the sampling phase.
@@ -101,6 +102,8 @@ _ROUNDING_BAND = 1e-5
 _TRUST_RADIUS = 0.25
 #: Times a failed fallback step of the polish is halved before its frame stops.
 _FALLBACK_HALVINGS = 8
+#: Largest entry of |F F^T - I| a witness frame F may have.
+_ORTHO_TOL = 1e-12
 
 MODES = ("min", "max")
 
@@ -143,7 +146,7 @@ class ExtremumResult:
     """An extremum estimate together with the point attaining it."""
 
     value: float
-    witness: object  # Plane for plane objectives, (4, 4) frame for isotropic
+    witness: np.ndarray  # read-only orthonormal (4, 4) frame; a plane is its rows 0-1
     samples_used: int
     converged: bool
 
@@ -153,8 +156,8 @@ class Search:
     """One brute-force search: the ``mode`` extremum of ``objective`` on ``matrix``.
 
     ``objective`` is ``"sectional"`` or ``"biorthogonal"`` (over planes) or
-    ``"isotropic"`` (over orthonormal 4-frames); ``matrix`` is a validated
-    (6, 6) operator matrix.  Run it with :func:`extremize_batch`.
+    ``"isotropic"`` (over orthonormal 4-frames); ``matrix`` is a finite,
+    validated (6, 6) operator matrix.  Run it with :func:`extremize_batch`.
     """
 
     matrix: np.ndarray
@@ -166,6 +169,8 @@ class Search:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (6, 6):
             raise ValidationError(f"expected a 6x6 operator matrix, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValidationError("matrix has non-finite entries")
         object.__setattr__(self, "matrix", matrix)
         if self.objective not in _OBJECTIVES:
             raise ValidationError(f"objective must be one of {tuple(_OBJECTIVES)}, "
@@ -317,7 +322,8 @@ def _walk(far: list, kept: int, lo: int, count: int, chosen: list[int]) -> None:
 
 def _pool(values: np.ndarray) -> np.ndarray:
     """The rows of the :data:`_CANDIDATE_POOL` best (smallest) ``values``,
-    best first: ``argpartition``, then a stable sort of the values."""
+    best first: ``argpartition``, then a stable sort of the values (ties in
+    ``argpartition``'s order, not row order)."""
     size = min(_CANDIDATE_POOL, len(values))
     pool = np.argpartition(values, size - 1)[:size]
     return pool[np.argsort(values[pool], kind="stable")]
@@ -414,29 +420,11 @@ _P, _Q = np.array(PAIRS).T
 _E4 = np.eye(4)
 _GENERATORS = _E4[_P, :, None] * _E4[_Q, None] - _E4[_Q, :, None] * _E4[_P, None]
 _DERIVATIONS = wedge(_GENERATORS[:, _P], _E4[_Q]) + wedge(_E4[_P], _GENERATORS[:, _Q])
-# The Hessian's upper triangle, i <= j, in the order the jets hold it.
+# The Hessian's upper triangle, i <= j, in the order the jets hold it, and
+# D_i, D_l and D_i D_l + D_l D_i for each of its entries (i, l).
 _HESS_I, _HESS_J = np.triu_indices(6)
-
-
-def _jet_gather() -> tuple[np.ndarray, np.ndarray]:
-    """The jets as a signed gather of an operator's 36 entries: jet j < 6 is
-    g_j = 2 M D_j, jet 6 + t is H_il = 2 D_i^T M D_l + M (D_i D_l + D_l D_i)
-    for (i, l) = (``_HESS_I[t]``, ``_HESS_J[t]``), both paired with P(F).
-
-    Each D_k is a signed permutation on its support, so a jet entry is at
-    most two entries of M times +-1 or +-2: their flat indices and
-    coefficients, (2, 27 * 36) each, a missing term with coefficient 0.
-    """
-    d, i, l, eye = _DERIVATIONS, _HESS_I, _HESS_J, np.eye(6)
-    grad = 2.0 * np.einsum("ap,jqb->jabpq", eye, d)
-    hess = (2.0 * np.einsum("tpa,tqb->tabpq", d[i], d[l])
-            + np.einsum("ap,tqb->tabpq", eye, d[i] @ d[l] + d[l] @ d[i]))
-    rows = np.concatenate([grad, hess]).reshape(-1, 36)
-    index = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :np.count_nonzero(rows, 1).max()]
-    return index.T.copy(), np.take_along_axis(rows, index, axis=1).T.copy()
-
-
-_JET_INDEX, _JET_COEF = _jet_gather()
+_D_I, _D_L = _DERIVATIONS[_HESS_I], _DERIVATIONS[_HESS_J]
+_D_SYM = _D_I @ _D_L + _D_L @ _D_I
 # Objective evaluations per Newton step: the jet contraction and the trial frame.
 _STEP_EVALUATIONS = 2
 
@@ -447,15 +435,13 @@ def _rotated(frames: np.ndarray, rots: np.ndarray) -> np.ndarray:
 
 
 def _jets(matrices: np.ndarray) -> np.ndarray:
-    """The 27 jets (:func:`_jet_gather`) of each operator (S, 6, 6): (S, 27, 6, 6)."""
-    flat = matrices.reshape(len(matrices), 36)
-    jets = np.take(flat, _JET_INDEX[0], axis=1)
-    jets *= _JET_COEF[0]
-    for index, coef in zip(_JET_INDEX[1:], _JET_COEF[1:]):
-        term = np.take(flat, index, axis=1)
-        term *= coef
-        jets += term
-    return jets.reshape(len(matrices), 27, 6, 6)
+    """The 27 jets of each operator M (S, 6, 6), each paired with P(F):
+    (S, 27, 6, 6).  Jet j < 6 is g_j = 2 M D_j, and jet 6 + t is
+    H_il = 2 D_i^T M D_l + M (D_i D_l + D_l D_i) for (i, l) =
+    (``_HESS_I[t]``, ``_HESS_J[t]``)."""
+    m = matrices[:, None]
+    return np.concatenate([2.0 * (m @ _DERIVATIONS),
+                           2.0 * (_D_I.transpose(0, 2, 1) @ m @ _D_L) + m @ _D_SYM], axis=1)
 
 
 def _slots(owner: np.ndarray) -> np.ndarray:
@@ -641,10 +627,11 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     The polish's memory grows with the batch; verify bounds it through
     :data:`~curv4.verify.TRIAL_BLOCK`.
 
-    Plane objectives return a :class:`Plane` witness, ``"isotropic"`` a
-    read-only (4, 4) frame.  Each value is the best value actually
-    evaluated, attained by its witness; one that overflows float64 raises
-    :class:`ValidationError`.
+    Every witness is the search's read-only winning (4, 4) frame, whose
+    rows 0-1 are a plane objective's plane; one that is not orthonormal
+    within 1e-12 raises :class:`ConsistencyError`.  Each value is the best
+    value actually evaluated, attained by its witness; one that overflows
+    float64 raises :class:`ValidationError`.
     """
     searches = list(searches)
     # Each search runs at max-norm [1, 2) (module docstring); _result scales
@@ -696,7 +683,17 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
                                                [ids[i] for i in refined],
                                                [starts[i] for i in refined])):
             outcomes[i] = outcome
-    return [_result(s, e, *outcome) for s, e, outcome in zip(searches, exponents, outcomes)]
+    values, frames, evaluations, converged = zip(*outcomes)
+    frames = np.stack(frames)
+    error = np.max(np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(4)), axis=(1, 2))
+    bad = np.flatnonzero(~(error <= _ORTHO_TOL))
+    if bad.size:
+        s = searches[bad[0]]
+        raise ConsistencyError(f"the {s.objective} {s.mode} witness is not orthonormal: "
+                               f"max|F F^T - I| = {error[bad[0]]:.3e}")
+    frames.flags.writeable = False
+    return [_result(*row) for row in zip(searches, exponents, values, frames, evaluations,
+                                         converged)]
 
 
 def _exponent(matrix: np.ndarray) -> int:
@@ -713,10 +710,5 @@ def _result(search: Search, exponent: int, value: float, frame: np.ndarray,
     except OverflowError:
         raise ValidationError(f"matrix is too large: the {search.objective} {search.mode} "
                               "overflows float64") from None
-    if search.objective == "isotropic":
-        witness = np.array(frame)
-        witness.flags.writeable = False
-    else:
-        witness = Plane(frame[0], frame[1])
-    return ExtremumResult(value=value, witness=witness,
+    return ExtremumResult(value=value, witness=frame,
                           samples_used=search.cfg.samples + refine_evals, converged=converged)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv4 import core
-from curv4.core import (STAR, Plane, from_components, from_matrix, invariants, lambda_basis,
+from curv4.core import (STAR, from_components, from_matrix, invariants, lambda_basis,
                         lambda_blocks, operator_from_blocks, project_to_bianchi, ricci,
                         validated_stack, wedge)
 from curv4.errors import ValidationError
@@ -283,14 +283,6 @@ class TestDecomposition:
         scale = 1.0 + np.max(np.abs(m))
         assert abs((np.trace(aplus) - np.trace(aminus)) - 2.0 * ref.bianchi_residual(m)) \
             <= 1e-12 * scale
-
-
-class TestPlanes:
-    def test_plane_validates_orthonormality(self):
-        with pytest.raises(ValidationError):
-            Plane(np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        with pytest.raises(ValidationError):
-            Plane(np.array([2.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
 
 
 class TestSectional:

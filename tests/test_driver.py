@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from curv4.analyzer import AnalyzeConfig, analyze
-from curv4.core import Plane
 from curv4.errors import ValidationError
 from curv4.models import cp2, random_bianchi
 from curv4.numerics import RngStream
@@ -17,12 +16,7 @@ SMALL = OracleConfig(samples=3000, refine_iters=60, restarts=2, seed=5)
 
 
 def same_result(a, b) -> bool:
-    if isinstance(a.witness, Plane):
-        witness_eq = (np.array_equal(a.witness.u, b.witness.u)
-                      and np.array_equal(a.witness.v, b.witness.v))
-    else:
-        witness_eq = np.array_equal(a.witness, b.witness)
-    return (a.value == b.value and witness_eq
+    return (a.value == b.value and np.array_equal(a.witness, b.witness)
             and a.samples_used == b.samples_used and a.converged == b.converged)
 
 
@@ -100,8 +94,9 @@ def test_unrefined_searches_in_a_batch():
     assert_matches_alone(searches)
     unrefined = extremize_batch(searches)[:2]
     assert all(res.samples_used == 900 and not res.converged for res in unrefined)
-    assert isinstance(unrefined[1].witness, np.ndarray)
-    assert not unrefined[1].witness.flags.writeable
+    for res in unrefined:
+        assert type(res.witness) is np.ndarray and res.witness.shape == (4, 4)
+        assert not res.witness.flags.writeable
 
 
 def test_search_is_validated():
@@ -110,3 +105,10 @@ def test_search_is_validated():
         Search(m, "ricci", "min")
     with pytest.raises(ValidationError):
         Search(m, "isotropic", "sup")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_rejects_a_non_finite_matrix(bad):
+    """The validator's own error, not numpy's failed eigensolve."""
+    with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+        extremize_batch([Search(np.full((6, 6), bad), "sectional", "min")])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from curv4 import oracle
-from curv4.core import PAIRS, CurvatureOperator, Plane, wedge
-from curv4.errors import ValidationError
+from curv4.core import PAIRS, CurvatureOperator, wedge
+from curv4.errors import ConsistencyError, ValidationError
 from curv4.models import cp2, flat, product_surfaces, random_bianchi, sphere
 from curv4.numerics import RngStream, derive_seeds, random_frames, rotation_from_generator
 from curv4.oracle import (_CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST, _OBJECTIVES,
@@ -26,12 +26,7 @@ SMALL = OracleConfig(samples=3000, refine_iters=80, restarts=2, seed=5)
 
 
 def results_equal(a: ExtremumResult, b: ExtremumResult) -> bool:
-    if isinstance(a.witness, Plane):
-        witness_eq = (np.array_equal(a.witness.u, b.witness.u)
-                      and np.array_equal(a.witness.v, b.witness.v))
-    else:
-        witness_eq = np.array_equal(a.witness, b.witness)
-    return (a.value == b.value and witness_eq
+    return (a.value == b.value and np.array_equal(a.witness, b.witness)
             and a.samples_used == b.samples_used and a.converged == b.converged)
 
 
@@ -81,7 +76,7 @@ class TestModelExtrema:
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", OracleConfig(seed=2))])
         assert abs(res.value) <= 1e-9
         # the witness realizes the minimum with a genuinely mixed plane
-        proj = np.outer(res.witness.u, res.witness.u) + np.outer(res.witness.v, res.witness.v)
+        proj = res.witness[:2].T @ res.witness[:2]
         factor_mass = proj[:2, :2].trace()
         assert 0.05 < factor_mass < 1.95
 
@@ -131,7 +126,7 @@ class TestSoundness:
         for mode in ("min", "max"):
             res, = extremize_batch([Search(op.matrix, objective, mode, SMALL)])
             curvature = ref.sectional if objective == "sectional" else ref.biorthogonal
-            again = curvature(op.matrix, res.witness.u, res.witness.v)
+            again = curvature(op.matrix, res.witness[0], res.witness[1])
             assert abs(again - res.value) <= 1e-12
 
     def test_isotropic_witness_reproduces_value(self):
@@ -139,6 +134,43 @@ class TestSoundness:
         res, = extremize_batch([Search(op.matrix, "isotropic", "min", SMALL)])
         assert abs(ref.isotropic(op.matrix, res.witness) - res.value) <= 1e-12
         assert np.max(np.abs(res.witness @ res.witness.T - np.eye(4))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_biorthogonal_witness_complement_attains_value(self, seed):
+        """A biorthogonal witness's plane and complement are its rows 0-1
+        and 2-3, and their mean sectional curvature is its value."""
+        m = random_bianchi(RngStream(400 + seed)).matrix
+        for res in extremize_batch([Search(m, "biorthogonal", mode, SMALL) for mode in MODES]):
+            w = res.witness
+            mean = (ref.sectional(m, w[0], w[1]) + ref.sectional(m, w[2], w[3])) / 2.0
+            assert abs(mean - res.value) <= 1e-12
+
+    @pytest.mark.parametrize("refine", [0, 80])
+    def test_every_witness_is_a_read_only_orthonormal_frame(self, refine):
+        m = random_bianchi(RngStream(321)).matrix
+        cfg = OracleConfig(samples=3000, refine_iters=refine, restarts=2, seed=5)
+        for res in extremize_batch([Search(m, objective, mode, cfg)
+                                    for objective in _OBJECTIVES for mode in MODES]):
+            assert type(res.witness) is np.ndarray and res.witness.shape == (4, 4)
+            assert not res.witness.flags.writeable
+            assert np.max(np.abs(res.witness @ res.witness.T - np.eye(4))) <= 1e-12
+
+
+class TestWitnessCheck:
+    """A winning frame that is not orthonormal within 1e-12 is an internal
+    failure of the search, whatever its objective."""
+
+    @pytest.mark.parametrize("objective, mode", [("sectional", "min"), ("isotropic", "max")])
+    def test_non_orthonormal_witness_is_a_consistency_error(self, monkeypatch, objective, mode):
+        def perturbed(searches, *args):
+            return [(value, frame * (1.0 + 1e-11), evaluations, converged)
+                    for value, frame, evaluations, converged in refine(searches, *args)]
+
+        refine = oracle._refine
+        monkeypatch.setattr(oracle, "_refine", perturbed)
+        search = Search(random_bianchi(RngStream(321)).matrix, objective, mode, SMALL)
+        with pytest.raises(ConsistencyError, match=f"the {objective} {mode} witness"):
+            extremize_batch([search])
 
 
 class TestDeterminism:
@@ -152,7 +184,7 @@ class TestDeterminism:
         op = random_bianchi(RngStream(9))
         a, b = extremize_batch([Search(op.matrix, "biorthogonal", "min",
                                        OracleConfig(samples=500, seed=seed)) for seed in (1, 2)])
-        assert not np.array_equal(a.witness.u, b.witness.u)
+        assert not np.array_equal(a.witness[0], b.witness[0])
 
 
 class TestMonotonicity:
@@ -621,16 +653,15 @@ class TestBudgetAccounting:
         k1, _, k3 = op.invariants.k[0].tolist()
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert k1 - 1e-9 <= res.value <= k3 + 1e-9
-        assert ref.biorthogonal(op.matrix, res.witness.u, res.witness.v) == pytest.approx(
+        assert ref.biorthogonal(op.matrix, res.witness[0], res.witness[1]) == pytest.approx(
             res.value, abs=1e-12)
 
 
 def summary(res: ExtremumResult) -> tuple:
     """A result's value, witness, evaluation count and convergence, as bytes
     where they are floats."""
-    w = res.witness
-    witness = np.stack([w.u, w.v]).tobytes() if isinstance(w, Plane) else w.tobytes()
-    return np.float64(res.value).tobytes(), witness, res.samples_used, res.converged
+    return (np.float64(res.value).tobytes(), res.witness.tobytes(), res.samples_used,
+            res.converged)
 
 
 def verify_style(samples: int) -> list[Search]:

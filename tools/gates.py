@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twenty-two fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-three fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -60,6 +60,8 @@ GATES = {
     "analyze --model cp2 --run-oracle --json": "d48300e46e19918d",
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --json": "551604d5147cc1ee",
     "analyze --model random_bianchi:1 --seed 3 --text": "6a1c026160554385",
+    # The text report's sectional-extrema, minimum-check and isotropic lines.
+    "analyze --model random_bianchi:1 --seed 3 --run-oracle --text": "97b6f9d11546cab8",
     # s < 0, so the chain is not applicable.
     "analyze --model space_form:-1 --json": "2049a549c3b6f26d",
     # Both hypotheses fail, and NNIC holds on margins of -1.1e-16, inside the band.
