@@ -15,9 +15,9 @@ of the operator's invariants pass (:func:`curv4.core.invariants`), and the
 report of :func:`analyze` carries that one row as it is.  The advisory
 ``classification_hints`` read the same row; only their Einstein and rank
 tests add the Ricci tensor, through :func:`curv4.core.ricci`.
-``implication_audit`` walks the derivation inequality by inequality; a
-violation means the arithmetic of the decomposition is broken, never that
-the input was merely unusual.
+``implication_audit`` walks the derivation on that row, inequality by
+inequality; a violation means the arithmetic of the decomposition is broken,
+never that the input was merely unusual.
 """
 
 from __future__ import annotations
@@ -115,13 +115,16 @@ def _step(label: str, lhs: float, relation: str, rhs: float, band: float) -> Cha
                      satisfied=bool(slack >= -band), slack=float(slack))
 
 
-def implication_audit(r: CurvatureOperator) -> ChainRecord:
-    """Evaluate every inequality leading from the pinching hypotheses to NNIC.
+def implication_audit(inv: Invariants) -> ChainRecord:
+    """Evaluate every inequality leading from the pinching hypotheses to NNIC
+    on a one-row invariants pass (``op.invariants`` or ``Invariants.row(i)``).
 
     Applicable only when s > 0 and at least one hypothesis holds; otherwise a
     not-applicable record is returned (that is not a failure).
     """
-    inv = r.invariants
+    if len(inv.s) != 1:
+        raise ValidationError(f"implication_audit takes a one-row invariants pass, "
+                              f"got {len(inv.s)} rows")
     hyp_a, hyp_b = bool(inv.hypothesis_a[0]), bool(inv.hypothesis_b[0])
     if not inv.scalar_positive[0]:
         return ChainRecord(applicable=False, reason="requires s > 0")
@@ -200,7 +203,7 @@ def analyze(r: CurvatureOperator, cfg: AnalyzeConfig | None = None) -> PinchingR
     if cfg is None:
         cfg = AnalyzeConfig()
     inv = r.invariants
-    chain = implication_audit(r)
+    chain = implication_audit(inv)
     hints = classification_hints(r)
 
     sectional_extrema = None

@@ -149,10 +149,6 @@ def render_verification_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_scan_text(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -200,9 +196,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    spec = parse_model_spec(args.model, seed=derive_seed(args.seed, 0, 0))
+    spec = parse_model_spec(args.model)
     report = run_scan(spec, trials=args.trials, seed=args.seed)
-    _write(args, render_scan_text(io.scan_to_lines(report)))
+    _write(args, "\n".join(io.scan_to_lines(report)) + "\n")
     return 0
 
 

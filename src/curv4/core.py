@@ -160,9 +160,8 @@ class CurvatureOperator:
 
     @functools.cached_property
     def invariants(self) -> "Invariants":
-        """The operator's one-row invariants pass, computed once (or taken
-        from a stacked pass by :func:`operators`); every closed-form view of
-        the operator reads it."""
+        """The operator's one-row invariants pass, computed once; every
+        closed-form view of the operator reads it."""
         return invariants(self.matrix[None])
 
 
@@ -366,19 +365,6 @@ class Invariants:
         """Row ``i`` as a one-row pass: read-only views of every column's
         ``[i:i + 1]``, bit-identical to the pass over that matrix alone."""
         return Invariants(**{name: col[i:i + 1] for name, col in vars(self).items()})
-
-
-def operators(matrices: np.ndarray) -> list[CurvatureOperator]:
-    """One operator per matrix of a read-only stack (N, 6, 6) of validated
-    operator matrices, each with its row of one stacked :func:`invariants`
-    pass already cached as its ``invariants``."""
-    inv = invariants(matrices)
-    ops = []
-    for i, m in enumerate(matrices):
-        op = CurvatureOperator(matrix=m)
-        vars(op)["invariants"] = inv.row(i)  # where the cached property keeps it
-        ops.append(op)
-    return ops
 
 
 def _require_finite(*columns: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from .analyzer import PinchingReport
 from .core import (BASIS_LABELS, DEFAULT_TOLERANCE, CurvatureOperator, from_components,
                    from_matrix)
 from .errors import ValidationError
-from .oracle import ExtremumResult, OracleConfig
+from .oracle import ExtremumResult
 from .verify import ScanReport, VerificationReport
 
 TENSOR_FORMAT = "curv4-v1"
@@ -130,26 +130,16 @@ def _extremum_to_dict(res: ExtremumResult, plane: bool) -> dict:
             "samples_used": res.samples_used, "converged": res.converged}
 
 
-def _oracle_to_dict(cfg: OracleConfig, include_seed: bool = True) -> dict:
-    doc = {"samples": cfg.samples, "refine_iters": cfg.refine_iters,
-           "restarts": cfg.restarts}
-    if include_seed:
-        doc["seed"] = cfg.seed
-    return doc
-
-
 def report_to_dict(report: PinchingReport) -> dict:
+    """The report document.  The config, the chain steps and the check are
+    copies of their objects' fields, so editing the document leaves the
+    report unchanged."""
     inv = report.invariants
+    cfg = report.config
     doc = {
         "format": REPORT_FORMAT,
         "tool_version": __version__,
-        "config": {
-            "source": report.config.source,
-            "tolerance": report.config.tolerance,
-            "project_bianchi": report.config.project_bianchi,
-            "run_oracle": report.config.run_oracle,
-            "oracle": _oracle_to_dict(report.config.oracle),
-        },
+        "config": {**vars(cfg), "oracle": dict(vars(cfg.oracle))},
         "s": float(inv.s[0]),
         "bianchi_residual": report.bianchi_residual,
         "weyl_plus": inv.weyl_plus[0].tolist(),
@@ -167,11 +157,7 @@ def report_to_dict(report: PinchingReport) -> dict:
             "applicable": report.chain.applicable,
             "reason": report.chain.reason,
             "all_satisfied": report.chain.all_satisfied,
-            "steps": [
-                {"label": s.label, "lhs": s.lhs, "relation": s.relation,
-                 "rhs": s.rhs, "satisfied": s.satisfied, "slack": s.slack}
-                for s in report.chain.steps
-            ],
+            "steps": [dict(vars(step)) for step in report.chain.steps],
         },
         "classification_hints": list(report.hints),
         "sectional_extrema": None,
@@ -184,9 +170,7 @@ def report_to_dict(report: PinchingReport) -> dict:
         doc["sectional_extrema"] = {"min": _extremum_to_dict(lo, plane=True),
                                     "max": _extremum_to_dict(hi, plane=True)}
     if report.conjecture is not None:
-        doc["conjecture_check"] = {"margin": report.conjecture.margin,
-                             "holds": report.conjecture.holds,
-                             "boundary": report.conjecture.boundary}
+        doc["conjecture_check"] = dict(vars(report.conjecture))
     if report.iso_min is not None:
         doc["iso_min"] = _extremum_to_dict(report.iso_min, plane=False)
     return doc
@@ -197,6 +181,9 @@ def report_to_dict(report: PinchingReport) -> dict:
 
 
 def verification_to_dict(report: VerificationReport) -> dict:
+    """The verify document; each record is a copy of its
+    :class:`~curv4.verify.TrialResult`'s fields."""
+    oracle = report.oracle
     return {
         "format": VERIFY_FORMAT,
         "tool_version": __version__,
@@ -204,30 +191,13 @@ def verification_to_dict(report: VerificationReport) -> dict:
             "trials": report.trials,
             "seed": report.seed,
             "scale": 1.0,  # verify draws its trials from random_bianchi:1
-            "oracle": _oracle_to_dict(report.oracle, include_seed=False),
+            # The budget only: each trial's oracle seed is derived from
+            # (seed, trial), so the config's own seed is never used.
+            "oracle": {"samples": oracle.samples, "refine_iters": oracle.refine_iters,
+                       "restarts": oracle.restarts},
         },
-        "records": [
-            {"trial": rec.index, "s": rec.s,
-             "k1": rec.k1, "k2": rec.k2, "k3": rec.k3,
-             "oracle_min": rec.oracle_min, "oracle_max": rec.oracle_max,
-             "identity_ok": rec.identity_ok,
-             "oracle_min_ok": rec.oracle_min_ok, "oracle_max_ok": rec.oracle_max_ok,
-             "sound_ok": rec.sound_ok,
-             "chain_applicable": rec.chain_applicable,
-             "nnic_ok": rec.nnic_ok, "chain_ok": rec.chain_ok,
-             "failures": list(rec.failures)}
-            for rec in report.records
-        ],
-        "summary": {
-            "trials": report.trials,
-            "failures": report.failure_count,
-            "oracle_pass": sum(r.oracle_min_ok and r.oracle_max_ok and r.sound_ok
-                               for r in report.records),
-            "identity_pass": sum(r.identity_ok for r in report.records),
-            "chain_applicable": sum(r.chain_applicable for r in report.records),
-            "chain_pass": sum(r.nnic_ok and r.chain_ok
-                              for r in report.records if r.chain_applicable),
-        },
+        "records": [dict(vars(rec)) for rec in report.records],
+        "summary": report.summary(),
         "passed": report.passed,
     }
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analyzer import implication_audit
-from .core import CurvatureOperator, Invariants, invariants, operators
+from .core import Invariants, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
 from .numerics import RngStream, derive_seeds
@@ -42,7 +42,9 @@ _MAX_SCAN_TRIALS = int(np.iinfo(np.intp).max) // (6 * 6 * 8)
 
 @dataclass(frozen=True)
 class TrialResult:
-    index: int
+    """One trial's checks; its fields are the keys of its verify record."""
+
+    trial: int
     s: float
     k1: float
     k2: float
@@ -67,9 +69,16 @@ class VerificationReport:
     records: tuple[TrialResult, ...]
     passed: bool
 
-    @property
-    def failure_count(self) -> int:
-        return sum(1 for rec in self.records if rec.failures)
+    def summary(self) -> dict:
+        recs = self.records
+        return {
+            "trials": self.trials,
+            "failures": sum(1 for r in recs if r.failures),
+            "oracle_pass": sum(r.oracle_min_ok and r.oracle_max_ok and r.sound_ok for r in recs),
+            "identity_pass": sum(r.identity_ok for r in recs),
+            "chain_applicable": sum(r.chain_applicable for r in recs),
+            "chain_pass": sum(r.nnic_ok and r.chain_ok for r in recs if r.chain_applicable),
+        }
 
 
 def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
@@ -79,19 +88,13 @@ def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
     return random_bianchi_matrices(streams, scale)
 
 
-def trial_operators(seed: int, indices) -> list[CurvatureOperator]:
-    """The random curvature tensors examined by trials ``indices`` of a run,
-    their invariants rows taken from one stacked pass."""
-    return operators(trial_matrices(seed, indices))
-
-
 def _close(value: float, target: float) -> bool:
     return abs(value - target) <= ORACLE_ATOL + ORACLE_RTOL * abs(target)
 
 
-def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
-    """Every verification check on one trial's tensor, given its oracle extrema."""
-    inv = op.invariants
+def _trial_record(trial: int, inv: Invariants, lo, hi) -> TrialResult:
+    """Every verification check on one trial's tensor, given its one-row
+    invariants pass and its oracle extrema."""
     k1, k2, k3 = inv.k[0].tolist()
     s = float(inv.s[0])
     failures: list[str] = []
@@ -110,7 +113,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
     if not sound_ok:
         failures.append("oracle extremum escapes the closed-form range")
 
-    chain = implication_audit(op)
+    chain = implication_audit(inv)
     nnic_ok = True
     chain_ok = True
     if chain.applicable:
@@ -122,7 +125,7 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
             failures.append("implication chain inequality violated")
 
     return TrialResult(
-        index=index, s=s, k1=k1, k2=k2, k3=k3,
+        trial=trial, s=s, k1=k1, k2=k2, k3=k3,
         oracle_min=lo.value, oracle_max=hi.value,
         identity_ok=identity_ok, oracle_min_ok=oracle_min_ok,
         oracle_max_ok=oracle_max_ok, sound_ok=sound_ok,
@@ -134,13 +137,14 @@ def _trial_record(index: int, op: CurvatureOperator, lo, hi) -> TrialResult:
 def _run_trials(seed: int, indices, oracle: OracleConfig) -> list[TrialResult]:
     """Trials ``indices`` of a run: one invariants pass and one batch of
     oracle searches for all of them."""
-    ops = trial_operators(seed, indices)
+    matrices = trial_matrices(seed, indices)
+    inv = invariants(matrices)
     configs = [replace(oracle, seed=s) for s in derive_seeds(seed, indices, 1).tolist()]
-    searches = [Search(op.matrix, "biorthogonal", mode, cfg)
-                for op, cfg in zip(ops, configs) for mode in MODES]
+    searches = [Search(m, "biorthogonal", mode, cfg)
+                for m, cfg in zip(matrices, configs) for mode in MODES]
     extrema = extremize_batch(searches)
-    return [_trial_record(i, op, extrema[2 * n], extrema[2 * n + 1])
-            for n, (i, op) in enumerate(zip(indices, ops))]
+    return [_trial_record(i, inv.row(n), extrema[2 * n], extrema[2 * n + 1])
+            for n, i in enumerate(indices)]
 
 
 def run_verification(trials: int, seed: int,

@@ -21,7 +21,7 @@ from curv4.models import (ModelSpec, cp2, make_operator, product_surfaces,
                           r_times_s3, random_bianchi, sphere)
 from curv4.numerics import RngStream, derive_seed, derive_seeds
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import run_verification, trial_matrices, trial_operators
+from curv4.verify import run_verification, trial_matrices
 
 from . import reference as ref
 
@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence(verification):
         for r in report.records)
     announce(f"criterion 1: {TRIALS - len(bad)}/{TRIALS} oracle extrema within "
              f"1e-6 (worst relative error {worst:.2e})")
-    assert not bad, f"oracle disagreed on trials {[r.index for r in bad]}"
+    assert not bad, f"oracle disagreed on trials {[r.trial for r in bad]}"
     assert all(r.oracle_min >= r.k1 - 1e-9 for r in report.records)
     assert all(r.oracle_max <= r.k3 + 1e-9 for r in report.records)
 
@@ -72,8 +72,8 @@ def test_criterion_1_oracle_equivalence(verification):
 @pytest.mark.acceptance(criterion=2, summary="k1+k2+k3 = s/4 on all tensors and models")
 def test_criterion_2_trace_identity():
     failures = 0
-    for op in trial_operators(SEED, range(TRIALS)):
-        k, s = op.invariants.k[0], op.invariants.s[0]
+    trial_inv = invariants(trial_matrices(SEED, range(TRIALS)))
+    for k, s in zip(trial_inv.k, trial_inv.s):
         if abs(k[0] + k[1] + k[2] - s / 4.0) > tolerance_band(s):
             failures += 1
     for op in NAMED_MODELS:
@@ -101,7 +101,7 @@ def test_criterion_3_proof_chain():
         total += len(stack)
         qualifying += int(np.sum(meets))
         for i in np.flatnonzero(meets):
-            if not (inv.nnic[i] and implication_audit(from_matrix(stack[i])).all_satisfied):
+            if not (inv.nnic[i] and implication_audit(inv.row(i)).all_satisfied):
                 violations += 1
     announce(f"criterion 3: {qualifying}/{total} tensors met a hypothesis, "
              f"{violations} NNIC/chain violations")

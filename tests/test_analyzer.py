@@ -6,7 +6,9 @@ import pytest
 from curv4.analyzer import (HINT_CONSTANT, HINT_CP2, HINT_FLAT, HINT_LINE_SPHERE,
                             HINT_PRODUCT, AnalyzeConfig, analyze, classification_hints,
                             implication_audit)
-from curv4.core import from_matrix, lambda_blocks, norm_max, operator_from_blocks, ricci
+from curv4.core import (from_matrix, invariants, lambda_blocks, norm_max, operator_from_blocks,
+                        ricci)
+from curv4.errors import ValidationError
 from curv4.io import load, report_to_dict
 from curv4.models import (cp2, flat, product_surfaces, r_times_s3, random_bianchi,
                           space_form, sphere)
@@ -74,7 +76,7 @@ class TestCheckNnic:
 
 class TestImplicationAudit:
     def test_unit_sphere_chain_values(self):
-        chain = implication_audit(sphere(1.0))
+        chain = implication_audit(sphere(1.0).invariants)
         assert chain.applicable and chain.all_satisfied
         by_label = {s.label: s for s in chain.steps}
         first = by_label["w1+ + w1- >= -s/12"]
@@ -83,7 +85,7 @@ class TestImplicationAudit:
         assert (last.lhs, last.rhs) == (0.0, 2.0)
 
     def test_cp2_chain_is_tight(self):
-        chain = implication_audit(cp2(1.0))
+        chain = implication_audit(cp2(1.0).invariants)
         assert chain.applicable and chain.all_satisfied
         by_label = {s.label: s for s in chain.steps}
         assert by_label["w1+ + w1- >= -s/12"].slack == 0.0
@@ -91,21 +93,27 @@ class TestImplicationAudit:
         assert by_label["-2*w1+ <= s/6"].slack == 0.0
 
     def test_not_applicable_without_hypothesis(self):
-        chain = implication_audit(product_surfaces(1.0, 1.0))
+        chain = implication_audit(product_surfaces(1.0, 1.0).invariants)
         assert not chain.applicable
         assert "hypothesis" in chain.reason
         assert not chain.all_satisfied
 
     def test_not_applicable_without_positive_scalar(self):
-        chain = implication_audit(space_form(-1.0))
+        chain = implication_audit(space_form(-1.0).invariants)
         assert not chain.applicable
         assert "s > 0" in chain.reason
+
+    def test_rejects_a_pass_of_two_rows(self):
+        inv = invariants(np.stack([sphere(1.0).matrix, cp2(1.0).matrix]))
+        with pytest.raises(ValidationError, match="one-row invariants pass, got 2 rows"):
+            implication_audit(inv)
+        assert implication_audit(inv.row(1)) == implication_audit(cp2(1.0).invariants)
 
     def test_random_ensemble_has_no_violations(self):
         checked = 0
         for i in range(400):
             op = shifted_random(11, i)
-            chain = implication_audit(op)
+            chain = implication_audit(op.invariants)
             if chain.applicable:
                 checked += 1
                 assert chain.all_satisfied, f"violation at index {i}"

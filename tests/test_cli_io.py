@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -393,10 +394,11 @@ class TestCliScan:
         assert main(["scan", "--model", "random_bianchi:1", "--trials", "3",
                      "--seed", "9"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1:-1]
-        from curv4.verify import trial_operators
+        from curv4.core import invariants
+        from curv4.verify import trial_matrices
 
         for row in rows:
-            k1, _, k3 = trial_operators(9, [row["trial"]])[0].invariants.k[0].tolist()
+            k1, _, k3 = invariants(trial_matrices(9, [row["trial"]])).k[0].tolist()
             assert row["k1"] == k1 and row["k3"] == k3
 
     def test_scan_deterministic_model_repeats_rows(self, capsys):
@@ -564,6 +566,62 @@ class TestReportSerialization:
         assert doc["format"] == "curv4-verify-v1"
         assert doc["config"]["trials"] == 2
         assert "workers" not in doc["config"]
+
+    def test_verify_record_keys_are_trial_result_fields(self):
+        from curv4.oracle import OracleConfig
+        from curv4.verify import TrialResult, run_verification
+
+        rep = run_verification(trials=2, seed=1,
+                               oracle=OracleConfig(samples=2000, refine_iters=40))
+        doc = io.verification_to_dict(rep)
+        names = [f.name for f in dataclasses.fields(TrialResult)]
+        assert [list(rec) for rec in doc["records"]] == [names, names]
+        assert [rec["trial"] for rec in doc["records"]] == [0, 1]
+
+    def test_report_keys_are_the_fields(self):
+        from curv4.analyzer import AnalyzeConfig, ChainStep, ConjectureCheck, analyze
+        from curv4.models import cp2
+        from curv4.oracle import OracleConfig
+
+        cfg = AnalyzeConfig(run_oracle=True, source="model:cp2",
+                            oracle=OracleConfig(samples=1500, refine_iters=30, seed=2))
+        doc = io.report_to_dict(analyze(cp2(1.0), cfg))
+
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert doc["chain"]["applicable"] and len(doc["chain"]["steps"]) == 16
+        assert all(set(step) == names(ChainStep) for step in doc["chain"]["steps"])
+        assert set(doc["conjecture_check"]) == names(ConjectureCheck)
+        assert set(doc["config"]) == names(AnalyzeConfig)
+        assert doc["config"]["oracle"] == {"samples": 1500, "refine_iters": 30,
+                                           "restarts": 3, "seed": 2}
+
+    def test_editing_a_document_leaves_the_reports_unchanged(self):
+        from curv4.analyzer import AnalyzeConfig, analyze
+        from curv4.models import cp2
+        from curv4.oracle import OracleConfig
+        from curv4.verify import run_verification
+
+        oracle = OracleConfig(samples=1500, refine_iters=30, seed=2)
+        ver = run_verification(trials=2, seed=1, oracle=oracle)
+        rep = analyze(cp2(1.0), AnalyzeConfig(run_oracle=True, oracle=oracle))
+        before = [io.dumps_document(io.verification_to_dict(ver)),
+                  io.dumps_document(io.report_to_dict(rep))]
+        doc = io.verification_to_dict(ver)
+        for rec in doc["records"]:
+            rec.update(trial=-1, s=0.5, failures=["edited"])
+        doc["summary"]["failures"] = 99
+        doc = io.report_to_dict(rep)
+        doc["config"].update(source="edited", run_oracle=False)
+        doc["config"]["oracle"]["seed"] = 99
+        for step in doc["chain"]["steps"]:
+            step.update(label="edited", satisfied=False)
+        doc["conjecture_check"]["holds"] = not doc["conjecture_check"]["holds"]
+        assert [io.dumps_document(io.verification_to_dict(ver)),
+                io.dumps_document(io.report_to_dict(rep))] == before
+        assert [r.trial for r in ver.records] == [0, 1]
+        assert rep.config.source == "" and rep.config.oracle.seed == 2
 
     def test_extremum_witness_serialization(self):
         from curv4.analyzer import AnalyzeConfig, analyze

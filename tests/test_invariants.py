@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curv4 import core
+from curv4 import verify
 from curv4.analyzer import AnalyzeConfig, analyze
 from curv4.core import (CurvatureOperator, from_matrix, invariants, norm_max,
                         operator_from_blocks)
@@ -12,7 +12,7 @@ from curv4.io import report_to_dict
 from curv4.models import ModelSpec, make_operator
 from curv4.numerics import RngStream, derive_seed
 from curv4.oracle import OracleConfig, Search, extremize_batch
-from curv4.verify import TRIAL_BLOCK, run_scan, run_verification, trial_operators
+from curv4.verify import TRIAL_BLOCK, run_scan, run_verification, trial_matrices
 
 THIRD = 1.0 / 3.0
 
@@ -42,9 +42,8 @@ def assert_row_matches_views(inv, i, op):
 
 def ensemble():
     named = [make_operator(ModelSpec(name)) for name in GOLDEN]
-    shifted = [from_matrix(trial_operators(5, [i])[0].matrix + 0.5 * i * np.eye(6))
-               for i in range(8)]
-    return named + trial_operators(3, range(12)) + shifted
+    shifted = [from_matrix(trial_matrices(5, [i])[0] + 0.5 * i * np.eye(6)) for i in range(8)]
+    return named + [CurvatureOperator(matrix=m) for m in trial_matrices(3, range(12))] + shifted
 
 
 class TestBatchMatchesViews:
@@ -74,7 +73,7 @@ class TestBatchMatchesViews:
     def test_golden_table_through_batch_and_views(self, name):
         s, wplus, wminus, k = GOLDEN[name]
         op = make_operator(ModelSpec(name))
-        inv = invariants(np.stack([trial_operators(1, [0])[0].matrix, op.matrix]))
+        inv = invariants(np.stack([trial_matrices(1, [0])[0], op.matrix]))
         one = op.invariants
         for got_s, got_wp, got_wm, got_k in (
                 (inv.s[1], inv.weyl_plus[1], inv.weyl_minus[1], inv.k[1]),
@@ -93,7 +92,8 @@ class TestBatchMatchesViews:
         report = run_scan(ModelSpec("random_bianchi", (1.0,)), trials=30, seed=4)
         assert len(report.invariants.s) == 30
         for i in range(30):
-            assert_row_matches_views(report.invariants, i, trial_operators(4, [i])[0])
+            assert_row_matches_views(report.invariants, i,
+                                     CurvatureOperator(matrix=trial_matrices(4, [i])[0]))
 
     def test_deterministic_model_scan_repeats_one_row(self):
         report = run_scan(ModelSpec("cp2"), trials=3, seed=0)
@@ -128,7 +128,7 @@ class TestVerifyBlockPass:
             calls.append(len(matrices))
             return invariants(matrices)
 
-        monkeypatch.setattr(core, "invariants", counting)
+        monkeypatch.setattr(verify, "invariants", counting)
         trials = TRIAL_BLOCK + 7
         tiny = OracleConfig(samples=64, refine_iters=2, restarts=1)
         report = run_verification(trials, seed=3, oracle=tiny)
@@ -137,20 +137,21 @@ class TestVerifyBlockPass:
         assert calls == [TRIAL_BLOCK, 7]
 
     def test_trial_rows_equal_one_row_passes(self):
-        ops = trial_operators(9, range(40))
-        for op in ops:
-            row = op.invariants
-            alone = invariants(op.matrix[None])
+        matrices = trial_matrices(9, range(40))
+        inv = invariants(matrices)
+        for i, m in enumerate(matrices):
+            row = inv.row(i)
+            alone = invariants(m[None])
             for name, col in vars(row).items():
                 assert col.shape == getattr(alone, name).shape
                 assert np.array_equal(np.ascontiguousarray(col).view(np.uint8),
                                       np.ascontiguousarray(getattr(alone, name)).view(np.uint8))
                 assert not col.flags.writeable
-            assert_row_matches_views(row, 0, CurvatureOperator(matrix=op.matrix))
+            assert_row_matches_views(row, 0, CurvatureOperator(matrix=m))
 
 
 def trace_free(seed: int) -> np.ndarray:
-    m = trial_operators(seed, [0])[0].matrix
+    m = trial_matrices(seed, [0])[0]
     return m - (np.trace(m) / 6.0) * np.eye(6)
 
 
@@ -187,7 +188,7 @@ class TestScaleCovariance:
 
 
 def test_analyze_oracle_matches_two_single_searches():
-    op = trial_operators(12, [0])[0]
+    op = CurvatureOperator(matrix=trial_matrices(12, [0])[0])
     oracle = OracleConfig(samples=1500, refine_iters=30, seed=6)
     rep = analyze(op, AnalyzeConfig(run_oracle=True, oracle=oracle))
     for got, mode in zip(rep.sectional_extrema, ("min", "max")):

@@ -18,7 +18,7 @@ from curv4.oracle import (_CANDIDATE_POOL, _DERIVATIONS, _DIVERSITY_MIN_DIST, _O
                           _frame_form, _jet_values, _jets, _polish, _pool, _refine,
                           _rotated, _select_group, extremize_batch)
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
-                          trial_matrices, trial_operators)
+                          trial_matrices)
 
 from . import reference as ref
 
@@ -477,8 +477,8 @@ class TestNewtonPolish:
     def test_far_restarts_reach_a_stationary_point(self):
         # From these 300 coarse candidates, uncapped Newton steps overshoot and
         # leave 24 frames stopped where the gradient is still large.
-        searches = [Search(op.matrix, "sectional", mode, OracleConfig(samples=4000, seed=i))
-                    for i, op in enumerate(trial_operators(1, range(50))) for mode in MODES]
+        searches = [Search(m, "sectional", mode, OracleConfig(samples=4000, seed=i))
+                    for i, m in enumerate(trial_matrices(1, range(50))) for mode in MODES]
         starts = [_coarse_starts([s], s.matrix[None], [0])[0] for s in searches]
         frames = np.concatenate([f for f, _ in starts])
         values = np.concatenate([v for _, v in starts])

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twenty-three fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-five fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -66,6 +66,8 @@ GATES = {
     "analyze --model space_form:-1 --json": "2049a549c3b6f26d",
     # Both hypotheses fail, and NNIC holds on margins of -1.1e-16, inside the band.
     "analyze --model product --text": "25b45d344d56955e",
+    # An applicable chain as text: 16 steps under both hypotheses.
+    "analyze --model cp2 --text": "6afbfe728924365d",
     # Budgets that end a coarse pass on a partial chunk.
     "analyze --model random_bianchi:1 --seed 3 --run-oracle --samples 2049 --json":
         "9fb8def25518f09e",
@@ -78,6 +80,8 @@ GATES = {
     "analyze --model random_bianchi:1e307 --run-oracle --json": "2eebd318fee31a4d",
     # More restarts than one selection block: pools walked past their first block.
     "verify --trials 20 --seed 3 --restarts 20 --json": "1c0868a2d710fb95",
+    # Failing trials: the text view's "trial N: FAIL" lines, exit 2.
+    "verify --trials 20 --seed 3 --refine 0 --text": "17f8bf84ec33285f",
     # The flat tensor: every coarse value ties.
     "analyze --model flat --run-oracle --json": "4df33ba9194d20f3",
     # Draws the validator rejects, on stderr with exit 1: non-finite entries,
