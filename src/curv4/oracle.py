@@ -37,33 +37,34 @@ scaled back raises :class:`ValidationError`.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, searches on equal
-matrices share one operator, and the polish advances the frames of every
-search of one objective together.  Each result is bit-identical to running
-its search alone.  The polish's memory grows with the batch, its frames
-and distinct operators; verify bounds it by running
+matrices share one operator, and each worker's polish advances the frames
+of all its searches of one objective together.  Each result is
+bit-identical to running its search alone.  The polish's memory grows with
+the batch, its frames and distinct operators; verify bounds it by running
 :data:`~curv4.verify.TRIAL_BLOCK` trials per batch.
 
-The coarse phase runs on the W threads of one pool that
-:func:`extremize_batch` opens for the call, W being at most two and at most
-the CPUs available to the process; the calling thread waits for them, and
-for W = 1 it runs the coarse work itself.  When a batch holds two or more
-seeds, an item is a whole seed group: its full coarse pass and candidate
-selection run on one thread.  A lone group's items are instead the chunks of
-its one pass.  Each thread draws through its own Philox generator and
-scratch arrays (:func:`random_frames`).  A chunk's draws come from its own
-Philox substream and it writes only its own slice of the pass's buffers,
-and a group's starts depend only on its seed, so every byte is the same for
-any CPU count and any schedule.  The Newton polish runs on the calling
-thread.
+A call runs on W workers, W being at most two and at most the CPUs
+available to the process: the calling thread and W - 1 threads started for
+the call and joined before it returns, all taking items from one shared
+iterator (:func:`_share`).  When a batch holds two or more seeds, an item is
+a whole seed group, and each worker runs one polish of the searches of all
+the groups it took, so both the coarse phase and the polish use every
+worker.  A lone group's items are instead the chunks of its one pass, after
+which the calling thread selects and polishes.  Each thread draws through
+its own Philox generator and scratch arrays (:func:`random_frames`).  A
+chunk's draws come from its own Philox substream and it writes only its own
+slice of the pass's buffers, a group's starts depend only on its seed, and
+each frame's polish only on that frame, so every byte is the same for any
+CPU count and any schedule.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,12 +77,12 @@ from .numerics import RngStream, random_frames, rotation_from_generator
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
 
-#: Most threads the coarse phase uses, over seed groups or over one group's
-#: chunks.  The threads hand the GIL back and forth between numpy kernels,
-#: yet the second one pays: with one, ``bench/run.py`` on a 2-vCPU host fell
-#: from 745 to 608 trials/s on verify-oracle and from 229 to 188 requests/s
-#: on analyze-mix (seed 1, medians of 6 alternating pairs).  More than two
-#: waits for a host and a benchmark that measure it.
+#: Most workers a call uses, over seed groups (each with its polish) or over
+#: one group's chunks.  The threads hand the GIL back and forth between numpy
+#: kernels, yet the second one pays: with one, ``bench/run.py`` on a 2-vCPU
+#: host fell from 746 to 558 trials/s on verify-oracle and from 198 to 177
+#: requests/s on analyze-mix (seed 1, medians of 6 alternating 8-second
+#: pairs).  More than two waits for a host and a benchmark that measure it.
 _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
@@ -243,13 +244,54 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map(pool):
-    """``pool.map``, or the builtin ``map`` on the calling thread for no pool."""
-    return map if pool is None else pool.map
+def _share(items, work, workers: int) -> None:
+    """Call ``work(pulled)`` once on each of ``workers`` workers, where
+    ``pulled`` yields the items that worker takes from one shared iterator
+    over ``items``.
+
+    Worker 0 is the calling thread; the others are plain threads started
+    here and joined before this returns.  Each item goes to whichever worker
+    asks first, so a worker slowed down by the host just takes fewer.  Once
+    a worker raises, no worker takes another item, and the first exception
+    is raised here after every worker has stopped.
+    """
+    pending = iter(items)
+    lock = threading.Lock()
+    done = object()
+    errors: list[BaseException] = []
+
+    def pulled():
+        while True:
+            with lock:
+                item = next(pending, done)
+            if item is done:
+                return
+            yield item
+
+    def run() -> None:
+        nonlocal pending
+        try:
+            work(pulled())
+        except BaseException as exc:
+            with lock:
+                pending = iter(())
+                errors.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for w in range(1, workers):
+            helpers.append(threading.Thread(target=run, name=f"curv4-oracle-{w}"))
+            helpers[-1].start()
+        run()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _coarse_samples(seed: int, samples: int, targets,
-                    pool=None) -> tuple[np.ndarray, list[np.ndarray]]:
+                    workers: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
     """``samples`` deterministic Haar frames and the raw values of each
     (objective, matrix) target on them.
 
@@ -259,24 +301,24 @@ def _coarse_samples(seed: int, samples: int, targets,
     its thread's own generator and scratch arrays.  Every chunk draws all
     :data:`SAMPLE_CHUNK` frames, and a short final chunk keeps their prefix,
     so a larger budget extends the sample stream and never reshuffles it.
-    The chunks run on the threads of ``pool``, or on the calling thread for
-    no pool; each writes only its own slices, so the result does not depend
-    on the threads.  The frame buffer keeps :func:`random_frames`' layout, a
-    transposed view with the frame axis innermost; callers gather the rows
-    they keep into C order.
+    The chunks are shared among ``workers`` workers (:func:`_share`); each
+    writes only its own slices, so the result does not depend on which
+    worker takes a chunk.  The frame buffer keeps :func:`random_frames`'
+    layout, a transposed view with the frame axis innermost; callers gather
+    the rows they keep into C order.
     """
     frames = np.empty((4, 4, samples)).transpose(2, 1, 0)
     values = [np.empty(samples) for _ in targets]
 
-    def draw(chunk: int) -> None:
-        lo = chunk * SAMPLE_CHUNK
-        hi = min(lo + SAMPLE_CHUNK, samples)
-        batch = random_frames(RngStream(seed, chunk), SAMPLE_CHUNK, out=frames[lo:hi])
-        for out, (objective, m) in zip(values, targets):
-            out[lo:hi] = _evaluate(objective, m, batch)
+    def draw(chunks) -> None:
+        for chunk in chunks:
+            lo = chunk * SAMPLE_CHUNK
+            hi = min(lo + SAMPLE_CHUNK, samples)
+            batch = random_frames(RngStream(seed, chunk), SAMPLE_CHUNK, out=frames[lo:hi])
+            for out, (objective, m) in zip(values, targets):
+                out[lo:hi] = _evaluate(objective, m, batch)
 
-    for _ in _map(pool)(draw, range(-(-samples // SAMPLE_CHUNK))):
-        pass
+    _share(range(-(-samples // SAMPLE_CHUNK)), draw, workers)
     return frames, values
 
 
@@ -372,10 +414,10 @@ def _refined(cfg: OracleConfig) -> bool:
 
 
 def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
-                   pool=None) -> list[tuple[np.ndarray, np.ndarray]]:
+                   workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coarse phase of searches that share a seed: one frame draw, on which each
-    distinct (objective, operator) is evaluated once, its chunks run on
-    ``pool`` as in :func:`_coarse_samples`, then one candidate selection
+    distinct (objective, operator) is evaluated once, its chunks shared among
+    ``workers`` workers as in :func:`_coarse_samples`, then one candidate selection
     (:func:`_select_group`) for all its refined searches.  Search ``i`` runs
     on the operator ``table[ids[i]]`` (its matrix, or that matrix scaled).
 
@@ -388,7 +430,7 @@ def _coarse_starts(group: list[Search], table: np.ndarray, ids: Sequence[int],
     for s, i, key in zip(group, ids, keys):
         targets.setdefault(key, (s.objective, table[i]))
     frames, values = _coarse_samples(group[0].cfg.seed, max(s.cfg.samples for s in group),
-                                     list(targets.values()), pool)
+                                     list(targets.values()), workers)
     raw = dict(zip(targets, values))
     # One signed copy of a search's values at a time: only its pool outlives it.
     rows, pools = [], []
@@ -612,20 +654,21 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
 
     Searches that share a seed form a group, which shares one draw of Haar
     frames; only the group's refine candidates outlive its coarse pass.  The
-    coarse phase runs its items on W = min(CPUs, items, ``_MAX_WORKERS``)
-    threads: for W > 1 on one thread pool opened for this call, which
-    ``pool.map`` feeds and which is shut down, its threads joined, before
-    this returns; for W = 1 on the calling thread.  With two or more groups
-    an item is a whole group, whose pass and candidate selection run on one
-    thread, so there is one pass buffer per thread; a lone group's items are
-    the chunks of its pass.  The first failing item's exception, in item
-    order, is raised here after the pool's threads have ended.  One refine
-    loop per objective on the calling thread then advances the candidates
-    of all its searches together.  Each distinct matrix is scaled once into
-    one table of operators: searches on equal matrices share their jets, and
-    also their coarse values when their seed and objective are the same.
-    The polish's memory grows with the batch; verify bounds it through
-    :data:`~curv4.verify.TRIAL_BLOCK`.
+    work runs on W = min(CPUs, items, ``_MAX_WORKERS``) workers, the calling
+    thread and W - 1 threads started for this call and joined before it
+    returns, each taking items as it comes free (:func:`_share`).  With two
+    or more groups an item is a whole group, whose pass and candidate
+    selection run on one worker, so there is one pass buffer per worker;
+    each worker then runs one refine loop per objective over the searches of
+    all the groups it took.  A lone group's items are the chunks of its
+    pass, and the calling thread then refines its searches.  After a worker
+    raises, no worker takes another item, and the first exception is raised
+    here once every worker has stopped.  Each distinct matrix is scaled once
+    into one table of operators: searches on equal matrices share their
+    coarse values when their seed and objective are the same, and their jets
+    when one worker polishes them.  The polish's memory grows with the
+    batch; verify bounds it through :data:`~curv4.verify.TRIAL_BLOCK`.  An
+    empty batch has no results.
 
     Every witness is the search's read-only winning (4, 4) frame, whose
     rows 0-1 are a plane objective's plane; one that is not orthonormal
@@ -634,6 +677,8 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     float64 raises :class:`ValidationError`.
     """
     searches = list(searches)
+    if not searches:
+        return []
     # Each search runs at max-norm [1, 2) (module docstring); _result scales
     # back.  Each distinct matrix is scaled once, into one table of operators.
     exponents = [_exponent(s.matrix) for s in searches]
@@ -650,39 +695,30 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
         by_seed.setdefault(s.cfg.seed, []).append(i)
     groups = list(by_seed.values())
 
-    def coarse(members, pool=None):
-        return _coarse_starts([searches[i] for i in members], table,
-                              [ids[i] for i in members], pool)
+    outcomes: list = [None] * len(searches)
 
-    lone = len(groups) == 1
-    items = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK) if lone else len(groups)
-    workers = min(_cpu_count(), items, _MAX_WORKERS)
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported only for a pool
+    def run(pulled, workers: int = 1) -> None:
+        """The coarse starts of each group pulled, its chunks shared among
+        ``workers``, then one polish of all their refined searches on this
+        thread."""
+        starts = {}
+        for group in pulled:
+            starts.update(zip(group, _coarse_starts([searches[i] for i in group], table,
+                                                    [ids[i] for i in group], workers)))
+        for i, (frames, values) in starts.items():
+            outcomes[i] = (float(values[0]), frames[0], 0, False)
+        refined = [i for i in starts if _refined(searches[i].cfg)]
+        if refined:
+            for i, outcome in zip(refined, _refine([searches[i] for i in refined], table,
+                                                   [ids[i] for i in refined],
+                                                   [starts[i] for i in refined])):
+                outcomes[i] = outcome
 
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="curv4-coarse")
-    with pool or contextlib.nullcontext():
-        if lone:  # its chunks are the items
-            per_group = [coarse(groups[0], pool)]
-        else:
-            per_group = _map(pool)(coarse, groups)
-    # The groups' results are read once the pool has run them all: waiting
-    # on each in turn wakes this thread once per group, and each wake-up
-    # takes the GIL from the pool (about 4% of a default verify on 2 vCPUs).
-    per_group = list(per_group)
-    starts: list = [None] * len(searches)
-    for members, group_starts in zip(groups, per_group):
-        for i, start in zip(members, group_starts):
-            starts[i] = start
-
-    outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
-    refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]
-    if refined:
-        for i, outcome in zip(refined, _refine([searches[i] for i in refined], table,
-                                               [ids[i] for i in refined],
-                                               [starts[i] for i in refined])):
-            outcomes[i] = outcome
+    if len(groups) == 1:  # its chunks are the items
+        chunks = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK)
+        run(groups, min(_cpu_count(), chunks, _MAX_WORKERS))
+    else:
+        _share(groups, run, min(_cpu_count(), len(groups), _MAX_WORKERS))
     values, frames, evaluations, converged = zip(*outcomes)
     frames = np.stack(frames)
     error = np.max(np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(4)), axis=(1, 2))

@@ -27,7 +27,7 @@ def test_output_matches_its_gate(command):
 @pytest.mark.parametrize("command", [c for c in gates.GATES
                                      if gates.is_oracle_gate(c) and c not in _SLOW])
 def test_oracle_gate_matches_on_one_worker(monkeypatch, command):
-    """The one-CPU path, with no pool; ``test_output_matches_its_gate`` runs
-    the same command on the CPUs this process has."""
+    """The one-CPU path, with no helper thread; ``test_output_matches_its_gate``
+    runs the same command on the CPUs this process has."""
     monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
     assert gates.gate(command)[0] == gates.GATES[command]

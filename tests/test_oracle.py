@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import sys
 import threading
@@ -58,6 +57,9 @@ class TestConfig:
         cfg = OracleConfig(samples=np.int64(2500), refine_iters=np.int32(3), restarts=np.uint8(2))
         assert [type(v) for v in (cfg.samples, cfg.refine_iters, cfg.restarts)] == [int] * 3
         assert (cfg.samples, cfg.refine_iters, cfg.restarts) == (2500, 3, 2)
+
+    def test_empty_batch_has_no_results(self):
+        assert extremize_batch([]) == []
 
     def test_objective_and_mode_checked(self):
         with pytest.raises(ValidationError):
@@ -510,31 +512,42 @@ class TestNewtonPolish:
         assert np.all(worst <= 1e-13 * np.max(np.abs(m), axis=(1, 2)))
 
     # tracemalloc peak of the polish of one verify block (100 trials, min and
-    # max, 600 frames): 2.4 MB, of which 0.8 MB are the 100 operators' jets.
-    # Gathering each frame's 27 jets would alone add 4.7 MB.
+    # max, 600 frames) on one thread: 2.4 MB, of which 0.8 MB are the 100
+    # operators' jets.  Gathering each frame's 27 jets would alone add 4.7 MB.
     POLISH_PEAK_BOUND = 3e6
 
     def test_verify_block_polish_memory(self, monkeypatch):
+        """The block's polishes, one per worker, traced together from the
+        first entry to the last exit, since tracemalloc counts every thread."""
         built, peaks = [], []
         jets, refine = oracle._jets, oracle._refine
+        lock = threading.Lock()
 
         def counting(matrices):
-            built.append(len(matrices))
+            built.append([m.tobytes() for m in matrices])
             return jets(matrices)
 
         def measured(*args):
-            tracemalloc.start()
+            with lock:
+                if not tracemalloc.is_tracing():
+                    tracemalloc.start()
             try:
                 return refine(*args)
             finally:
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
+                with lock:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(oracle, "_jets", counting)
         monkeypatch.setattr(oracle, "_refine", measured)
-        _run_trials(1, range(TRIAL_BLOCK), OracleConfig(samples=DEFAULT_SAMPLES))
-        assert built == [TRIAL_BLOCK]   # a trial's min and max share one operator
-        assert len(peaks) == 1 and peaks[0] <= self.POLISH_PEAK_BOUND
+        try:
+            _run_trials(1, range(TRIAL_BLOCK), OracleConfig(samples=DEFAULT_SAMPLES))
+        finally:
+            tracemalloc.stop()
+        # Each operator's jets are built once: a trial's min and max share it.
+        operators = [m for call in built for m in call]
+        assert len(operators) == len(set(operators)) == TRIAL_BLOCK
+        assert 1 <= len(peaks) <= oracle._MAX_WORKERS
+        assert max(peaks) <= self.POLISH_PEAK_BOUND
 
     def test_step_cap_leaves_search_unconverged(self):
         op = random_bianchi(RngStream(61))
@@ -685,11 +698,12 @@ def _send_summaries(searches, sender):
 
 
 class TestScheduling:
-    """Coarse work run on one thread pool per call, whole seed groups when a
-    batch has several and one group's chunks when it has one: the same bytes
-    for any CPU count, no thread outliving the call, and a worker's
-    exception passed on.  The pool hands out items as its threads come free,
-    so no test asserts which thread took which item."""
+    """Oracle work shared by the calling thread and the helper threads started
+    for one call: whole seed groups, each with its polish, when a batch has
+    several, and one group's chunks when it has one.  The same bytes for any
+    CPU count, no thread outliving the call, and a worker's exception passed
+    on.  Workers take items as they come free, so no test asserts which
+    thread took which item."""
 
     @staticmethod
     def record_threads(monkeypatch) -> dict[bytes, set[int]]:
@@ -706,30 +720,51 @@ class TestScheduling:
         return seen
 
     @staticmethod
-    def record_pools(monkeypatch) -> list[int]:
-        """Make every coarse thread pool append its thread count to the
-        returned list."""
-        sizes: list[int] = []
-        pool = concurrent.futures.ThreadPoolExecutor
+    def record_helpers(monkeypatch) -> list[threading.Thread]:
+        """Make every thread started through ``threading.Thread`` append
+        itself to the returned list."""
+        started: list[threading.Thread] = []
 
-        def recorded(workers, **kwargs):
-            sizes.append(workers)
-            return pool(workers, **kwargs)
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
-        return sizes
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return started
+
+    @staticmethod
+    def first_items_wait(monkeypatch, workers: int, fail_on: str | None = None) -> None:
+        """Make each worker's first objective call wait until ``workers``
+        workers hold an item; then the worker ``fail_on`` ("caller" or
+        "helper") raises."""
+        caller = threading.get_ident()
+        started: set[int] = set()
+        all_started = threading.Barrier(workers)
+
+        def waiting(objective, m, frames):
+            me = threading.get_ident()
+            if me not in started:
+                started.add(me)
+                all_started.wait(60)
+                worker = "caller" if me == caller else "helper"
+                if worker == fail_on:
+                    raise RuntimeError(f"{worker} item failed")
+            return _evaluate(objective, m, frames)
+
+        monkeypatch.setattr(oracle, "_evaluate", waiting)
 
     @pytest.mark.parametrize("samples", [1, 2048, 2049, 4097, 20000])
     @pytest.mark.parametrize("batch", [verify_style, analyze_style])
     def test_results_do_not_depend_on_cpu_count(self, monkeypatch, batch, samples):
         searches = batch(samples)
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
-        pools = self.record_pools(monkeypatch)
+        helpers = self.record_helpers(monkeypatch)
         serial = [summary(res) for res in extremize_batch(searches)]
-        assert pools == []
+        assert helpers == []
         groups = len({s.cfg.seed for s in searches})  # verify_style 3, analyze_style 1
         items = groups if groups > 1 else -(-samples // oracle.SAMPLE_CHUNK)
-        # Lift the thread cap so the pool runs with W up to 11.
+        # Lift the thread cap so that up to 11 workers run.
         monkeypatch.setattr(oracle, "_MAX_WORKERS", 11)
         seen = self.record_threads(monkeypatch)
         interval = sys.getswitchinterval()
@@ -738,19 +773,29 @@ class TestScheduling:
             for cpus in (2, 3, 11):
                 monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
                 seen.clear()
-                pools.clear()
+                helpers.clear()
                 threads = threading.active_count()
                 assert [summary(res) for res in extremize_batch(searches)] == serial, cpus
                 assert threading.active_count() == threads
                 workers = min(cpus, items)
-                assert pools == ([workers] if workers > 1 else [])
+                assert len(helpers) == workers - 1
+                assert not any(t.is_alive() for t in helpers)
                 assert len(set().union(*seen.values())) <= workers
         finally:
             sys.setswitchinterval(interval)
 
     def test_each_group_runs_on_one_thread(self, monkeypatch):
+        """A group's coarse pass and the polish of its searches."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         seen = self.record_threads(monkeypatch)
+        jets = oracle._jets
+
+        def recorded(matrices):
+            for m in matrices:
+                seen.setdefault(m.tobytes(), set()).add(threading.get_ident())
+            return jets(matrices)
+
+        monkeypatch.setattr(oracle, "_jets", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -774,7 +819,7 @@ class TestScheduling:
         groups = self.many_groups(24)
 
         def starts(group):
-            out = _coarse_starts(group, np.stack([s.matrix for s in group]), [0, 1], None)
+            out = _coarse_starts(group, np.stack([s.matrix for s in group]), [0, 1])
             return [(f.tobytes(), v.tobytes()) for f, v in out]
 
         serial = [starts(group) for group in groups]
@@ -800,32 +845,37 @@ class TestScheduling:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_one_generator_per_worker(self, monkeypatch, cpus):
-        """Each drawing thread builds at most one generator: a pool thread
-        one for the call, the calling thread none once it has drawn."""
+        """Each drawing thread builds at most one generator: a helper one for
+        the call, the calling thread none once it has drawn."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
         random_frames(RngStream(0), 1)  # the calling thread has drawn
-        made = []
-        philox = np.random.Philox
+        made, drew = [], set()
+        philox, draw = np.random.Philox, oracle.random_frames
 
         def counting(*args, **kwargs):
             made.append(threading.get_ident())
             return philox(*args, **kwargs)
 
+        def drawing(*args, **kwargs):
+            drew.add(threading.get_ident())
+            return draw(*args, **kwargs)
+
         monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(oracle, "random_frames", drawing)
         searches = [s for group in self.many_groups(12) for s in group]
         results = extremize_batch(searches)
-        assert len(made) == len(set(made)) <= cpus
-        assert threading.get_ident() not in made
-        assert made if cpus > 1 else not made
+        assert len(made) == len(set(made))
+        assert set(made) == drew - {threading.get_ident()}
+        assert len(drew) <= cpus
         assert len(results) == 24
 
     def test_workers_are_capped(self, monkeypatch):
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)
-        pools = self.record_pools(monkeypatch)
+        helpers = self.record_helpers(monkeypatch)
         threads = threading.active_count()
         for batch in (verify_style, analyze_style):
             extremize_batch(batch(20000))
-        assert pools == [oracle._MAX_WORKERS] * 2 == [2, 2]
+        assert len(helpers) == 2 * (oracle._MAX_WORKERS - 1) == 2
         assert threading.active_count() == threads
 
     def test_cpu_count_follows_affinity_then_cpu_count(self, monkeypatch):
@@ -837,32 +887,46 @@ class TestScheduling:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
         assert oracle._cpu_count() == 1
 
-    @pytest.mark.parametrize("failing_worker", ["helper", "caller"])
-    def test_worker_exception_propagates(self, monkeypatch, failing_worker):
+    @pytest.mark.parametrize("failing_worker, cpus", [("helper", 2), ("caller", 2),
+                                                      ("caller", 1)])
+    def test_worker_exception_propagates(self, monkeypatch, failing_worker, cpus):
         """Raised in a seed group (verify_style) or in a chunk (analyze_style),
-        on a pool thread (two CPUs) or on the calling thread (one).  On the
-        pool, both threads hold an item before one of them raises."""
-        cpus = 2 if failing_worker == "helper" else 1
+        on the helper or on the calling thread.  With two CPUs both workers
+        hold an item before one of them raises, and the exception leaves the
+        call only once the other has stopped."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
-        caller = threading.get_ident()
-
-        def failing(objective, m, frames):
-            me = threading.get_ident()
-            assert (me == caller) == (cpus == 1)
-            if me not in started:
-                started.add(me)
-                if cpus == 1 or both_started.wait(60) == 0:
-                    raise RuntimeError(f"{failing_worker} item failed")
-            return _evaluate(objective, m, frames)
-
-        monkeypatch.setattr(oracle, "_evaluate", failing)
+        helpers = self.record_helpers(monkeypatch)
         threads = threading.active_count()
         for batch in (verify_style, analyze_style):
-            started: set[int] = set()
-            both_started = threading.Barrier(2)
+            helpers.clear()
+            self.first_items_wait(monkeypatch, cpus, failing_worker)
             with pytest.raises(RuntimeError, match=f"{failing_worker} item failed"):
                 extremize_batch(batch(4097))
+            assert len(helpers) == cpus - 1
+            assert not any(t.is_alive() for t in helpers)
             assert threading.active_count() == threads
+
+    def test_helper_polish_exception_propagates(self, monkeypatch):
+        """A helper's polish (:func:`_refine` off the calling thread) that
+        raises, in a verify_style batch where both workers hold a group: the
+        exception leaves the call once the caller's own polish has run."""
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        caller = threading.get_ident()
+        self.first_items_wait(monkeypatch, 2)
+        refine, polished = oracle._refine, []
+
+        def failing(*args):
+            polished.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper polish failed")
+            return refine(*args)
+
+        monkeypatch.setattr(oracle, "_refine", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper polish failed"):
+            extremize_batch(verify_style(2048))
+        assert threading.active_count() == threads
+        assert caller in polished and len(set(polished)) == 2
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method on this platform")

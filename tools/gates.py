@@ -7,23 +7,26 @@ Run from anywhere, with the checkout's own ``src`` on the import path:
 Each command runs in-process through ``curv4.cli.main`` with stdout and
 stderr captured.  One line is printed per command: the first 16 hex digits
 of the sha256 of its stdout followed by its stderr, its exit code, the
-command, its in-process wall time, and the minor page faults the process
-took while it ran (the change in ``resource.getrusage``'s ``ru_minflt``,
-which counts faults of every thread of the process).  Every output is a pure function of its seeds, and the
+command, its in-process wall time, the minor page faults the process took
+while it ran (the change in ``resource.getrusage``'s ``ru_minflt``, which
+counts faults of every thread of the process), and the voluntary context
+switches it made (the change in ``ru_nvcsw``: mostly a thread giving up the
+GIL to another, or waiting on one).  Every output is a pure function of its seeds, and the
 script holds the hash each output is expected to have: a line whose hash
 differs ends in ``MISMATCH (expected ...)`` and the script exits with status
 1.  A change that moves an output on purpose updates its hash in
 :data:`GATES`.  After the last gate the script prints the process's peak
-resident set size over the whole run (``ru_maxrss``).  The times, fault
-counts and peak RSS are not checked and are only a rough guide: the first
+resident set size over the whole run (``ru_maxrss``).  The times, fault and
+switch counts and peak RSS are not checked and are only a rough guide: the first
 command also pays for building the CLI parser and for the first touch of
 the memory the process goes on to reuse, and the peak is that of the
 largest command, with every earlier command's leftovers.
 
-The oracle's coarse phase runs on a pool of up to two threads, no more than
-the CPUs available to the process, so the oracle gates (``verify`` and
-``analyze --run-oracle``) then run once more with the process pinned to one
-CPU, where no pool is opened and the calling thread runs all coarse work.
+The oracle runs on up to two workers, the calling thread and a helper
+thread, no more than the CPUs available to the process, so the oracle gates
+(``verify`` and ``analyze --run-oracle``) then run once more with the
+process pinned to one CPU, where no helper is started and the calling thread
+runs all oracle work.
 Those lines end in ``pinned to CPU n``, and are checked against the same
 expected hashes.
 """
@@ -91,23 +94,25 @@ GATES = {
 }
 
 
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage() -> tuple[int, int]:
+    """The process's minor page faults and voluntary context switches so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_nvcsw
 
 
-def gate(command: str) -> tuple[str, int, float, int]:
+def gate(command: str) -> tuple[str, int, float, int, int]:
     """The sha256 prefix of ``curv4 COMMAND``'s stdout followed by its
     stderr, its exit code, its wall time in seconds, and the minor page faults
-    taken while it ran."""
+    and voluntary context switches taken while it ran."""
     out, err = io.StringIO(), io.StringIO()
-    faults = _minor_faults()
+    before = _usage()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(command.split())
     wall = time.perf_counter() - start
-    faults = _minor_faults() - faults
+    faults, switches = (now - then for now, then in zip(_usage(), before))
     digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()[:16]
-    return digest, code, wall, faults
+    return digest, code, wall, faults, switches
 
 
 def is_oracle_gate(command: str) -> bool:
@@ -117,11 +122,11 @@ def is_oracle_gate(command: str) -> bool:
 def check(command: str, note: str = "") -> bool:
     """Run one gate, print its line, and return whether its hash is the
     expected one."""
-    digest, code, wall, faults = gate(command)
+    digest, code, wall, faults, switches = gate(command)
     expected = GATES[command]
     flag = "" if digest == expected else f"  MISMATCH (expected {expected})"
-    print(f"{digest}  {code}  {command}  {wall:.3f}s  {faults} faults{note}{flag}",
-          flush=True)
+    print(f"{digest}  {code}  {command}  {wall:.3f}s  {faults} faults  {switches} switches"
+          f"{note}{flag}", flush=True)
     return not flag
 
 
