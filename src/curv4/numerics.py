@@ -50,9 +50,18 @@ class RngStream:
 
 class _ThreadDraws(threading.local):
     """One thread's Philox generator and :func:`random_frames` scratch
-    (:func:`_scratch_for`), each built on the thread's first draw: the first
-    generator of a process takes numpy about 10 ms to build, which importing
-    curv4 should not pay."""
+    (:func:`_scratch_for`), each built on the thread's first draw.
+
+    The first ``Philox(...)`` of a process, keyed or not, costs about 9 ms
+    and 5 MiB of peak RSS: numpy imports ``numpy.random`` lazily, and that
+    import pulls in ``secrets``, ``hashlib`` and OpenSSL.  Importing curv4
+    should not pay for it.
+
+    ``state`` is the bit generator's state at the start of a stream, held in
+    plain ints and lists so that setting it converts no numpy scalars: the
+    buffer is empty, and ``key`` and ``counter`` are the lists inside it that
+    re-keying overwrites.
+    """
 
     gen = None
     scratch = None
@@ -60,9 +69,15 @@ class _ThreadDraws(threading.local):
     def build(self) -> None:
         self.bitgen = np.random.Philox()
         self.gen = np.random.Generator(self.bitgen)
-        self.state = self.bitgen.state  # a fresh generator's buffer is empty, as re-keying needs
-        self.key, self.counter = self.state["state"]["key"], self.state["state"]["counter"]
-        self.key[1] = self.counter[0] = self.counter[1] = 0
+        self.key, self.counter = [0, 0], [0, 0, 0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 _draws = _ThreadDraws()
@@ -80,9 +95,10 @@ def _rekeyed(stream: RngStream) -> np.random.Generator:
     if draws.gen is None:
         draws.build()
     # Chunk c is the 256-bit counter c << 128: words 2 and 3.
+    chunk = int(stream.chunk)
     draws.key[0] = int(stream.seed) & _MASK64
-    draws.counter[2] = int(stream.chunk) & _MASK64
-    draws.counter[3] = int(stream.chunk) >> 64
+    draws.counter[2] = chunk & _MASK64
+    draws.counter[3] = chunk >> 64
     draws.bitgen.state = draws.state
     return draws.gen
 

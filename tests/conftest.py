@@ -7,13 +7,18 @@ from hypothesis.configuration import set_hypothesis_home_dir
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite is deterministic.  Hypothesis still caches the
 # constants it reads from local sources; that cache goes to a temporary
-# directory removed at exit instead of a .hypothesis/ directory in the tree.
+# directory removed at the end of the session instead of a .hypothesis/
+# directory in the tree.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="curv4-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 _ACCEPTANCE_RESULTS: dict[int, dict] = {}
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -116,6 +116,47 @@ class TestRekeyedPhilox:
         assert np.array_equal(bits(rows[0]), bits(RngStream(4, 2).generator().standard_normal((4, 4))))
 
 
+def leave_buffer_part_used():
+    """Draw so that this thread's bit generator holds back half a uint64
+    (``has_uint32``) and stops mid-way through a Philox block."""
+    gen = numerics._rekeyed(RngStream(11, 3))
+    gen.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count of uint32 words
+    gen.random(3)
+    state = numerics._draws.bitgen.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+
+
+# The largest seed, and a chunk that sets counter word 3.
+EDGE_STREAMS = [RngStream(2**64 - 1), RngStream(2**64 - 1, 2**64 + 1), RngStream(7, 2**64 + 1)]
+
+
+class TestRekeyAfterPartialDraws:
+    """Re-keying starts a stream afresh whatever the previous stream left in
+    the bit generator's buffer."""
+
+    @pytest.mark.parametrize("stream", EDGE_STREAMS)
+    def test_rekeyed_generator_draws_the_fresh_stream(self, stream):
+        leave_buffer_part_used()
+        gen, fresh = numerics._rekeyed(stream), stream.generator()
+        for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda g: g.random(5), lambda g: g.standard_normal(7)):
+            assert np.array_equal(draw(gen), draw(fresh))
+
+    @pytest.mark.parametrize("stream", EDGE_STREAMS)
+    def test_rows_draw_the_fresh_stream(self, stream):
+        leave_buffer_part_used()
+        rows = standard_normal_rows([stream, RngStream(3, 1), stream], (9,))
+        expected = stream.generator().standard_normal(9)
+        assert np.array_equal(bits(rows[0]), bits(expected))
+        assert np.array_equal(bits(rows[2]), bits(expected))
+
+    def test_counter_word_3_is_the_chunks_high_word(self):
+        numerics._rekeyed(RngStream(2**64 - 1, 2**64 + 1))
+        state = numerics._draws.bitgen.state["state"]
+        assert state["key"].tolist() == [2**64 - 1, 0]
+        assert state["counter"].tolist() == [0, 0, 1, 1]
+
+
 class TestValidatedStack:
     @pytest.mark.parametrize("project", [False, True])
     def test_rows_equal_from_matrix(self, project):

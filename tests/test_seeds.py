@@ -41,6 +41,17 @@ def test_mixed_widths_in_one_call_keep_their_order():
     assert got.tolist() == [derive_seed(7919, i, 1) for i in indices]
 
 
+@pytest.mark.parametrize("tail", [(2**32,), (2**40 + 3, 5), (2**64 - 1,)])
+@pytest.mark.parametrize("seed", [2**64 - 1, 0, 2**40 + 3])
+def test_batches_over_mixed_widths_and_two_word_tails(seed, tail):
+    # Odd i moves to the high word, so one- and two-word indices alternate;
+    # then both edges of the widths.
+    indices = [i << 32 * (i % 2) for i in range(120)] + [2**64 - 1, 2**32 - 1, 2**32]
+    got = derive_seeds(seed, indices, *tail)
+    assert got.tolist() == [reference(seed, i, *tail) for i in indices]
+    assert got.tolist()[::10] == [derive_seed(seed, i, *tail) for i in indices[::10]]
+
+
 def test_seed_is_reduced_to_64_bits():
     assert derive_seeds(2**64 + 9, [4], 0).tolist() == [reference(9, 4, 0)]
     assert derive_seed(-1, 4, 0) == reference(2**64 - 1, 4, 0)

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twenty-five fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-six fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -53,6 +53,8 @@ GATES = {
     "scan --trials 20000 --seed 1": "50ab7f62cc46bc3e",
     # A fixed model: one matrix broadcast to every row.
     "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
+    # Run entropy of two words: the largest seed.
+    "scan --trials 5 --seed 18446744073709551615": "0decc9ae0bef13cb",
     # Rows whose float sum overflows, written through json.
     "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
     "verify --trials 500 --seed 7 --json": "4a73a8d63c4d6e43",
