@@ -30,6 +30,7 @@ frames.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -65,10 +66,13 @@ _LAMBDA_A = (0, 1, 2)
 _LAMBDA_B = (5, 4, 3)
 _SIGN_PLUS = np.array([1.0, -1.0, 1.0])
 _SIGN_MINUS = -_SIGN_PLUS
-_IX_AA = np.ix_(_LAMBDA_A, _LAMBDA_A)
-_IX_AB = np.ix_(_LAMBDA_A, _LAMBDA_B)
-_IX_BA = np.ix_(_LAMBDA_B, _LAMBDA_A)
-_IX_BB = np.ix_(_LAMBDA_B, _LAMBDA_B)
+# One gather of the four 3x3 sub-blocks (AA, AB, BA, BB) of a 6x6 matrix.
+_QUAD_ROWS = np.array([_LAMBDA_A, _LAMBDA_A, _LAMBDA_B, _LAMBDA_B])[:, :, None]
+_QUAD_COLS = np.array([_LAMBDA_A, _LAMBDA_B, _LAMBDA_A, _LAMBDA_B])[:, None, :]
+# Row and column signs of the blocks (A+, A-, C), stacked on the first axis.
+_ROW_SIGNS = np.array([_SIGN_PLUS, _SIGN_MINUS, _SIGN_PLUS])[:, :, None]
+_COL_SIGNS = np.array([_SIGN_PLUS, _SIGN_MINUS, _SIGN_MINUS])[:, None, :]
+_ROW_COL_SIGNS = _ROW_SIGNS * _COL_SIGNS
 
 
 _WEDGE_I = np.array([p[0] for p in PAIRS])
@@ -93,6 +97,22 @@ def lambda_basis() -> np.ndarray:
     return b
 
 
+def _lambda_stack(m: np.ndarray) -> np.ndarray:
+    """The blocks (A+, A-, C) of :func:`lambda_blocks`, stacked on axis -3 of
+    one (..., 3, 3, 3) array.
+
+    Every entry is (AA + sc AB + sr BA + (sr sc) BB) / 2 over the matching
+    sub-block entries, added left to right, with sr and sc the block's row
+    and column signs (exactly +-1); A+ and A- are then symmetrized.
+    """
+    q = np.asarray(m, dtype=float)[..., _QUAD_ROWS, _QUAD_COLS]
+    aa, ab, ba, bb = (q[..., None, i, :, :] for i in range(4))
+    blocks = (aa + _COL_SIGNS * ab + _ROW_SIGNS * ba + _ROW_COL_SIGNS * bb) / 2.0
+    diag = blocks[..., :2, :, :]
+    diag[...] = (diag + np.swapaxes(diag, -1, -2)) / 2.0
+    return blocks
+
+
 def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks (A+, A-, C) of a symmetric 6x6 matrix, or a stack (..., 6, 6) of
     them, in the star eigenbasis.
@@ -100,24 +120,11 @@ def lambda_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A+ and A- are the 3x3 diagonal blocks on the +1/-1 eigenspaces and C the
     off-diagonal block mapping the -1 eigenspace into the +1 eigenspace.
     Computed entrywise so that dyadic inputs give exact dyadic blocks (no
-    1/sqrt2 roundoff enters).
+    1/sqrt2 roundoff enters): one gather of the four sub-blocks and one
+    stacked sign expression (:func:`_lambda_stack`).
     """
-    m = np.asarray(m, dtype=float)
-    maa = m[(..., *_IX_AA)]
-    mab = m[(..., *_IX_AB)]
-    mba = m[(..., *_IX_BA)]
-    mbb = m[(..., *_IX_BB)]
-
-    def block(srow: np.ndarray, scol: np.ndarray) -> np.ndarray:
-        return (maa + scol[None, :] * mab + srow[:, None] * mba
-                + srow[:, None] * scol[None, :] * mbb) / 2.0
-
-    aplus = block(_SIGN_PLUS, _SIGN_PLUS)
-    aminus = block(_SIGN_MINUS, _SIGN_MINUS)
-    off = block(_SIGN_PLUS, _SIGN_MINUS)
-    aplus = (aplus + np.swapaxes(aplus, -1, -2)) / 2.0
-    aminus = (aminus + np.swapaxes(aminus, -1, -2)) / 2.0
-    return aplus, aminus, off
+    blocks = _lambda_stack(m)
+    return blocks[..., 0, :, :], blocks[..., 1, :, :], blocks[..., 2, :, :]
 
 
 def operator_from_blocks(aplus: np.ndarray, aminus: np.ndarray,
@@ -261,6 +268,8 @@ def from_matrix(m, project_bianchi: bool = False,
 
 def _component_index(x) -> int:
     """A component index as an int; fractional and non-numeric ones are rejected."""
+    if type(x) is int or (type(x) is float and x.is_integer()):  # json's numbers
+        return int(x)
     if (isinstance(x, bool) or not isinstance(x, numbers.Real)
             or not (isinstance(x, numbers.Integral) or float(x).is_integer())):
         raise ValidationError(f"component index must be an integer, got {x!r}")
@@ -369,42 +378,43 @@ class Invariants:
 
 def _require_finite(*columns: np.ndarray) -> None:
     """Reject a stack whose invariants overflow float64: name the first
-    matrix whose row of any of ``columns`` (matrix axis first) is not finite."""
-    if all(np.isfinite(col).all() for col in columns):
-        return
-    bad = np.zeros(len(columns[0]), dtype=bool)
-    for col in columns:
-        bad |= ~np.all(np.isfinite(col.reshape(len(col), -1)), axis=1)
-    raise ValidationError(f"matrix {int(np.argmax(bad))} is too large: "
-                          "its invariants overflow float64")
+    matrix whose row of any of ``columns`` (matrix axis first) is not finite.
+    The columns are checked in one pass over their rows laid side by side."""
+    n = len(columns[0])
+    rows = np.concatenate([col.reshape(n, math.prod(col.shape[1:])) for col in columns], axis=1)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"matrix {int(np.argmin(finite))} is too large: "
+                              "its invariants overflow float64")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def invariants(matrices) -> Invariants:
     """One pass over a stack (N, 6, 6) of validated operator matrices.
 
-    Both Weyl halves are diagonalized by one stacked symmetric eigensolve
-    each.  Each extremal biorthogonal value is s/12 plus the half-sum of the
-    matching Weyl eigenvalues; the middle value is cross-checked against the
-    trace identity k1 + k2 + k3 = s/4, and a discrepancy beyond rounding
-    means the decomposition itself is broken and raises
-    :class:`ConsistencyError`.  A stack whose invariants overflow float64
-    raises :class:`ValidationError`.
+    Both Weyl halves of every matrix are diagonalized by one stacked
+    symmetric eigensolve.  Each extremal biorthogonal value is s/12 plus the
+    half-sum of the matching Weyl eigenvalues; the middle value is
+    cross-checked against the trace identity k1 + k2 + k3 = s/4, and a
+    discrepancy beyond rounding means the decomposition itself is broken and
+    raises :class:`ConsistencyError`.  A stack whose invariants overflow
+    float64 raises :class:`ValidationError`.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (6, 6):
         raise ValidationError(f"expected a stack of 6x6 matrices, got shape {m.shape}")
     s = 2.0 * np.trace(m, axis1=-2, axis2=-1)
-    aplus, aminus, _ = lambda_blocks(m)
     shift = (s / 12.0)[:, None, None] * np.eye(3)
-    wplus = aplus - shift
-    wminus = aminus - shift
+    # (N, 2, 3, 3): the traceless blocks W+ and W-, solved in one call (LAPACK
+    # still solves each 3x3 matrix on its own).
+    weyl = _lambda_stack(m)[:, :2] - shift[:, None]
     try:
-        wp = np.linalg.eigvalsh(wplus)
-        wm = np.linalg.eigvalsh(wminus)
+        spectra = np.linalg.eigvalsh(weyl)
     except np.linalg.LinAlgError:   # the eigensolve fails on non-finite blocks
-        _require_finite(wplus, wminus)
+        _require_finite(weyl)
         raise
+    wplus, wminus = weyl[:, 0], weyl[:, 1]
+    wp, wm = spectra[:, 0], spectra[:, 1]
     k = (s / 12.0)[:, None] + (wp + wm) / 2.0
     margin_a = k[:, 0] - s / 24.0
     margin_b = s / 6.0 - k[:, 2]

@@ -8,7 +8,6 @@ reproduces identical bytes.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from pathlib import Path
 
@@ -63,7 +62,9 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if type(x) is float:  # json's numbers are exactly float or int
+        return x
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise ValidationError(f"{what} must be a number, got {x!r}")
     try:
         return float(x)
@@ -202,42 +203,37 @@ def verification_to_dict(report: VerificationReport) -> dict:
     }
 
 
-#: A scan row as :func:`dumps_record` writes it: keys sorted, floats as
-#: ``float.__repr__``, booleans as ``true``/``false``.
+#: A scan row as :func:`dumps_record` writes it: keys sorted, floats as json
+#: spells them, booleans as ``true``/``false``.
 _ROW_TEMPLATE = ('{"hypothesis_A":%s,"hypothesis_B":%s,"k1":%s,"k2":%s,"k3":%s,'
                  '"nnic":%s,"s":%s,"trial":%d,"type":"row","w3_minus":%s,"w3_plus":%s}')
 _JSON_BOOL = {True: "true", False: "false"}
 
-
-def _row_line(index: int, s: float, k: list[float], w3p: float, w3m: float,
-              hyp_a: bool, hyp_b: bool, nnic: bool) -> str:
-    """One scan row as :func:`dumps_record` writes it, formatted from the
-    fixed template.
-
-    json spells non-finite floats NaN/Infinity, not as their repr, so a row
-    whose floats do not add up to a finite sum (any NaN or infinity, or an
-    overflow of the sum, which costs only the fallback) goes through json.
-    """
-    k1, k2, k3 = k
-    if not math.isfinite(s + k1 + k2 + k3 + w3p + w3m):
-        return dumps_record({"type": "row", "trial": index, "s": s,
-                             "k1": k1, "k2": k2, "k3": k3,
-                             "w3_plus": w3p, "w3_minus": w3m,
-                             "hypothesis_A": hyp_a, "hypothesis_B": hyp_b, "nnic": nnic})
-    r = float.__repr__
-    return _ROW_TEMPLATE % (_JSON_BOOL[hyp_a], _JSON_BOOL[hyp_b], r(k1), r(k2), r(k3),
-                            _JSON_BOOL[nnic], r(s), index, r(w3m), r(w3p))
+#: Rows encoded per ``json.dumps`` call: bounds the float reprs held at once.
+_ROW_BLOCK = 1024
 
 
 def scan_to_lines(report: ScanReport) -> list[str]:
-    """Line-delimited records: header, one row per tensor, then a summary."""
+    """Line-delimited records: header, one row per tensor, then a summary.
+
+    Each block of rows takes one ``json.dumps`` of its six floats per row (k1,
+    k2, k3, s, w3_minus, w3_plus: the template's order), so every float is
+    spelled as :func:`dumps_record` spells it (``float.__repr__``, or
+    ``NaN``/``Infinity``), and the reprs fill the fixed row template.
+    """
     lines = [dumps_record({"type": "header", "format": SCAN_FORMAT,
                            "tool_version": __version__,
                            "model": report.model, "trials": report.trials,
                            "seed": report.seed})]
     inv = report.invariants
-    lines += map(_row_line, range(len(inv.s)), inv.s.tolist(), inv.k.tolist(),
-                 inv.weyl_plus[:, 2].tolist(), inv.weyl_minus[:, 2].tolist(),
-                 inv.hypothesis_a.tolist(), inv.hypothesis_b.tolist(), inv.nnic.tolist())
+    floats = np.column_stack([inv.k, inv.s, inv.weyl_minus[:, 2], inv.weyl_plus[:, 2]])
+    flags = [list(map(_JSON_BOOL.__getitem__, col.tolist()))
+             for col in (inv.hypothesis_a, inv.hypothesis_b, inv.nnic)]
+    for lo in range(0, len(floats), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, len(floats))
+        reprs = iter(json.dumps(floats[lo:hi].ravel().tolist())[1:-1].split(", "))
+        hyp_a, hyp_b, nnic = (col[lo:hi] for col in flags)
+        lines += map(_ROW_TEMPLATE.__mod__, zip(hyp_a, hyp_b, reprs, reprs, reprs, nnic,
+                                                reprs, range(lo, hi), reprs, reprs))
     lines.append(dumps_record({"type": "summary", **report.summary()}))
     return lines

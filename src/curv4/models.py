@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import CurvatureOperator, from_matrix, validated_stack
 from .errors import ValidationError
-from .numerics import RngStream, standard_normal_rows
+from .numerics import standard_normal_rows
 
 _ALIASES = {"product": "product_surfaces"}
 
@@ -158,25 +158,27 @@ def r_times_s3(radius: float = 1.0) -> CurvatureOperator:
     return from_matrix(mat)
 
 
-def random_bianchi_matrices(streams: Sequence[RngStream], scale: float = 1.0) -> np.ndarray:
-    """The matrices of :func:`random_bianchi` for every stream, drawn and
-    validated in one pass: row i of the read-only (N, 6, 6) stack is
-    ``random_bianchi(streams[i], scale).matrix``."""
+def random_bianchi_matrices(seeds: Sequence[int], scale: float = 1.0) -> np.ndarray:
+    """The matrices of :func:`random_bianchi` for every plain int seed, drawn
+    and validated in one pass: row i of the read-only (N, 6, 6) stack is
+    ``random_bianchi(seeds[i], scale).matrix``."""
     _require_positive(scale, "scale")
     with np.errstate(over="ignore"):  # validated_stack rejects overflowed draws
-        g = standard_normal_rows(streams, (6, 6)) * scale
+        g = standard_normal_rows(seeds, (6, 6)) * scale
     sym = np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
+    del g  # the raw draw need not be held through validated_stack's peak
     return validated_stack(sym, project_bianchi=True)
 
 
-def random_bianchi(rng: RngStream, scale: float = 1.0) -> CurvatureOperator:
-    """Symmetric Gaussian 6x6 (entries i.i.d. with std ``scale``), residual projected."""
-    return CurvatureOperator(matrix=random_bianchi_matrices([rng], scale)[0])
+def random_bianchi(seed: int, scale: float = 1.0) -> CurvatureOperator:
+    """Symmetric Gaussian 6x6 (entries i.i.d. with std ``scale``) drawn from the
+    Philox stream keyed by ``seed``, residual projected."""
+    return CurvatureOperator(matrix=random_bianchi_matrices([seed], scale)[0])
 
 
 class Model(NamedTuple):
     """A registry entry: the builder and its default parameters (the arity is
-    their count); a seeded builder takes the spec's :class:`RngStream` first."""
+    their count); a seeded builder takes the spec's seed first."""
 
     build: Callable[..., CurvatureOperator]
     defaults: tuple[float, ...]
@@ -197,5 +199,5 @@ MODELS = {
 def make_operator(spec: ModelSpec) -> CurvatureOperator:
     """Instantiate the operator described by a model spec."""
     model = MODELS[spec.name]
-    seed = (RngStream(spec.seed),) if model.seeded else ()
+    seed = (spec.seed,) if model.seeded else ()
     return model.build(*seed, *spec.parameters)

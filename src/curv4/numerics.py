@@ -34,10 +34,11 @@ class RngStream:
     The chunk index is mapped onto disjoint ranges of the Philox counter, so
     any partition of work into chunks yields the same draws regardless of
     execution order or thread count.  Only the oracle's sampling phase uses
-    chunks other than 0, numbering them from 0 up.  :meth:`generator` defines
-    the stream's draws; :func:`random_frames` and
-    :func:`standard_normal_rows` draw the same numbers through their
-    thread's one re-keyed generator (:func:`_rekeyed`).
+    chunks other than 0, numbering them from 0 up; every other draw is keyed
+    by its seed alone, on chunk 0.  :meth:`generator` defines the stream's
+    draws; :func:`random_frames` and :func:`standard_normal_rows` draw the
+    same numbers through their thread's one re-keyed generator
+    (:func:`_rekeyed`).
     """
 
     seed: int
@@ -83,9 +84,10 @@ class _ThreadDraws(threading.local):
 _draws = _ThreadDraws()
 
 
-def _rekeyed(stream: RngStream) -> np.random.Generator:
-    """This thread's generator, re-keyed to the start of ``stream``: it draws
-    what ``stream.generator()`` draws, until the thread re-keys it again.
+def _rekeyed(seed: int, chunk: int = 0) -> np.random.Generator:
+    """This thread's generator, re-keyed to the start of stream (``seed``,
+    ``chunk``): it draws what ``RngStream(seed, chunk).generator()`` draws,
+    until the thread re-keys it again.  Seeds and chunks are plain ints.
 
     Re-keying one bit generator to each stream's (key, counter) is cheaper
     than building a generator per stream, whose constructor also seeds a
@@ -95,21 +97,20 @@ def _rekeyed(stream: RngStream) -> np.random.Generator:
     if draws.gen is None:
         draws.build()
     # Chunk c is the 256-bit counter c << 128: words 2 and 3.
-    chunk = int(stream.chunk)
-    draws.key[0] = int(stream.seed) & _MASK64
+    draws.key[0] = seed & _MASK64
     draws.counter[2] = chunk & _MASK64
     draws.counter[3] = chunk >> 64
     draws.bitgen.state = draws.state
     return draws.gen
 
 
-def standard_normal_rows(streams, shape: tuple[int, ...]) -> np.ndarray:
-    """``stream.generator().standard_normal(shape)`` for every stream, stacked
-    into one ``(len(streams), *shape)`` array, drawn through this thread's
-    re-keyed generator."""
-    out = np.empty((len(streams), *shape))
-    for row, stream in zip(out, streams):
-        _rekeyed(stream).standard_normal(out=row)
+def standard_normal_rows(seeds, shape: tuple[int, ...]) -> np.ndarray:
+    """``RngStream(seed).generator().standard_normal(shape)`` for every plain
+    int ``seed``, stacked into one ``(len(seeds), *shape)`` array, drawn
+    through this thread's re-keyed generator."""
+    out = np.empty((len(seeds), *shape))
+    for row, seed in zip(out, seeds):
+        _rekeyed(seed).standard_normal(out=row)
     return out
 
 
@@ -307,7 +308,7 @@ def random_frames(stream: RngStream, n: int, out: np.ndarray | None = None) -> n
     array, a transposed view of a component-major (4, 4, n) array: the frame
     axis is innermost in memory, so the rows' wedges are too.
     """
-    gen = _rekeyed(stream)
+    gen = _rekeyed(stream.seed, stream.chunk)
     buf = _scratch_for(n)
     if out is None:
         out = np.empty((4, 4, n)).transpose(2, 1, 0)

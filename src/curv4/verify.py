@@ -15,7 +15,7 @@ from .analyzer import implication_audit
 from .core import Invariants, invariants
 from .errors import ValidationError
 from .models import ModelSpec, make_operator, random_bianchi_matrices
-from .numerics import RngStream, derive_seeds
+from .numerics import derive_seeds
 from .oracle import MODES, SAMPLE_CHUNK, OracleConfig, Search, extremize_batch
 
 #: Oracle-vs-closed-form agreement: absolute plus relative part.
@@ -84,8 +84,7 @@ class VerificationReport:
 def trial_matrices(seed: int, indices, scale: float = 1.0) -> np.ndarray:
     """The matrices of the random curvature tensors examined by trials
     ``indices`` of a run, drawn as one (N, 6, 6) stack."""
-    streams = [RngStream(s) for s in derive_seeds(seed, indices, 0).tolist()]
-    return random_bianchi_matrices(streams, scale)
+    return random_bianchi_matrices(derive_seeds(seed, indices, 0).tolist(), scale)
 
 
 def _close(value: float, target: float) -> bool:

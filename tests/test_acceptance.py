@@ -36,7 +36,7 @@ NAMED_MODELS = [
 
 def shifted_random(seed: int, index: int) -> "CurvatureOperator":
     """Random tensor with a scalar shift so the pinching filter is populated."""
-    op = random_bianchi(RngStream(derive_seed(seed, index, 0)), 1.0)
+    op = random_bianchi(derive_seed(seed, index, 0), 1.0)
     t = RngStream(derive_seed(seed, index, 2)).generator().uniform(0.0, 4.0)
     return from_matrix(op.matrix + t * np.eye(6))
 
@@ -152,7 +152,7 @@ def test_criterion_5_isotropic_consistency():
         if index % 2:
             op = shifted_random(37, index)
         else:
-            op = random_bianchi(RngStream(derive_seed(37, index, 0)), 1.0)
+            op = random_bianchi(derive_seed(37, index, 0), 1.0)
         index += 1
         inv = op.invariants
         s, wp, wm = float(inv.s[0]), inv.weyl_plus[0], inv.weyl_minus[0]
@@ -192,7 +192,7 @@ def test_criterion_6_structural_invariants():
     assert worst_bt <= 1e-12
 
     tensors = list(NAMED_MODELS)
-    tensors += [random_bianchi(RngStream(derive_seed(47, i)), 1.0) for i in range(10)]
+    tensors += [random_bianchi(derive_seed(47, i), 1.0) for i in range(10)]
     qgen = RngStream(53).generator()
     worst = 0.0
     for op in tensors:

@@ -20,7 +20,7 @@ DATA = Path(__file__).parent / "data"
 
 def shifted_random(seed, index, scale=1.0, shift_max=4.0):
     """Random tensor plus a scalar-curvature shift; Bianchi-exact by construction."""
-    op = random_bianchi(RngStream(derive_seed(seed, index, 0)), scale)
+    op = random_bianchi(derive_seed(seed, index, 0), scale)
     t = RngStream(derive_seed(seed, index, 2)).generator().uniform(0.0, shift_max)
     return from_matrix(op.matrix + t * np.eye(6))
 
@@ -158,11 +158,11 @@ class TestClassificationHints:
                           (product_surfaces(1.0, 1.0), (HINT_PRODUCT,)),
                           (r_times_s3(1.0), (HINT_LINE_SPHERE,))):
             assert classification_hints(from_matrix(scale * op.matrix)) == hints
-        assert classification_hints(from_matrix(scale * random_bianchi(RngStream(2)).matrix)) \
+        assert classification_hints(from_matrix(scale * random_bianchi(2).matrix)) \
             == ()
 
     def test_generic_tensor_has_no_hints(self):
-        op = random_bianchi(RngStream(2))
+        op = random_bianchi(2)
         assert classification_hints(op) == ()
 
     def test_einstein_reads_the_traceless_ricci_not_the_off_block(self):
@@ -193,7 +193,7 @@ class TestAnalyze:
 
     def test_margin_arithmetic_has_no_recomputation_drift(self):
         for seed in range(6):
-            doc = report_to_dict(analyze(random_bianchi(RngStream(seed))))
+            doc = report_to_dict(analyze(random_bianchi(seed)))
             s, k, nnic = doc["s"], doc["biortho_spectrum"], doc["nnic"]
             assert doc["hypothesis_A"]["margin"] == k["k1"] - s / 24.0
             assert doc["hypothesis_B"]["margin"] == s / 6.0 - k["k3"]

@@ -8,11 +8,12 @@ import pytest
 
 from curv4 import io
 from curv4.cli import build_parser, main
+from curv4.core import Invariants
 from curv4.errors import ValidationError
 from curv4.models import MODELS, ModelSpec, make_operator, parse_model_spec
 from curv4.numerics import RngStream, derive_seed
 from curv4.models import random_bianchi
-from curv4.verify import _MAX_SCAN_TRIALS, run_scan
+from curv4.verify import _MAX_SCAN_TRIALS, ScanReport, run_scan
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,6 +230,56 @@ MALFORMED_TENSOR_FILES = {
                                      "matrix": [[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]]
                                      + SPHERE_ROWS[1:]}),
 }
+
+
+def tensor_doc(place, value):
+    """A tensor file's JSON object with ``value`` as entry (0,1) and (1,0) of
+    the identity matrix, as a component's value, or as a component's index."""
+    if place == "matrix":
+        rows = [list(row) for row in SPHERE_ROWS]
+        rows[0][1] = rows[1][0] = value
+        return {"format": "curv4-v1", "matrix": rows}
+    entry = [1, 2, 1, 2, value] if place == "value" else [1, value, 1, 2, 1.0]
+    return {"format": "curv4-v1", "components": [entry]}
+
+
+class TestTensorNumbers:
+    """json gives a number's place a float or an int, or a bool, string, null
+    or list; each non-number keeps its error, and an int past float64 is out
+    of range."""
+
+    @pytest.mark.parametrize("place,value,message", [
+        ("matrix", True, "matrix entry must be a number, got True"),
+        ("matrix", "1", "matrix entry must be a number, got '1'"),
+        ("matrix", None, "matrix entry must be a number, got None"),
+        ("matrix", 10**400, r"matrix entry 10{400} is out of range"),
+        ("matrix", -10**400, r"matrix entry -10{400} is out of range"),
+        ("value", False, "component value must be a number, got False"),
+        ("value", "1", "component value must be a number, got '1'"),
+        ("value", [1.0], r"component value must be a number, got \[1.0\]"),
+        ("value", 10**400, r"component value 10{400} is out of range"),
+        ("index", True, "component index must be an integer, got True"),
+        ("index", "1", "component index must be an integer, got '1'"),
+        ("index", None, "component index must be an integer, got None"),
+        ("index", 1.5, "component index must be an integer, got 1.5"),
+        ("index", 10**400, r"index out of range 1..4 in component \(1,10{400},..\)"),
+        ("index", 0, r"index out of range 1..4 in component \(1,0,..\)"),
+    ])
+    def test_non_numbers_keep_their_errors(self, place, value, message):
+        doc = json.loads(json.dumps(tensor_doc(place, value)))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            io.tensor_from_dict(doc)
+
+    # Where each value lands: entry (0,1), the (e12, e12) component's value,
+    # and 1.0 at the (e13, e12) component that index 3 names.
+    @pytest.mark.parametrize("place,value,at,entry", [
+        ("matrix", 3, (0, 1), 3.0), ("matrix", 0.5, (0, 1), 0.5),
+        ("value", 2, (0, 0), 2.0), ("value", -0.25, (0, 0), -0.25),
+        ("index", 3, (1, 0), 1.0), ("index", 3.0, (1, 0), 1.0)])
+    def test_numbers_are_read(self, place, value, at, entry):
+        doc = json.loads(json.dumps(tensor_doc(place, value)))
+        m = io.tensor_from_dict(doc, project_bianchi=True).matrix
+        assert m[at] == m[at[::-1]] == entry
 
 
 class TestCliMalformedTensorFiles:
@@ -473,10 +524,25 @@ def json_row(index, s, k, w3p, w3m, hyp_a, hyp_b, nnic):
 
 
 def invariants_row(inv, i):
-    """Row i of a scan's invariants pass, as the arguments of ``io._row_line``."""
+    """Row i of a scan's invariants pass, as the arguments of :func:`json_row`."""
     return (i, float(inv.s[i]), inv.k[i].tolist(),
             float(inv.weyl_plus[i, 2]), float(inv.weyl_minus[i, 2]),
             bool(inv.hypothesis_a[i]), bool(inv.hypothesis_b[i]), bool(inv.nnic[i]))
+
+
+def hand_built_invariants(rows):
+    """An invariants pass whose columns hold ``rows`` (the arguments of
+    :func:`json_row`); the columns a scan row does not read are zero."""
+    n = len(rows)
+    s = np.array([row[1] for row in rows])
+    top = [np.column_stack([np.zeros((n, 2)), [row[col] for row in rows]]) for col in (3, 4)]
+    flags = [np.array([row[col] for row in rows]) for col in (5, 6, 7)]
+    zero = np.zeros(n)
+    return Invariants(s=s, wplus=np.zeros((n, 3, 3)), wminus=np.zeros((n, 3, 3)),
+                      weyl_plus=top[0], weyl_minus=top[1], k=np.array([row[2] for row in rows]),
+                      band=zero, margin_a=zero, margin_b=zero, margin_plus=zero,
+                      margin_minus=zero, hypothesis_a=flags[0], hypothesis_b=flags[1],
+                      nnic=flags[2], scalar_positive=s > 0.0)
 
 
 class TestScanRowTemplate:
@@ -503,7 +569,9 @@ class TestScanRowTemplate:
                   (1e-300, 2.5, 1e16, 0.1, -7.0, 123456789.125)]
         rows = [(i, s, [k1, k2, k3], wp, wm, i % 2 == 0, i % 3 == 0, i % 5 == 0)
                 for i, (s, k1, k2, k3, wp, wm) in enumerate(values)]
-        lines = [io._row_line(*row) for row in rows]
+        report = ScanReport(model="hand-built", trials=len(rows), seed=0,
+                            invariants=hand_built_invariants(rows))
+        lines = io.scan_to_lines(report)[1:-1]
         assert lines == [json_row(*row) for row in rows]
         assert "NaN" in lines[1] and "Infinity" in lines[2] and "-Infinity" in lines[3]
 
@@ -629,7 +697,7 @@ class TestReportSerialization:
 
         cfg = AnalyzeConfig(run_oracle=True,
                             oracle=OracleConfig(samples=1500, refine_iters=30, seed=2))
-        doc = io.report_to_dict(analyze(random_bianchi(RngStream(8)), cfg))
+        doc = io.report_to_dict(analyze(random_bianchi(8), cfg))
         witness = doc["sectional_extrema"]["min"]["witness"]
         assert witness["type"] == "plane"
         u = np.array(witness["u"])

@@ -67,28 +67,28 @@ class TestRandomBianchiBatch:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
     @pytest.mark.parametrize("seed", [0, 1, 7919, 2**63 + 5])
     def test_rows_equal_per_row_draws(self, seed, scale, n):
-        streams = [RngStream(seed)] + [RngStream(derive_seed(seed, i, 0)) for i in range(n - 1)]
-        batch = random_bianchi_matrices(streams, scale)
+        seeds = [seed] + [derive_seed(seed, i, 0) for i in range(n - 1)]
+        batch = random_bianchi_matrices(seeds, scale)
         assert batch.shape == (n, 6, 6)
         assert not batch.flags.writeable
-        for row, stream in zip(batch, streams):
-            ref = reference_random_bianchi(stream, scale)
+        for row, key in zip(batch, seeds):
+            ref = reference_random_bianchi(RngStream(key), scale)
             assert np.array_equal(bits(row), bits(ref.matrix))
         # The one-tensor view, bianchi included, on a few rows.
-        for stream in streams[:3]:
-            ref = reference_random_bianchi(stream, scale)
-            op = random_bianchi(stream, scale)
+        for key in seeds[:3]:
+            ref = reference_random_bianchi(RngStream(key), scale)
+            op = random_bianchi(key, scale)
             assert np.array_equal(bits(op.matrix), bits(ref.matrix))
             assert bits(op.bianchi) == bits(ref.bianchi)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
     def test_scale_must_be_positive(self, scale):
         with pytest.raises(ValidationError, match="scale must be positive"):
-            random_bianchi_matrices([RngStream(1)], scale)
+            random_bianchi_matrices([1], scale)
         with pytest.raises(ValidationError, match="scale must be positive"):
-            random_bianchi(RngStream(1), scale)
+            random_bianchi(1, scale)
 
-    def test_no_streams_is_an_empty_stack(self):
+    def test_no_seeds_is_an_empty_stack(self):
         assert random_bianchi_matrices([], 1.0).shape == (0, 6, 6)
 
 
@@ -96,30 +96,39 @@ class TestRekeyedPhilox:
     @pytest.mark.parametrize("chunk", [0, 5, 2**32, 2**40])
     @pytest.mark.parametrize("seed", [0, 7919, 2**63 + 5])
     def test_matches_a_fresh_generator(self, seed, chunk):
-        stream = RngStream(seed, chunk)
-        rows = standard_normal_rows([RngStream(3, 1), stream, stream], (300,))
-        expected = stream.generator().standard_normal(300)
+        expected = RngStream(seed, chunk).generator().standard_normal(300)
+        numerics._rekeyed(3, 1).standard_normal(300)
+        for _ in range(2):
+            drawn = numerics._rekeyed(seed, chunk).standard_normal(300)
+            assert np.array_equal(bits(drawn), bits(expected))
+
+    @pytest.mark.parametrize("seed", [0, 7919, 2**63 + 5])
+    def test_rows_match_fresh_generators(self, seed):
+        rows = standard_normal_rows([3, seed, seed], (300,))
+        expected = RngStream(seed).generator().standard_normal(300)
+        assert np.array_equal(bits(rows[0]), bits(RngStream(3).generator().standard_normal(300)))
         assert np.array_equal(bits(rows[1]), bits(expected))
         assert np.array_equal(bits(rows[2]), bits(expected))
 
     def test_generators_follow_their_streams(self):
         streams = [RngStream(9, 4), RngStream(2**63 + 5, 0), RngStream(9, 4)]
         for stream in streams:
-            gen = numerics._rekeyed(stream)
+            gen = numerics._rekeyed(stream.seed, stream.chunk)
             drawn = (gen.standard_normal((5, 8)), gen.random(5))
             fresh = stream.generator()
             assert np.array_equal(bits(drawn[0]), bits(fresh.standard_normal((5, 8))))
             assert np.array_equal(bits(drawn[1]), bits(fresh.random(5)))
 
     def test_rows_take_the_requested_shape(self):
-        rows = standard_normal_rows([RngStream(4, 2)], (4, 4))
-        assert np.array_equal(bits(rows[0]), bits(RngStream(4, 2).generator().standard_normal((4, 4))))
+        rows = standard_normal_rows([4], (4, 4))
+        expected = RngStream(4).generator().standard_normal((4, 4))
+        assert np.array_equal(bits(rows[0]), bits(expected))
 
 
 def leave_buffer_part_used():
     """Draw so that this thread's bit generator holds back half a uint64
     (``has_uint32``) and stops mid-way through a Philox block."""
-    gen = numerics._rekeyed(RngStream(11, 3))
+    gen = numerics._rekeyed(11, 3)
     gen.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count of uint32 words
     gen.random(3)
     state = numerics._draws.bitgen.state
@@ -137,21 +146,27 @@ class TestRekeyAfterPartialDraws:
     @pytest.mark.parametrize("stream", EDGE_STREAMS)
     def test_rekeyed_generator_draws_the_fresh_stream(self, stream):
         leave_buffer_part_used()
-        gen, fresh = numerics._rekeyed(stream), stream.generator()
+        gen, fresh = numerics._rekeyed(stream.seed, stream.chunk), stream.generator()
         for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
                      lambda g: g.random(5), lambda g: g.standard_normal(7)):
             assert np.array_equal(draw(gen), draw(fresh))
 
-    @pytest.mark.parametrize("stream", EDGE_STREAMS)
-    def test_rows_draw_the_fresh_stream(self, stream):
+    @pytest.mark.parametrize("seed", [2**64 - 1, 7])
+    def test_rows_draw_the_fresh_stream(self, seed):
         leave_buffer_part_used()
-        rows = standard_normal_rows([stream, RngStream(3, 1), stream], (9,))
-        expected = stream.generator().standard_normal(9)
+        rows = standard_normal_rows([seed, 3, seed], (9,))
+        expected = RngStream(seed).generator().standard_normal(9)
         assert np.array_equal(bits(rows[0]), bits(expected))
         assert np.array_equal(bits(rows[2]), bits(expected))
 
+    @pytest.mark.parametrize("stream", EDGE_STREAMS)
+    def test_frames_draw_the_fresh_stream(self, stream):
+        leave_buffer_part_used()
+        frames = random_frames(stream, 9)
+        assert np.array_equal(bits(frames), bits(reference_random_frames(stream, 9)))
+
     def test_counter_word_3_is_the_chunks_high_word(self):
-        numerics._rekeyed(RngStream(2**64 - 1, 2**64 + 1))
+        numerics._rekeyed(2**64 - 1, 2**64 + 1)
         state = numerics._draws.bitgen.state["state"]
         assert state["key"].tolist() == [2**64 - 1, 0]
         assert state["counter"].tolist() == [0, 0, 1, 1]
@@ -376,9 +391,9 @@ class TestCoarseSamples:
         streams, gens = [], set()
         rekeyed = numerics._rekeyed
 
-        def recorded(stream):
-            streams.append(stream)
-            gen = rekeyed(stream)
+        def recorded(seed, chunk=0):
+            streams.append(RngStream(seed, chunk))
+            gen = rekeyed(seed, chunk)
             gens.add(id(gen))
             return gen
 

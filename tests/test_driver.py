@@ -7,7 +7,6 @@ import pytest
 from curv4.analyzer import AnalyzeConfig, analyze
 from curv4.errors import ValidationError
 from curv4.models import cp2, random_bianchi
-from curv4.numerics import RngStream
 from curv4.oracle import MODES, OracleConfig, Search, extremize_batch
 from curv4.verify import (DEFAULT_SAMPLES, TRIAL_BLOCK, _run_trials, run_verification,
                           trial_matrices)
@@ -40,7 +39,7 @@ def test_verification_across_a_trial_block_boundary():
 
 
 def test_analyze_oracle_equals_standalone_searches():
-    op = random_bianchi(RngStream(17))
+    op = random_bianchi(17)
     cfg = OracleConfig(seed=4)
     report = analyze(op, AnalyzeConfig(run_oracle=True, oracle=cfg))
     got = (*report.sectional_extrema, report.iso_min)
@@ -52,7 +51,7 @@ def test_analyze_oracle_equals_standalone_searches():
 
 
 def test_mixed_batch_equals_searches_alone():
-    a, b = random_bianchi(RngStream(1)), random_bianchi(RngStream(2))
+    a, b = random_bianchi(1), random_bianchi(2)
     other = OracleConfig(samples=2500, refine_iters=35, restarts=4, seed=5)
     assert_matches_alone([
         Search(a.matrix, "biorthogonal", "min", SMALL),
@@ -85,7 +84,7 @@ def test_one_polish_pass_equals_searches_alone():
 
 
 def test_unrefined_searches_in_a_batch():
-    op = random_bianchi(RngStream(8))
+    op = random_bianchi(8)
     searches = [
         Search(op.matrix, "biorthogonal", "min", OracleConfig(samples=900, restarts=0, seed=2)),
         Search(op.matrix, "isotropic", "min", OracleConfig(samples=900, refine_iters=0, seed=2)),

@@ -5,7 +5,7 @@ import pytest
 
 from curv4 import verify
 from curv4.analyzer import AnalyzeConfig, analyze
-from curv4.core import (CurvatureOperator, from_matrix, invariants, norm_max,
+from curv4.core import (CurvatureOperator, from_matrix, invariants, lambda_blocks, norm_max,
                         operator_from_blocks)
 from curv4.errors import ValidationError
 from curv4.io import report_to_dict
@@ -148,6 +148,79 @@ class TestVerifyBlockPass:
                                       np.ascontiguousarray(getattr(alone, name)).view(np.uint8))
                 assert not col.flags.writeable
             assert_row_matches_views(row, 0, CurvatureOperator(matrix=m))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def entrywise_blocks(m):
+    """A+, A- and C of every matrix of a stack, one entry at a time: (AA + sc AB
+    + sr BA + (sr sc) BB) / 2 with the block's row and column signs, then A+
+    and A- symmetrized."""
+    a, b = (0, 1, 2), (5, 4, 3)
+    plus = np.array([1.0, -1.0, 1.0])
+    blocks = []
+    for srow, scol in ((plus, plus), (-plus, -plus), (plus, -plus)):
+        block = np.empty(m.shape[:-2] + (3, 3))
+        for i in range(3):
+            for j in range(3):
+                block[..., i, j] = (m[..., a[i], a[j]] + scol[j] * m[..., a[i], b[j]]
+                                    + srow[i] * m[..., b[i], a[j]]
+                                    + srow[i] * scol[j] * m[..., b[i], b[j]]) / 2.0
+        blocks.append(block)
+    for w in blocks[:2]:
+        w[...] = (w + np.swapaxes(w, -1, -2)) / 2.0
+    return blocks
+
+
+def wide_range_stack(seed: int, n: int = 300) -> np.ndarray:
+    """Asymmetric 6x6 matrices whose entries span 1e-320..1e300 within and
+    across rows (the first rows subnormal, where halving rounds), the last
+    rows holding entries near the float64 limit whose block sums overflow to
+    +-inf and meet as NaN."""
+    gen = RngStream(seed).generator()
+    exponents = gen.uniform(-280, 280, (n, 1, 1)) + gen.uniform(-20, 20, (n, 6, 6))
+    exponents[:20] = gen.uniform(-320, -308, (20, 6, 6))
+    m = gen.standard_normal((n, 6, 6)) * 10.0 ** exponents
+    m[-40:] = np.copysign(1.7e308, m[-40:])
+    return m
+
+
+class TestStackedBlocks:
+    """The stacked gather and sign expression give the entrywise blocks, and
+    the one stacked eigensolve gives each Weyl half's own spectra, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_equal_the_entrywise_formula(self, seed):
+        m = wide_range_stack(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = lambda_blocks(m), entrywise_blocks(m)
+        assert np.isnan(want[0][-40:]).any() and np.isinf(want[2][-40:]).any()
+        for mine, ref in zip(got, want):
+            assert mine.shape == (len(m), 3, 3)
+            assert np.array_equal(bits(mine), bits(ref))
+
+    @pytest.mark.parametrize("row", [0, 150, 299])   # subnormal, wide, overflowing
+    def test_one_matrix_equals_the_entrywise_formula(self, row):
+        m = wide_range_stack(3)[row]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = lambda_blocks(m), entrywise_blocks(m)
+        for mine, ref in zip(got, want):
+            assert mine.shape == (3, 3)
+            assert np.array_equal(bits(mine), bits(ref))
+
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_one_eigensolve_equals_two(self, n):
+        scales = np.array([1e-150, 1.0, 1e150])[np.arange(n) % 3, None, None]
+        m = trial_matrices(11, range(n)) * scales
+        inv = invariants(m)
+        aplus, aminus, _ = entrywise_blocks(m)
+        shift = (inv.s / 12.0)[:, None, None] * np.eye(3)
+        for weyl, block, spectra in ((inv.wplus, aplus, inv.weyl_plus),
+                                     (inv.wminus, aminus, inv.weyl_minus)):
+            assert np.array_equal(bits(weyl), bits(block - shift))
+            assert np.array_equal(bits(spectra), bits(np.linalg.eigvalsh(block - shift)))
 
 
 def trace_free(seed: int) -> np.ndarray:

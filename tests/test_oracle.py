@@ -95,7 +95,7 @@ class TestModelExtrema:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_closed_form_on_random_tensors(self, seed):
-        op = random_bianchi(RngStream(seed + 100))
+        op = random_bianchi(seed + 100)
         k1, _, k3 = op.invariants.k[0].tolist()
         lo, hi = extremize_batch([Search(op.matrix, "biorthogonal", mode, OracleConfig(seed=seed))
                                   for mode in MODES])
@@ -109,7 +109,7 @@ class TestModelExtrema:
         searches reach the closed-form range on 40 random tensors, and never
         cross it."""
         assert ref.sectional_range(cp2(1.0).matrix) == pytest.approx((1.0, 4.0), abs=1e-12)
-        matrices = [random_bianchi(RngStream(seed)).matrix for seed in range(40)]
+        matrices = [random_bianchi(seed).matrix for seed in range(40)]
         results = extremize_batch([Search(m, "sectional", mode)
                                    for m in matrices for mode in MODES])
         for m, lo, hi in zip(matrices, results[0::2], results[1::2]):
@@ -124,7 +124,7 @@ class TestModelExtrema:
 class TestSoundness:
     @pytest.mark.parametrize("objective", ["sectional", "biorthogonal"])
     def test_witness_reproduces_value(self, objective):
-        op = random_bianchi(RngStream(321))
+        op = random_bianchi(321)
         for mode in ("min", "max"):
             res, = extremize_batch([Search(op.matrix, objective, mode, SMALL)])
             curvature = ref.sectional if objective == "sectional" else ref.biorthogonal
@@ -132,7 +132,7 @@ class TestSoundness:
             assert abs(again - res.value) <= 1e-12
 
     def test_isotropic_witness_reproduces_value(self):
-        op = random_bianchi(RngStream(321))
+        op = random_bianchi(321)
         res, = extremize_batch([Search(op.matrix, "isotropic", "min", SMALL)])
         assert abs(ref.isotropic(op.matrix, res.witness) - res.value) <= 1e-12
         assert np.max(np.abs(res.witness @ res.witness.T - np.eye(4))) <= 1e-12
@@ -141,7 +141,7 @@ class TestSoundness:
     def test_biorthogonal_witness_complement_attains_value(self, seed):
         """A biorthogonal witness's plane and complement are its rows 0-1
         and 2-3, and their mean sectional curvature is its value."""
-        m = random_bianchi(RngStream(400 + seed)).matrix
+        m = random_bianchi(400 + seed).matrix
         for res in extremize_batch([Search(m, "biorthogonal", mode, SMALL) for mode in MODES]):
             w = res.witness
             mean = (ref.sectional(m, w[0], w[1]) + ref.sectional(m, w[2], w[3])) / 2.0
@@ -149,7 +149,7 @@ class TestSoundness:
 
     @pytest.mark.parametrize("refine", [0, 80])
     def test_every_witness_is_a_read_only_orthonormal_frame(self, refine):
-        m = random_bianchi(RngStream(321)).matrix
+        m = random_bianchi(321).matrix
         cfg = OracleConfig(samples=3000, refine_iters=refine, restarts=2, seed=5)
         for res in extremize_batch([Search(m, objective, mode, cfg)
                                     for objective in _OBJECTIVES for mode in MODES]):
@@ -170,20 +170,20 @@ class TestWitnessCheck:
 
         refine = oracle._refine
         monkeypatch.setattr(oracle, "_refine", perturbed)
-        search = Search(random_bianchi(RngStream(321)).matrix, objective, mode, SMALL)
+        search = Search(random_bianchi(321).matrix, objective, mode, SMALL)
         with pytest.raises(ConsistencyError, match=f"the {objective} {mode} witness"):
             extremize_batch([search])
 
 
 class TestDeterminism:
     def test_identical_config_identical_result(self):
-        op = random_bianchi(RngStream(9))
+        op = random_bianchi(9)
         a, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         b, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert results_equal(a, b)
 
     def test_different_seeds_explore_differently(self):
-        op = random_bianchi(RngStream(9))
+        op = random_bianchi(9)
         a, b = extremize_batch([Search(op.matrix, "biorthogonal", "min",
                                        OracleConfig(samples=500, seed=seed)) for seed in (1, 2)])
         assert not np.array_equal(a.witness[0], b.witness[0])
@@ -191,7 +191,7 @@ class TestDeterminism:
 
 class TestMonotonicity:
     def test_coarse_phase_is_exactly_monotone(self):
-        op = random_bianchi(RngStream(13))
+        op = random_bianchi(13)
         budgets = [500, 2000, 4096, 9000]
         values = [res.value for res in extremize_batch([
             Search(op.matrix, "biorthogonal", "min",
@@ -201,7 +201,7 @@ class TestMonotonicity:
             assert better <= worse
 
     def test_full_pipeline_monotone_within_soundness_slack(self):
-        op = random_bianchi(RngStream(13))
+        op = random_bianchi(13)
         values = [res.value for res in extremize_batch([
             Search(op.matrix, "biorthogonal", "min",
                    OracleConfig(samples=n, refine_iters=60, restarts=2, seed=4))
@@ -210,7 +210,7 @@ class TestMonotonicity:
             assert better <= worse + 1e-9
 
     def test_refinement_never_worsens_coarse_result(self):
-        op = random_bianchi(RngStream(29))
+        op = random_bianchi(29)
         coarse, refined = extremize_batch([
             Search(op.matrix, "biorthogonal", "min",
                    OracleConfig(samples=2000, refine_iters=0, seed=6)),
@@ -313,7 +313,7 @@ class TestCandidateSelection:
     def test_group_on_one_draw_matches_each_search(self):
         """Every objective and both modes on one seed, with mixed budgets and
         restarts: each search's starts are the reference's rows of the draw."""
-        matrix = random_bianchi(RngStream(64)).matrix
+        matrix = random_bianchi(64).matrix
         searches = [Search(matrix, objective, mode,
                            OracleConfig(samples=samples, refine_iters=5, restarts=restarts,
                                         seed=14))
@@ -550,7 +550,7 @@ class TestNewtonPolish:
         assert max(peaks) <= self.POLISH_PEAK_BOUND
 
     def test_step_cap_leaves_search_unconverged(self):
-        op = random_bianchi(RngStream(61))
+        op = random_bianchi(61)
         capped, free = extremize_batch([
             Search(op.matrix, "biorthogonal", "min",
                    OracleConfig(samples=2000, refine_iters=1, restarts=2, seed=3)),
@@ -636,7 +636,7 @@ class TestIsotropic:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sign_matches_eigenvalue_criterion(self, seed):
-        op = random_bianchi(RngStream(seed + 40))
+        op = random_bianchi(seed + 40)
         inv = op.invariants
         s, wp, wm = float(inv.s[0]), inv.weyl_plus[0], inv.weyl_minus[0]
         margin = min(s / 6.0 - wp[2], s / 6.0 - wm[2])
@@ -652,7 +652,7 @@ class TestBudgetAccounting:
         # 2 evaluations per Newton step: the jet contraction and the trial
         # frame.  These restarts take no fallback step, which would add one
         # per trial.
-        op = random_bianchi(RngStream(57))
+        op = random_bianchi(57)
         capped, free = extremize_batch([
             Search(op.matrix, "sectional", "max",
                    OracleConfig(samples=1000, refine_iters=cap, restarts=2, seed=0))
@@ -662,7 +662,7 @@ class TestBudgetAccounting:
         assert rest == 0 and 2 * 2 <= steps <= 2 * 200
 
     def test_witness_value_is_between_bounds(self):
-        op = random_bianchi(RngStream(55))
+        op = random_bianchi(55)
         k1, _, k3 = op.invariants.k[0].tolist()
         res, = extremize_batch([Search(op.matrix, "biorthogonal", "min", SMALL)])
         assert k1 - 1e-9 <= res.value <= k3 + 1e-9
@@ -679,14 +679,14 @@ def summary(res: ExtremumResult) -> tuple:
 
 def verify_style(samples: int) -> list[Search]:
     """Biorthogonal min and max of several tensors, one oracle seed each."""
-    return [Search(random_bianchi(RngStream(60 + seed)).matrix, "biorthogonal", mode,
+    return [Search(random_bianchi(60 + seed).matrix, "biorthogonal", mode,
                    OracleConfig(samples=samples, refine_iters=20, restarts=2, seed=seed))
             for seed in (11, 12, 13) for mode in MODES]
 
 
 def analyze_style(samples: int) -> list[Search]:
     """Sectional min and max plus the isotropic min of one tensor, one seed."""
-    matrix = random_bianchi(RngStream(64)).matrix
+    matrix = random_bianchi(64).matrix
     cfg = OracleConfig(samples=samples, refine_iters=20, restarts=2, seed=14)
     return [Search(matrix, "sectional", "min", cfg), Search(matrix, "sectional", "max", cfg),
             Search(matrix, "isotropic", "min", cfg)]
@@ -809,7 +809,7 @@ class TestScheduling:
     @staticmethod
     def many_groups(count: int) -> list[list[Search]]:
         """``count`` seed groups: the biorthogonal min and max of one tensor each."""
-        return [[Search(random_bianchi(RngStream(70 + g)).matrix, "biorthogonal", mode,
+        return [[Search(random_bianchi(70 + g).matrix, "biorthogonal", mode,
                         OracleConfig(samples=2049, refine_iters=5, restarts=3, seed=100 + g))
                  for mode in MODES] for g in range(count)]
 

@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twenty-six fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-seven fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -55,8 +55,10 @@ GATES = {
     "scan --model cp2 --trials 5 --seed 1": "2fd4b0df43d2fe03",
     # Run entropy of two words: the largest seed.
     "scan --trials 5 --seed 18446744073709551615": "0decc9ae0bef13cb",
-    # Rows whose float sum overflows, written through json.
+    # Rows whose float sum overflows.
     "scan --model random_bianchi:2e307 --trials 20 --seed 1": "3456eee830645e18",
+    # Tiny rows: every float's repr has a negative exponent.
+    "scan --model random_bianchi:1e-150 --trials 50 --seed 2": "bcea2b5c8261eb6f",
     "verify --trials 500 --seed 7 --json": "4a73a8d63c4d6e43",
     "verify --seed 1 --json": "ebd9d1bfe8979201",
     "verify --seed 1 --text": "1954a4ff8f25a66b",
