@@ -37,25 +37,29 @@ scaled back raises :class:`ValidationError`.
 
 One driver, :func:`extremize_batch`, runs any number of searches together:
 searches that share a seed share one coarse frame draw, searches on equal
-matrices share one operator, and each worker's polish advances the frames
-of all its searches of one objective together.  Each result is
-bit-identical to running its search alone.  The polish's memory grows with
-the batch, its frames and distinct operators; verify bounds it by running
+matrices share one operator, and each polish advances the frames of all its
+searches of one objective together.  Each result is bit-identical to
+running its search alone.  The polish's memory grows with the batch, its
+frames and distinct operators; verify bounds it by running
 :data:`~curv4.verify.TRIAL_BLOCK` trials per batch.
 
 A call runs on W workers, W being at most two and at most the CPUs
 available to the process: the calling thread and W - 1 threads started for
-the call and joined before it returns, all taking items from one shared
-iterator (:func:`_share`).  When a batch holds two or more seeds, an item is
-a whole seed group, and each worker runs one polish of the searches of all
-the groups it took, so both the coarse phase and the polish use every
-worker.  A lone group's items are instead the chunks of its one pass, after
-which the calling thread selects and polishes.  Each thread draws through
-its own Philox generator and scratch arrays (:func:`random_frames`).  A
-chunk's draws come from its own Philox substream and it writes only its own
-slice of the pass's buffers, a group's starts depend only on its seed, and
-each frame's polish only on that frame, so every byte is the same for any
-CPU count and any schedule.
+each phase of the call and joined before the phase ends, all taking items
+from one shared iterator (:func:`_share`).  A batch of two or more seeds
+runs in two phases.  First the workers share whole seed groups, keeping
+only each group's polish starts; then the refined searches, in search
+order, are cut into W contiguous parts, one polish each, which the workers
+share in turn.  A polish steps as often as its slowest frame, so fixing
+each polish's frames by the batch and W alone fixes the work done: the
+same steps and rotations whichever worker took which group.  A lone
+group's items are instead the chunks of its one pass, after which the
+calling thread selects and polishes.  Each thread draws through its own
+Philox generator and scratch arrays (:func:`random_frames`).  A chunk's
+draws come from its own Philox substream and it writes only its own slice
+of the pass's buffers, a group's starts depend only on its seed, and each
+frame's polish only on that frame, so every byte is the same for any CPU
+count and any schedule.
 """
 
 from __future__ import annotations
@@ -77,12 +81,13 @@ from .numerics import RngStream, random_frames, rotation_from_generator
 #: Frames drawn per RNG chunk during the sampling phase.
 SAMPLE_CHUNK = 2048
 
-#: Most workers a call uses, over seed groups (each with its polish) or over
-#: one group's chunks.  The threads hand the GIL back and forth between numpy
-#: kernels, yet the second one pays: with one, ``bench/run.py`` on a 2-vCPU
-#: host fell from 746 to 558 trials/s on verify-oracle and from 198 to 177
-#: requests/s on analyze-mix (seed 1, medians of 6 alternating 8-second
-#: pairs).  More than two waits for a host and a benchmark that measure it.
+#: Most workers a call uses in each phase: over seed groups and then the
+#: parts of their polish, or over one group's chunks.  The threads hand the
+#: GIL back and forth between numpy kernels, yet the second one pays: with
+#: one (``taskset`` to one CPU), ``bench/run.py`` on a 2-vCPU host fell from
+#: 729 to 585 trials/s on verify-oracle and from 237 to 189 requests/s on
+#: analyze-mix (seed 1, medians of 5 alternating 8-second pairs).  More than
+#: two waits for a host and a benchmark that measure it.
 _MAX_WORKERS = 2
 
 _CANDIDATE_POOL = 200
@@ -655,20 +660,22 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
     Searches that share a seed form a group, which shares one draw of Haar
     frames; only the group's refine candidates outlive its coarse pass.  The
     work runs on W = min(CPUs, items, ``_MAX_WORKERS``) workers, the calling
-    thread and W - 1 threads started for this call and joined before it
-    returns, each taking items as it comes free (:func:`_share`).  With two
-    or more groups an item is a whole group, whose pass and candidate
-    selection run on one worker, so there is one pass buffer per worker;
-    each worker then runs one refine loop per objective over the searches of
-    all the groups it took.  A lone group's items are the chunks of its
-    pass, and the calling thread then refines its searches.  After a worker
-    raises, no worker takes another item, and the first exception is raised
-    here once every worker has stopped.  Each distinct matrix is scaled once
-    into one table of operators: searches on equal matrices share their
-    coarse values when their seed and objective are the same, and their jets
-    when one worker polishes them.  The polish's memory grows with the
-    batch; verify bounds it through :data:`~curv4.verify.TRIAL_BLOCK`.  An
-    empty batch has no results.
+    thread and W - 1 threads started for each phase and joined before it
+    ends, each taking items as it comes free (:func:`_share`).  With two or
+    more groups there are two phases.  In the first an item is a whole
+    group, whose pass and candidate selection run on one worker, so there is
+    one pass buffer per worker.  In the second the refined searches, in
+    search order, are cut into W contiguous parts, each one refine loop per
+    objective, and the workers share the parts; so each loop's frames, and
+    with them its steps, depend only on the batch and W.  A lone group's
+    items are the chunks of its pass, and the calling thread then refines
+    its searches.  After a worker raises, no worker takes another item, and
+    the first exception is raised here once every worker has stopped.  Each
+    distinct matrix is scaled once into one table of operators: searches on
+    equal matrices share their coarse values when their seed and objective
+    are the same, and their jets when they fall in one part.  The polish's
+    memory grows with the batch; verify bounds it through
+    :data:`~curv4.verify.TRIAL_BLOCK`.  An empty batch has no results.
 
     Every witness is the search's read-only winning (4, 4) frame, whose
     rows 0-1 are a plane objective's plane; one that is not orthonormal
@@ -695,30 +702,37 @@ def extremize_batch(searches: Sequence[Search]) -> list[ExtremumResult]:
         by_seed.setdefault(s.cfg.seed, []).append(i)
     groups = list(by_seed.values())
 
-    outcomes: list = [None] * len(searches)
+    starts: list = [None] * len(searches)
 
-    def run(pulled, workers: int = 1) -> None:
+    def coarse(pulled, workers: int = 1) -> None:
         """The coarse starts of each group pulled, its chunks shared among
-        ``workers``, then one polish of all their refined searches on this
-        thread."""
-        starts = {}
+        ``workers``."""
         for group in pulled:
-            starts.update(zip(group, _coarse_starts([searches[i] for i in group], table,
-                                                    [ids[i] for i in group], workers)))
-        for i, (frames, values) in starts.items():
-            outcomes[i] = (float(values[0]), frames[0], 0, False)
-        refined = [i for i in starts if _refined(searches[i].cfg)]
-        if refined:
-            for i, outcome in zip(refined, _refine([searches[i] for i in refined], table,
-                                                   [ids[i] for i in refined],
-                                                   [starts[i] for i in refined])):
+            for i, start in zip(group, _coarse_starts([searches[i] for i in group], table,
+                                                      [ids[i] for i in group], workers)):
+                starts[i] = start
+
+    def polish(pulled) -> None:
+        """Each part pulled, polished in one :func:`_refine` call."""
+        for part in pulled:
+            for i, outcome in zip(part, _refine([searches[i] for i in part], table,
+                                                [ids[i] for i in part],
+                                                [starts[i] for i in part])):
                 outcomes[i] = outcome
 
-    if len(groups) == 1:  # its chunks are the items
+    if len(groups) == 1:  # its chunks are the items, and the caller polishes
         chunks = -(-max(s.cfg.samples for s in searches) // SAMPLE_CHUNK)
-        run(groups, min(_cpu_count(), chunks, _MAX_WORKERS))
+        coarse(groups, min(_cpu_count(), chunks, _MAX_WORKERS))
+        workers = 1
     else:
-        _share(groups, run, min(_cpu_count(), len(groups), _MAX_WORKERS))
+        workers = min(_cpu_count(), len(groups), _MAX_WORKERS)
+        _share(groups, coarse, workers)
+    outcomes = [(float(values[0]), frames[0], 0, False) for frames, values in starts]
+    refined = [i for i, s in enumerate(searches) if _refined(s.cfg)]
+    parts = [refined[len(refined) * w // workers:len(refined) * (w + 1) // workers]
+             for w in range(workers)]
+    parts = [part for part in parts if part]
+    _share(parts, polish, len(parts))
     values, frames, evaluations, converged = zip(*outcomes)
     frames = np.stack(frames)
     error = np.max(np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(4)), axis=(1, 2))

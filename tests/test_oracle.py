@@ -699,10 +699,11 @@ def _send_summaries(searches, sender):
 
 class TestScheduling:
     """Oracle work shared by the calling thread and the helper threads started
-    for one call: whole seed groups, each with its polish, when a batch has
-    several, and one group's chunks when it has one.  The same bytes for any
-    CPU count, no thread outliving the call, and a worker's exception passed
-    on.  Workers take items as they come free, so no test asserts which
+    for one call: when a batch has several seed groups, whole groups, then
+    the parts of their polish; when it has one, its chunks.  The same bytes
+    for any CPU count, the same polish work for any schedule, no thread
+    outliving the call, and a worker's exception passed on.  Workers take
+    items as they come free, so no test of real threads asserts which
     thread took which item."""
 
     @staticmethod
@@ -778,24 +779,27 @@ class TestScheduling:
                 assert [summary(res) for res in extremize_batch(searches)] == serial, cpus
                 assert threading.active_count() == threads
                 workers = min(cpus, items)
-                assert len(helpers) == workers - 1
+                # Several groups start helpers twice: for the groups, then for
+                # the polish, whose W parts share six refined searches.
+                assert len(helpers) == (workers - 1) * (2 if groups > 1 else 1)
                 assert not any(t.is_alive() for t in helpers)
                 assert len(set().union(*seen.values())) <= workers
         finally:
             sys.setswitchinterval(interval)
 
     def test_each_group_runs_on_one_thread(self, monkeypatch):
-        """A group's coarse pass and the polish of its searches."""
+        """A group's coarse pass runs on one thread; then the refined
+        searches, in search order, are cut into one contiguous part per
+        worker, each part one :func:`_refine` call on one thread."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         seen = self.record_threads(monkeypatch)
-        jets = oracle._jets
+        refine, parts = oracle._refine, []
 
-        def recorded(matrices):
-            for m in matrices:
-                seen.setdefault(m.tobytes(), set()).add(threading.get_ident())
-            return jets(matrices)
+        def recorded(searches, table, ids, starts):
+            parts.append(([s.cfg.seed for s in searches], threading.get_ident()))
+            return refine(searches, table, ids, starts)
 
-        monkeypatch.setattr(oracle, "_jets", recorded)
+        monkeypatch.setattr(oracle, "_refine", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -805,6 +809,9 @@ class TestScheduling:
         assert len(seen) == 3  # one matrix per seed group
         assert all(len(threads) == 1 for threads in seen.values())
         assert len(set().union(*seen.values())) <= 2
+        # Seed 12's searches fall on both sides of the cut.
+        assert sorted(seeds for seeds, _ in parts) == [[11, 11, 12], [12, 13, 13]]
+        assert len({thread for _, thread in parts}) <= 2
 
     @staticmethod
     def many_groups(count: int) -> list[list[Search]]:
@@ -870,13 +877,16 @@ class TestScheduling:
         assert len(results) == 24
 
     def test_workers_are_capped(self, monkeypatch):
+        """One helper for each phase of a call: verify_style's groups and
+        its polish, analyze_style's chunks."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 11)
         helpers = self.record_helpers(monkeypatch)
         threads = threading.active_count()
-        for batch in (verify_style, analyze_style):
+        for batch, phases in ((verify_style, 2), (analyze_style, 1)):
+            helpers.clear()
             extremize_batch(batch(20000))
-        assert len(helpers) == 2 * (oracle._MAX_WORKERS - 1) == 2
-        assert threading.active_count() == threads
+            assert len(helpers) == phases * (oracle._MAX_WORKERS - 1) == phases
+            assert threading.active_count() == threads
 
     def test_cpu_count_follows_affinity_then_cpu_count(self, monkeypatch):
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -907,16 +917,17 @@ class TestScheduling:
             assert threading.active_count() == threads
 
     def test_helper_polish_exception_propagates(self, monkeypatch):
-        """A helper's polish (:func:`_refine` off the calling thread) that
-        raises, in a verify_style batch where both workers hold a group: the
-        exception leaves the call once the caller's own polish has run."""
+        """A helper's polish part (:func:`_refine` off the calling thread)
+        that raises, in a verify_style batch where both workers hold a part:
+        the exception leaves the call once the caller's own part has run."""
         monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         caller = threading.get_ident()
-        self.first_items_wait(monkeypatch, 2)
+        both_hold_a_part = threading.Barrier(2)
         refine, polished = oracle._refine, []
 
         def failing(*args):
             polished.append(threading.get_ident())
+            both_hold_a_part.wait(60)
             if threading.get_ident() != caller:
                 raise RuntimeError("helper polish failed")
             return refine(*args)
@@ -926,7 +937,48 @@ class TestScheduling:
         with pytest.raises(RuntimeError, match="helper polish failed"):
             extremize_batch(verify_style(2048))
         assert threading.active_count() == threads
-        assert caller in polished and len(set(polished)) == 2
+        assert caller in polished and len(polished) == len(set(polished)) == 2
+
+    @staticmethod
+    def one_each_then_the_rest(order):
+        """A serial stand-in for :func:`oracle._share`: the items, in
+        ``order``, go one each to workers 0 to W - 2 and the rest to worker
+        W - 1, each worker's ``work`` running on the calling thread."""
+        def share(items, work, workers):
+            items = order(list(items))
+            for w in range(workers):
+                work(iter(items[w:w + 1] if w < workers - 1 else items[w:]))
+        return share
+
+    def test_work_does_not_depend_on_the_schedule(self, monkeypatch):
+        """A multi-group batch does the same polish work whichever worker
+        takes which seed group: the same frames in each :func:`_polish` call
+        and the same rotations, so traced counts are fixed."""
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
+        polished, rotations = [], []
+
+        def recorded_polish(objective, matrices, owner, signs, frames, values, caps):
+            polished.append(len(frames))
+            return _polish(objective, matrices, owner, signs, frames, values, caps)
+
+        def counted(omega):
+            rotations.append(threading.get_ident())
+            return rotation_from_generator(omega)
+
+        monkeypatch.setattr(oracle, "_polish", recorded_polish)
+        monkeypatch.setattr(oracle, "rotation_from_generator", counted)
+        runs = []
+        # Seeds 11, 12 and 13 polish in 5, 4 and 6 steps of one rotation each.
+        for order in (list, lambda items: items[1:] + items[:1]):
+            monkeypatch.setattr(oracle, "_share", self.one_each_then_the_rest(order))
+            polished.clear()
+            rotations.clear()
+            results = [summary(res) for res in extremize_batch(verify_style(2048))]
+            runs.append((results, sorted(polished), len(rotations)))
+        (results, frames, calls), (rotated_results, rotated_frames, rotated_calls) = runs
+        assert rotated_results == results
+        assert rotated_frames == frames
+        assert rotated_calls == calls
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method on this platform")

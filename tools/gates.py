@@ -1,4 +1,4 @@
-"""Byte gates: the sha256 of the output of twenty-seven fixed curv4 commands.
+"""Byte gates: the sha256 of the output of twenty-eight fixed curv4 commands.
 
 Run from anywhere, with the checkout's own ``src`` on the import path:
 
@@ -60,6 +60,8 @@ GATES = {
     # Tiny rows: every float's repr has a negative exponent.
     "scan --model random_bianchi:1e-150 --trials 50 --seed 2": "bcea2b5c8261eb6f",
     "verify --trials 500 --seed 7 --json": "4a73a8d63c4d6e43",
+    # A 50-trial second block, whose polish is cut into two parts of 25 trials.
+    "verify --trials 150 --seed 5 --json": "eb691ff94e2136e8",
     "verify --seed 1 --json": "ebd9d1bfe8979201",
     "verify --seed 1 --text": "1954a4ff8f25a66b",
     # verify at analyze's 20 000-sample budget.
